@@ -69,6 +69,22 @@ def test_equality_as_fractions():
     assert LocalizedPoly(x, one, 1) != LocalizedPoly(x, one, 2)
 
 
+def test_text_forms():
+    # only failure witnesses print these, so no golden report covers them
+    f = parse_poly("x1^2 + 1", 2)
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    eta = parse_derivation("x1*d1 - 1/2*d2", 2)
+    m = ModuleElement((x1, -x2))
+    forms = differential_forms(2)
+    assert str(LocalizedPoly(f, x1 - x2, 0)) == "x1 - x2"
+    assert str(LocalizedPoly(f, x1 - x2, 2)) == "(x1 - x2) / (x1^2 + 1)^2"
+    assert str(LocalizedDerivation(f, eta, 0)) == "x1*d1 - 1/2*d2"
+    assert str(LocalizedDerivation(f, eta, 1)) == "(x1*d1 - 1/2*d2) / (x1^2 + 1)^1"
+    assert str(LocalizedModuleElement(f, forms, m, 0)) == "(x1, -x2)"
+    # the element prints its own parentheses; none are added around it
+    assert str(LocalizedModuleElement(f, forms, m, 3)) == "(x1, -x2) / (x1^2 + 1)^3"
+
+
 def test_zero_base_rejected():
     with pytest.raises(ZeroDivisionError):
         LocalizedPoly(Poly.zero(1), x, 1)
