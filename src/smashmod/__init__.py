@@ -56,7 +56,6 @@ from .modules import (
     tensor_product,
     trivial_dmodule,
     twist,
-    validate_module,
     zoo,
 )
 from .localize import (
@@ -65,7 +64,6 @@ from .localize import (
     LocalizedModule,
     LocalizedModuleElement,
     LocalizedPoly,
-    act_localized,
     apply_localized_derivation,
     extend_base,
     verify_localized,
@@ -83,10 +81,9 @@ __all__ = [
     "AVModule", "Matrix", "ModuleElement", "ModuleSchemaError", "ValidationError",
     "differential_forms", "dual_module", "exterior_power", "jet_module",
     "min_annihilating_order", "module_from_dict", "module_to_dict", "oracle_order",
-    "tangent_adjoint", "tensor_product", "trivial_dmodule", "twist",
-    "validate_module", "zoo",
+    "tangent_adjoint", "tensor_product", "trivial_dmodule", "twist", "zoo",
     "LOCALIZED_CHECK_IDS", "LocalizedDerivation", "LocalizedModule",
-    "LocalizedModuleElement", "LocalizedPoly", "act_localized",
+    "LocalizedModuleElement", "LocalizedPoly",
     "apply_localized_derivation", "extend_base", "verify_localized",
     "RunConfig", "SUITE_NAMES", "run_suite",
 ]

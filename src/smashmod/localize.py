@@ -19,13 +19,15 @@ denominators act through the quotient rule
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from operator import attrgetter, itemgetter
+from typing import Mapping
 
 from .poly import Derivation, DimensionMismatch, Poly, PolyError
-from .modules import AVModule, ModuleElement
+from .modules import AVModule, ModuleElement, _test_vectors
 from .smash import (
     SmashElement,
     VerificationReport,
+    _report,
     embed_coefficient,
     embed_function,
 )
@@ -35,7 +37,6 @@ __all__ = [
     "LocalizedDerivation",
     "LocalizedModuleElement",
     "LocalizedModule",
-    "act_localized",
     "apply_localized_derivation",
     "extend_base",
     "verify_localized",
@@ -52,71 +53,91 @@ def _check_base(a, b):
         raise BaseMismatch("localized values have different bases")
 
 
-class LocalizedPoly:
-    """numerator / base^denom_exp, over the fixed localizing polynomial."""
+class _LocalizedFraction:
+    """numerator / base^denom_exp over the fixed localizing polynomial.
+
+    The one place that decides how such a fraction is checked, reduced,
+    compared, added, scaled and printed.  The numerator is a Poly, a
+    Derivation or a ModuleElement; ``_parts`` splits it into polynomials and
+    ``_assemble`` rebuilds it from them (a Poly is its own single part).
+    """
 
     __slots__ = ("base", "numerator", "denom_exp")
+    # whether __str__ parenthesizes the numerator
+    _paren = True
+    _parts = staticmethod(lambda num: (num,))
+    _assemble = itemgetter(0)
 
-    def __init__(self, base: Poly, numerator: Poly, denom_exp: int = 0):
+    def __init__(self, base: Poly, numerator, denom_exp: int = 0):
         if base.is_zero():
             raise ZeroDivisionError("localizing polynomial must be nonzero")
-        if numerator.dim != base.dim:
-            raise DimensionMismatch("numerator and base disagree on dim")
+        self._check_numerator(base, numerator)
         if denom_exp < 0:
             raise ValueError("denominator exponent must be nonnegative")
         self.base = base
         self.numerator = numerator
         self.denom_exp = denom_exp
 
-    def reduce(self) -> "LocalizedPoly":
-        """Normal form: cancel the base out of the numerator (value-preserving)."""
+    def _check_numerator(self, base: Poly, numerator):
+        if numerator.dim != base.dim:
+            raise DimensionMismatch("numerator and base disagree on dim")
+
+    def _new(self, base: Poly, numerator, denom_exp: int):
+        return type(self)(base, numerator, denom_exp)
+
+    def _reduce(self):
+        """Normal form: cancel the base out of every part of the numerator at
+        once (value-preserving)."""
         num, k = self.numerator, self.denom_exp
         if num.is_zero():
-            return LocalizedPoly(self.base, num, 0)
+            return self._new(self.base, num, 0)
         while k > 0:
-            q = num.exact_divide(self.base)
-            if q is None:
+            quots = [p.exact_divide(self.base) for p in self._parts(num)]
+            if any(q is None for q in quots):
                 break
-            num, k = q, k - 1
-        return LocalizedPoly(self.base, num, k)
+            num, k = self._assemble(quots), k - 1
+        return self._new(self.base, num, k)
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
+    def _same_space(self, other) -> bool:
+        return self.base == other.base
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalizedPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        if self.base != other.base:
+        if not self._same_space(other):
             return False
-        return (self.numerator * other.base ** other.denom_exp
+        return (self.numerator * self.base ** other.denom_exp
                 == other.numerator * self.base ** self.denom_exp)
 
     __hash__ = None
 
     def __add__(self, other):
-        if not isinstance(other, LocalizedPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         _check_base(self, other)
         k = max(self.denom_exp, other.denom_exp)
         num = (self.numerator * self.base ** (k - self.denom_exp)
                + other.numerator * self.base ** (k - other.denom_exp))
-        return LocalizedPoly(self.base, num, k).reduce()
+        return self._new(self.base, num, k).reduce()
 
     def __sub__(self, other):
-        if not isinstance(other, LocalizedPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return LocalizedPoly(self.base, -self.numerator, self.denom_exp)
+        return self._new(self.base, -self.numerator, self.denom_exp)
 
     def __mul__(self, other):
         if isinstance(other, LocalizedPoly):
             _check_base(self, other)
-            return LocalizedPoly(self.base, self.numerator * other.numerator,
-                                 self.denom_exp + other.denom_exp).reduce()
+            return self._new(self.base, self.numerator * other.numerator,
+                             self.denom_exp + other.denom_exp).reduce()
         if isinstance(other, (int, Fraction, Poly)):
-            return LocalizedPoly(self.base, self.numerator * other, self.denom_exp).reduce()
+            return self._new(self.base, self.numerator * other, self.denom_exp).reduce()
         return NotImplemented
 
     __rmul__ = __mul__
@@ -124,145 +145,90 @@ class LocalizedPoly:
     def __str__(self) -> str:
         if self.denom_exp == 0:
             return str(self.numerator)
-        return f"({self.numerator}) / ({self.base})^{self.denom_exp}"
+        num = f"({self.numerator})" if self._paren else str(self.numerator)
+        return f"{num} / ({self.base})^{self.denom_exp}"
 
     def __repr__(self) -> str:
-        return f"LocalizedPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
-class LocalizedDerivation:
+class LocalizedPoly(_LocalizedFraction):
+    """numerator / base^denom_exp, over the fixed localizing polynomial."""
+
+    __slots__ = ()
+
+    def reduce(self) -> "LocalizedPoly":
+        """Normal form: cancel the base out of the numerator (value-preserving)."""
+        return self._reduce()
+
+
+class LocalizedDerivation(_LocalizedFraction):
     """A vector field divided by a power of the base: numerator / base^k."""
 
-    __slots__ = ("base", "numerator", "denom_exp")
-
-    def __init__(self, base: Poly, numerator: Derivation, denom_exp: int = 0):
-        if base.is_zero():
-            raise ZeroDivisionError("localizing polynomial must be nonzero")
-        if numerator.dim != base.dim:
-            raise DimensionMismatch("numerator and base disagree on dim")
-        if denom_exp < 0:
-            raise ValueError("denominator exponent must be nonnegative")
-        self.base = base
-        self.numerator = numerator
-        self.denom_exp = denom_exp
+    __slots__ = ()
+    _parts = attrgetter("coeffs")
+    _assemble = Derivation
 
     def reduce(self) -> "LocalizedDerivation":
         """Cancel the base out of all components simultaneously."""
-        num, k = self.numerator, self.denom_exp
-        if num.is_zero():
-            return LocalizedDerivation(self.base, num, 0)
-        while k > 0:
-            quots = [c.exact_divide(self.base) for c in num.coeffs]
-            if any(q is None for q in quots):
-                break
-            num, k = Derivation(tuple(quots)), k - 1
-        return LocalizedDerivation(self.base, num, k)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalizedDerivation):
-            return NotImplemented
-        if self.base != other.base:
-            return False
-        return (self.numerator * other.base ** other.denom_exp
-                == other.numerator * self.base ** self.denom_exp)
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if self.denom_exp == 0:
-            return str(self.numerator)
-        return f"({self.numerator}) / ({self.base})^{self.denom_exp}"
-
-    def __repr__(self) -> str:
-        return f"LocalizedDerivation({self})"
+        return self._reduce()
 
 
-class LocalizedModuleElement:
+class LocalizedModuleElement(_LocalizedFraction):
     """A module element divided by a power of the base: numerator / base^l."""
 
-    __slots__ = ("base", "module", "numerator", "denom_exp")
+    __slots__ = ("module",)
+    _paren = False  # a ModuleElement prints its own parentheses
+    _parts = attrgetter("entries")
+    _assemble = ModuleElement
 
     def __init__(self, base: Poly, module: AVModule, numerator: ModuleElement,
                  denom_exp: int = 0):
-        if base.is_zero():
-            raise ZeroDivisionError("localizing polynomial must be nonzero")
-        module._require_validated()
-        if numerator.dim != base.dim or numerator.dim != module.dim:
-            raise DimensionMismatch("numerator, base and module disagree on dim")
-        if numerator.rank != module.rank:
-            raise DimensionMismatch("element rank does not match the module")
-        if denom_exp < 0:
-            raise ValueError("denominator exponent must be nonnegative")
-        self.base = base
         self.module = module
-        self.numerator = numerator
-        self.denom_exp = denom_exp
+        super().__init__(base, numerator, denom_exp)
+
+    def _check_numerator(self, base: Poly, numerator: ModuleElement):
+        self.module._require_validated()
+        if numerator.dim != base.dim or numerator.dim != self.module.dim:
+            raise DimensionMismatch("numerator, base and module disagree on dim")
+        if numerator.rank != self.module.rank:
+            raise DimensionMismatch("element rank does not match the module")
+
+    def _new(self, base: Poly, numerator: ModuleElement, denom_exp: int):
+        return LocalizedModuleElement(base, self.module, numerator, denom_exp)
+
+    def _same_space(self, other) -> bool:
+        return self.base == other.base and self.module is other.module
 
     def reduce(self) -> "LocalizedModuleElement":
-        num, l = self.numerator, self.denom_exp
-        if num.is_zero():
-            return LocalizedModuleElement(self.base, self.module, num, 0)
-        while l > 0:
-            quots = [p.exact_divide(self.base) for p in num.entries]
-            if any(q is None for q in quots):
-                break
-            num, l = ModuleElement(tuple(quots)), l - 1
-        return LocalizedModuleElement(self.base, self.module, num, l)
+        return self._reduce()
 
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalizedModuleElement):
-            return NotImplemented
-        if self.base != other.base or self.module is not other.module:
-            return False
-        a = self.numerator * (self.base ** other.denom_exp)
-        b = other.numerator * (other.base ** self.denom_exp)
-        return a == b
+def _annihilator_series(module: AVModule, g: Poly, eta: Derivation, m: ModuleElement,
+                        weights=None) -> ModuleElement:
+    """sum_{u=0}^{N} w(u) * (omega(u, g, eta) m) * g^{N-u}, N the module order.
 
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, LocalizedModuleElement):
-            return NotImplemented
-        _check_base(self, other)
-        l = max(self.denom_exp, other.denom_exp)
-        num = (self.numerator * self.base ** (l - self.denom_exp)
-               + other.numerator * self.base ** (l - other.denom_exp))
-        return LocalizedModuleElement(self.base, self.module, num, l).reduce()
-
-    def __sub__(self, other):
-        if not isinstance(other, LocalizedModuleElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LocalizedModuleElement(self.base, self.module, -self.numerator, self.denom_exp)
-
-    def __mul__(self, other):
-        if isinstance(other, LocalizedPoly):
-            _check_base(self, other)
-            return LocalizedModuleElement(
-                self.base, self.module, self.numerator * other.numerator,
-                self.denom_exp + other.denom_exp).reduce()
-        if isinstance(other, (int, Fraction, Poly)):
-            return LocalizedModuleElement(
-                self.base, self.module, self.numerator * other, self.denom_exp).reduce()
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.denom_exp == 0:
-            return str(self.numerator)
-        return f"{self.numerator} / ({self.base})^{self.denom_exp}"
-
-    def __repr__(self) -> str:
-        return f"LocalizedModuleElement({self})"
+    w is ``weights`` or, when None, 1 (and then nothing is multiplied by it).
+    The localized action passes g = f^k without weights; the check of its
+    1/f^k re-expansion passes g = f with binomial weights.
+    """
+    N = module.order
+    d = module.dim
+    G = embed_function(g) - embed_coefficient(g)
+    g_pow = [Poly.constant(d, 1)]
+    for _ in range(N):
+        g_pow.append(g_pow[-1] * g)
+    Gu = Poly.constant(2 * d, 1)
+    acc = ModuleElement.zero(d, module.rank)
+    for u in range(N + 1):
+        smash_u = SmashElement(d, tuple(Gu * embed_coefficient(c) for c in eta.coeffs))
+        term = module.act_smash(smash_u, m)
+        if not term.is_zero():
+            scale = g_pow[N - u] if weights is None else weights(u) * g_pow[N - u]
+            acc = acc + term * scale
+        if u < N:
+            Gu = Gu * G
+    return acc
 
 
 class LocalizedModule:
@@ -295,27 +261,13 @@ class LocalizedModule:
         module, f = self.module, self.base
         k, eta = ed.denom_exp, ed.numerator
         l, m = me.denom_exp, me.numerator
-        N = module.order
-        d = module.dim
         if k == 0:
             series = LocalizedModuleElement(
                 f, module, module.act_derivation(eta, m), l)
         else:
-            fk = f ** k
-            F = embed_function(fk) - embed_coefficient(fk)
-            fk_pow = [Poly.constant(d, 1)]
-            for _ in range(N):
-                fk_pow.append(fk_pow[-1] * fk)
-            Fp = Poly.constant(2 * d, 1)
-            acc = ModuleElement.zero(d, module.rank)
-            for p in range(N + 1):
-                u = SmashElement(d, tuple(Fp * embed_coefficient(g) for g in eta.coeffs))
-                term = module.act_smash(u, m)
-                if not term.is_zero():
-                    acc = acc + term * fk_pow[N - p]
-                if p < N:
-                    Fp = Fp * F
-            series = LocalizedModuleElement(f, module, acc, k * (N + 1) + l)
+            series = LocalizedModuleElement(
+                f, module, _annihilator_series(module, f ** k, eta, m),
+                k * (module.order + 1) + l)
         if l:
             etaf = eta.apply(f)
             if not etaf.is_zero():
@@ -323,11 +275,6 @@ class LocalizedModule:
                     f, module, (m * etaf) * (-l), k + l + 1)
                 series = series + leib
         return series.reduce()
-
-
-def act_localized(context: LocalizedModule, ed: LocalizedDerivation,
-                  me: LocalizedModuleElement) -> LocalizedModuleElement:
-    return context.act(ed, me)
 
 
 def apply_localized_derivation(ed: LocalizedDerivation, a: LocalizedPoly) -> LocalizedPoly:
@@ -348,16 +295,8 @@ def extend_base(value, extra: Poly):
     """
     if extra.is_zero():
         raise ZeroDivisionError("base factor must be nonzero")
-    new_base = value.base * extra
-    scale = extra ** value.denom_exp
-    if isinstance(value, LocalizedPoly):
-        return LocalizedPoly(new_base, value.numerator * scale, value.denom_exp)
-    if isinstance(value, LocalizedDerivation):
-        return LocalizedDerivation(new_base, value.numerator * scale, value.denom_exp)
-    if isinstance(value, LocalizedModuleElement):
-        return LocalizedModuleElement(new_base, value.module,
-                                      value.numerator * scale, value.denom_exp)
-    raise TypeError(f"cannot rebase {type(value).__name__}")
+    return value._new(value.base * extra, value.numerator * extra ** value.denom_exp,
+                      value.denom_exp)
 
 
 # ---------------------------------------------------------------------------------
@@ -374,35 +313,13 @@ LOCALIZED_CHECK_IDS = (
 )
 
 
-def _test_vectors(module: AVModule) -> list[ModuleElement]:
-    vectors = module.basis()
-    for k in range(1, module.dim + 1):
-        xk = Poly.variable(module.dim, k)
-        vectors.extend(xk * b for b in module.basis())
-    return vectors
-
-
 def _series_by_coefficients(context: LocalizedModule, eta: Derivation,
                             m: ModuleElement, weights, extra_exp: int
                             ) -> LocalizedModuleElement:
     """sum_u weights(u) * omega(u, f, eta) m / f^{u + extra_exp}, u = 0..N."""
     module, f = context.module, context.base
-    N = module.order
-    d = module.dim
-    F = embed_function(f) - embed_coefficient(f)
-    f_pow = [Poly.constant(d, 1)]
-    for _ in range(N):
-        f_pow.append(f_pow[-1] * f)
-    Fp = Poly.constant(2 * d, 1)
-    acc = ModuleElement.zero(d, module.rank)
-    for u in range(N + 1):
-        smash_u = SmashElement(d, tuple(Fp * embed_coefficient(g) for g in eta.coeffs))
-        term = module.act_smash(smash_u, m)
-        if not term.is_zero():
-            acc = acc + term * (weights(u) * f_pow[N - u])
-        if u < N:
-            Fp = Fp * F
-    return LocalizedModuleElement(f, module, acc, N + extra_exp).reduce()
+    series = _annihilator_series(module, f, eta, m, weights)
+    return LocalizedModuleElement(f, module, series, module.order + extra_exp).reduce()
 
 
 def verify_localized(name: str, module: AVModule, f: Poly,
@@ -418,19 +335,11 @@ def verify_localized(name: str, module: AVModule, f: Poly,
     """
     if name not in LOCALIZED_CHECK_IDS:
         raise ValueError(f"unknown localized check id {name!r}")
-    module._require_validated()
-    if f.is_zero():
-        raise ZeroDivisionError("localizing polynomial must be nonzero")
     context = LocalizedModule(module, f)
     echoed = {"module": module.name or "<anonymous>", "f": str(f)}
     for key in ("eta", "mu", "g", "j", "k", "a_num", "a_exp", "eta_exp", "mu_exp"):
         if key in inputs:
             echoed[key] = str(inputs[key])
-
-    def done(witness: Optional[dict]) -> VerificationReport:
-        return VerificationReport(
-            identity=f"localized-{name}", inputs=echoed,
-            status="pass" if witness is None else "fail", witness=witness)
 
     def require(*keys):
         missing = [k for k in keys if k not in inputs]
@@ -440,6 +349,7 @@ def verify_localized(name: str, module: AVModule, f: Poly,
 
     vectors = _test_vectors(module)
 
+    # each branch defines sides(v): the two sides of the law on the vector v
     if name == "welldefined":
         (eta,) = require("eta")
         j = int(inputs.get("j", 1))
@@ -447,29 +357,23 @@ def verify_localized(name: str, module: AVModule, f: Poly,
             raise ValueError("welldefined needs j >= 1")
         scaled = LocalizedDerivation(f, (f ** j) * eta, j)  # unreduced on purpose
         plain = LocalizedDerivation(f, eta, 0)
-        for v in vectors:
-            me = context.include(v)
-            lhs = context.act(scaled, me)
-            rhs = context.act(plain, me)
-            if lhs != rhs:
-                return done({"vector": str(v), "difference": str(lhs - rhs)})
-        return done(None)
 
-    if name == "leibniz":
+        def sides(v):
+            me = context.include(v)
+            return context.act(scaled, me), context.act(plain, me)
+
+    elif name == "leibniz":
         eta, a_num = require("eta", "a_num")
         k = int(inputs.get("k", 1))
         a = LocalizedPoly(f, a_num, int(inputs.get("a_exp", 1)))
         ed = LocalizedDerivation(f, eta, k)
         da = apply_localized_derivation(ed, a)
-        for v in vectors:
-            me = context.include(v)
-            lhs = context.act(ed, a * me)
-            rhs = da * me + a * context.act(ed, me)
-            if lhs != rhs:
-                return done({"vector": str(v), "difference": str(lhs - rhs)})
-        return done(None)
 
-    if name == "bracket":
+        def sides(v):
+            me = context.include(v)
+            return context.act(ed, a * me), da * me + a * context.act(ed, me)
+
+    elif name == "bracket":
         eta, mu = require("eta", "mu")
         ed = LocalizedDerivation(f, eta, 1)
         md = LocalizedDerivation(f, mu, 1)
@@ -478,43 +382,46 @@ def verify_localized(name: str, module: AVModule, f: Poly,
             LocalizedDerivation(f, mu.apply(f) * eta, 3),
             LocalizedDerivation(f, eta.bracket(mu), 2),
         )
-        for v in vectors:
+
+        def sides(v):
             me = context.include(v)
             lhs = context.act(ed, context.act(md, me)) - context.act(md, context.act(ed, me))
             rhs = context.act(rhs_parts[0], me) + context.act(rhs_parts[1], me) \
                 + context.act(rhs_parts[2], me)
-            if lhs != rhs:
-                return done({"vector": str(v), "difference": str(lhs - rhs)})
-        return done(None)
+            return lhs, rhs
 
-    if name in ("inverse-square", "inverse-cube"):
+    elif name in ("inverse-square", "inverse-cube"):
         (eta,) = require("eta")
         if name == "inverse-square":
             k, weights = 2, (lambda u: u + 1)
         else:
             k, weights = 3, (lambda u: (u + 1) * (u + 2) // 2)
         ed = LocalizedDerivation(f, eta, k)
-        for v in vectors:
-            lhs = context.act(ed, context.include(v))
-            rhs = _series_by_coefficients(context, eta, v, weights, k)
-            if lhs != rhs:
-                return done({"vector": str(v), "difference": str(lhs - rhs)})
-        return done(None)
 
-    # restriction
-    eta, mu, g = require("eta", "mu", "g")
-    if g.is_zero():
-        raise ZeroDivisionError("second localizing polynomial must be nonzero")
-    a = int(inputs.get("eta_exp", 0))
-    b = int(inputs.get("mu_exp", 0))
-    if eta * (g ** b) != mu * (f ** a):
-        raise ValueError("representatives are not equal in the common localization")
-    context_g = LocalizedModule(module, g)
-    ed_f = LocalizedDerivation(f, eta, a)
-    ed_g = LocalizedDerivation(g, mu, b)
+        def sides(v):
+            return (context.act(ed, context.include(v)),
+                    _series_by_coefficients(context, eta, v, weights, k))
+
+    else:  # restriction
+        eta, mu, g = require("eta", "mu", "g")
+        if g.is_zero():
+            raise ZeroDivisionError("second localizing polynomial must be nonzero")
+        a = int(inputs.get("eta_exp", 0))
+        b = int(inputs.get("mu_exp", 0))
+        if eta * (g ** b) != mu * (f ** a):
+            raise ValueError("representatives are not equal in the common localization")
+        context_g = LocalizedModule(module, g)
+        ed_f = LocalizedDerivation(f, eta, a)
+        ed_g = LocalizedDerivation(g, mu, b)
+
+        def sides(v):
+            # f*g == g*f structurally, so both sides live over the same base
+            return (extend_base(context.act(ed_f, context.include(v)), g),
+                    extend_base(context_g.act(ed_g, context_g.include(v)), f))
+
     for v in vectors:
-        lhs = extend_base(context.act(ed_f, context.include(v)), g)
-        rhs = extend_base(context_g.act(ed_g, context_g.include(v)), f)
-        if lhs != rhs:  # f*g == g*f structurally, so both live over the same base
-            return done({"vector": str(v), "difference": str(lhs - rhs)})
-    return done(None)
+        lhs, rhs = sides(v)
+        if lhs != rhs:
+            return _report(f"localized-{name}", echoed,
+                           {"vector": str(v), "difference": str(lhs - rhs)})
+    return _report(f"localized-{name}", echoed, None)

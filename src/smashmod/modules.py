@@ -50,7 +50,6 @@ __all__ = [
     "AVModule",
     "ModuleSchemaError",
     "ValidationError",
-    "validate_module",
     "min_annihilating_order",
     "oracle_order",
     "exterior_power",
@@ -87,10 +86,6 @@ def _mat_is_zero(mat: Matrix) -> bool:
     return all(p.is_zero() for row in mat for p in row)
 
 
-def _mat_scale(mat: Matrix, c) -> Matrix:
-    return tuple(tuple(p * c for p in row) for row in mat)
-
-
 def _mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -106,19 +101,10 @@ def _mat_vec(mat: Matrix, vec: Sequence[Poly], dim: int) -> list[Poly]:
     return out
 
 
-def _mat_const(dim: int, r: int, fill) -> list[list[Poly]]:
-    return [[fill(i, j) for j in range(r)] for i in range(r)]
-
-
 def _identity(dim: int, r: int) -> Matrix:
     one = Poly.constant(dim, 1)
     zero = Poly.zero(dim)
     return tuple(tuple(one if i == j else zero for j in range(r)) for i in range(r))
-
-
-def _zero_matrix(dim: int, r: int) -> Matrix:
-    zero = Poly.zero(dim)
-    return tuple((zero,) * r for _ in range(r))
 
 
 def _kron(a: Matrix, b: Matrix, dim: int) -> Matrix:
@@ -133,6 +119,12 @@ def _kron(a: Matrix, b: Matrix, dim: int) -> Matrix:
                     row.append(p * q if (p.terms and q.terms) else Poly.zero(dim))
             out.append(tuple(row))
     return tuple(out)
+
+
+def _direction(d: int, i: int, g: Poly) -> Derivation:
+    """The vector field g * d_i in d variables."""
+    zero = Poly.zero(d)
+    return Derivation(tuple(g if t == i - 1 else zero for t in range(d)))
 
 
 class ModuleElement:
@@ -401,22 +393,14 @@ class AVModule:
         d = self.dim
         exps = monomials_per_variable(d, self.order + 2)
         monos = [Poly.monomial(d, e) for e in exps]
-        vectors = self.basis()
-        for k in range(1, d + 1):
-            xk = Poly.variable(d, k)
-            vectors.extend(xk * b for b in self.basis())
-
-        def direction(idx: int, g: Poly) -> Derivation:
-            return Derivation(tuple(
-                g if t == idx - 1 else Poly.zero(d) for t in range(d)))
-
+        vectors = _test_vectors(self)
         inner_cache: dict[tuple[int, int], list[ModuleElement]] = {}
 
         def images(idx: int, gidx: int) -> list[ModuleElement]:
             key = (idx, gidx)
             got = inner_cache.get(key)
             if got is None:
-                eta = direction(idx, monos[gidx])
+                eta = _direction(d, idx, monos[gidx])
                 got = [self._act_derivation_unchecked(eta, v) for v in vectors]
                 inner_cache[key] = got
             return got
@@ -427,8 +411,8 @@ class AVModule:
                     for hj, h in enumerate(monos):
                         if i == j and gi >= hj:
                             continue  # antisymmetric defect: ordered pairs suffice
-                        eta = direction(i, g)
-                        mu = direction(j, h)
+                        eta = _direction(d, i, g)
+                        mu = _direction(d, j, h)
                         lie = eta.bracket(mu)
                         mu_v = images(j, hj)
                         eta_v = images(i, gi)
@@ -456,6 +440,16 @@ class AVModule:
         return got
 
 
+def _test_vectors(module: AVModule) -> list[ModuleElement]:
+    """The basis and its multiples x_k * basis: the arguments on which the
+    validator and the localized checks test each operator identity."""
+    vectors = module.basis()
+    for k in range(1, module.dim + 1):
+        xk = Poly.variable(module.dim, k)
+        vectors.extend(xk * b for b in module.basis())
+    return vectors
+
+
 def _partial_y(p: Poly, alpha: MultiIndex, d: int) -> Poly:
     """Iterated partial of a doubled polynomial in the y-block directions."""
     out = p
@@ -465,10 +459,6 @@ def _partial_y(p: Poly, alpha: MultiIndex, d: int) -> Poly:
                 return out
             out = out.partial_derivative(d + t + 1)
     return out
-
-
-def validate_module(module: AVModule) -> VerificationReport:
-    return module.validate()
 
 
 # ---------------------------------------------------------------------------------
@@ -509,17 +499,12 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     d = module.dim
     coords = [Poly.variable(d, i) for i in range(1, d + 1)]
     gs = [Poly.monomial(d, a) for a in multi_indices(d, module.order + 1)]
-    zero = Poly.zero(d)
-
-    def direction(idx: int, g: Poly) -> Derivation:
-        return Derivation(tuple(g if t == idx - 1 else zero for t in range(d)))
-
     for n in range(n_max + 1):
         ok = True
         for fs in combinations_with_replacement(coords, n + 1):
             for i in range(1, d + 1):
                 for g in gs:
-                    if not module.annihilates(omega_multi(fs, direction(i, g))):
+                    if not module.annihilates(omega_multi(fs, _direction(d, i, g))):
                         ok = False
                         break
                 if not ok:
@@ -529,6 +514,15 @@ def oracle_order(module: AVModule, n_max: int) -> int:
         if ok:
             return n
     return n_max + 1
+
+
+def _validated(module: AVModule, message: str) -> AVModule:
+    """Validate a freshly built module, raising ValidationError on failure;
+    the message's {} receives the module's name."""
+    report = module.validate()
+    if not report.passed:
+        raise ValidationError(message.format(module.name or "<anonymous>"), report)
+    return module
 
 
 # ---------------------------------------------------------------------------------
@@ -580,11 +574,8 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
         if not _mat_is_zero(mat_out):
             tensor[(i, alpha)] = mat_out
     order = max((index_order(a) for (_, a) in tensor), default=0)
-    out = AVModule(d, nr, order, tensor, name=name)
-    report = out.validate()
-    if not report.passed:
-        raise ValidationError(f"exterior power failed validation: {name}", report)
-    return out
+    return _validated(AVModule(d, nr, order, tensor, name=name),
+                      "exterior power failed validation: {}")
 
 
 def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
@@ -608,11 +599,8 @@ def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
             tensor[key] = mat
     order = max((index_order(a) for (_, a) in tensor), default=0)
     name = f"({m1.name or 'M'})x({m2.name or 'N'})"
-    out = AVModule(d, m1.rank * m2.rank, order, tensor, name=name)
-    report = out.validate()
-    if not report.passed:
-        raise ValidationError(f"tensor product failed validation: {name}", report)
-    return out
+    return _validated(AVModule(d, m1.rank * m2.rank, order, tensor, name=name),
+                      "tensor product failed validation: {}")
 
 
 def dual_module(module: AVModule) -> AVModule:
@@ -623,22 +611,15 @@ def dual_module(module: AVModule) -> AVModule:
         r = len(mat)
         tensor[(i, alpha)] = tuple(tuple(-mat[b][a] for b in range(r)) for a in range(r))
     name = f"dual({module.name or 'M'})"
-    out = AVModule(module.dim, module.rank, module.order, tensor, name=name)
-    report = out.validate()
-    if not report.passed:
-        raise ValidationError(f"dual failed validation: {name}", report)
-    return out
+    return _validated(AVModule(module.dim, module.rank, module.order, tensor, name=name),
+                      "dual failed validation: {}")
 
 
 # ---------------------------------------------------------------------------------
 # the zoo
 # ---------------------------------------------------------------------------------
 
-def _validated(module: AVModule) -> AVModule:
-    report = module.validate()
-    if not report.passed:
-        raise ValidationError(f"zoo module failed validation: {module.name}", report)
-    return module
+_ZOO_FAILED = "zoo module failed validation: {}"
 
 
 @lru_cache(maxsize=None)
@@ -646,7 +627,7 @@ def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
     if dim < 1 or rank < 1:
         raise ValueError("trivial_dmodule needs dim >= 1 and rank >= 1")
-    return _validated(AVModule(dim, rank, 0, {}, name=f"dmodule({dim},{rank})"))
+    return _validated(AVModule(dim, rank, 0, {}, name=f"dmodule({dim},{rank})"), _ZOO_FAILED)
 
 
 @lru_cache(maxsize=None)
@@ -667,7 +648,7 @@ def differential_forms(dim: int = 1) -> AVModule:
                 one if (a == k - 1 and b == i - 1) else zero
                 for b in range(dim)) for a in range(dim))
             tensor[(i, unit_index(dim, k))] = mat
-    return _validated(AVModule(dim, dim, 1, tensor, name=f"forms({dim})"))
+    return _validated(AVModule(dim, dim, 1, tensor, name=f"forms({dim})"), _ZOO_FAILED)
 
 
 @lru_cache(maxsize=None)
@@ -687,7 +668,7 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
                 minus_one if (a == i - 1 and b == k - 1) else zero
                 for b in range(dim)) for a in range(dim))
             tensor[(i, unit_index(dim, k))] = mat
-    return _validated(AVModule(dim, dim, 1, tensor, name=f"adjoint({dim})"))
+    return _validated(AVModule(dim, dim, 1, tensor, name=f"adjoint({dim})"), _ZOO_FAILED)
 
 
 @lru_cache(maxsize=None)
@@ -725,7 +706,7 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
                 nonzero = True
             if nonzero:
                 tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
-    return _validated(AVModule(dim, r, n, tensor, name=f"jets({dim},{n})"))
+    return _validated(AVModule(dim, r, n, tensor, name=f"jets({dim},{n})"), _ZOO_FAILED)
 
 
 @lru_cache(maxsize=None)
@@ -741,7 +722,7 @@ def twist(lam: Coeff = 0) -> AVModule:
     else:
         mat = ((Poly.constant(1, lam),),)
         mod = AVModule(1, 1, 1, {(1, (1,)): mat}, name=f"twist({lam})")
-    return _validated(mod)
+    return _validated(mod, _ZOO_FAILED)
 
 
 _ZOO_ALIASES = {
@@ -856,10 +837,5 @@ def module_from_dict(data: Mapping) -> AVModule:
             raise ModuleSchemaError(f"matrix at {key} is not {rank}x{rank}")
         mat = tuple(tuple(parse_poly(str(cell), dim) for cell in row) for row in rows)
         tensor[key] = mat
-    module = AVModule(dim, rank, order, tensor, name=name)
-    report = module.validate()
-    if not report.passed:
-        raise ValidationError(
-            f"module {name or '<anonymous>'} failed bracket-compatibility validation",
-            report)
-    return module
+    return _validated(AVModule(dim, rank, order, tensor, name=name),
+                      "module {} failed bracket-compatibility validation")

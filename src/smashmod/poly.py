@@ -59,6 +59,13 @@ def _norm(c: Coeff) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
+def _exact(c) -> Coeff:
+    """Admit only exact coefficients: a float would smuggle in rounding."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return c
+
+
 def _clean(terms: dict) -> dict:
     """Drop zero coefficients and normalize integral Fractions, in place."""
     dead = []
@@ -106,8 +113,7 @@ class Poly:
                         f"exponent tuple {exps} has length {len(exps)}, expected {dim}")
                 if any(e < 0 or e >= _MAX_EXPONENT for e in exps):
                     raise ValueError(f"exponent out of range in {exps}")
-                c = Fraction(c) if not isinstance(c, (int, Fraction)) else c
-                packed[_pack(exps)] = packed.get(_pack(exps), 0) + c
+                packed[_pack(exps)] = packed.get(_pack(exps), 0) + _exact(c)
         self.terms = _clean(packed)
 
     # -- fast internal constructor -------------------------------------------------
@@ -125,7 +131,7 @@ class Poly:
 
     @classmethod
     def constant(cls, dim: int, c: Coeff) -> "Poly":
-        c = _norm(Fraction(c)) if not isinstance(c, int) else c
+        c = _norm(_exact(c)) if not isinstance(c, int) else c
         return cls._raw(dim, {0: c} if c else {})
 
     @classmethod
@@ -307,31 +313,43 @@ class Poly:
     # -- text form -----------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
-            neg = c < 0
-            mag = -c if neg else c
-            exps = _unpack(key, self.dim)
-            factors = "*".join(
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(exps) if e)
-            if factors and mag == 1:
-                body = factors
-            elif factors:
-                body = f"{mag}*{factors}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _format_terms(((self, None),), _x_names(self.dim))
 
     def __repr__(self) -> str:
         return f"Poly({self.dim}, {str(self)!r})"
+
+
+def _x_names(dim: int) -> list[str]:
+    return [f"x{i + 1}" for i in range(dim)]
+
+
+def _format_terms(parts: Iterable[tuple[Poly, str | None]], names: Sequence[str]) -> str:
+    """Signed sum of the terms of each (polynomial, trailing factor) pair.
+
+    ``names`` names the variables in key order (one per exponent field);
+    within a polynomial terms run in descending graded-lex order, and a
+    trailing factor such as ``d2`` closes every term of its polynomial.
+    """
+    out = []
+    for p, tail in parts:
+        for key in sorted(p.terms, reverse=True):
+            c = p.terms[key]
+            neg = c < 0
+            mag = -c if neg else c
+            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
+                       for i, e in enumerate(_unpack(key, len(names))) if e]
+            if tail:
+                factors.append(tail)
+            body = "*".join(factors)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            if not out:
+                out.append(("-" if neg else "") + body)
+            else:
+                out.append((" - " if neg else " + ") + body)
+    return "".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------------
@@ -532,26 +550,8 @@ class Derivation:
     def __str__(self) -> str:
         if self.is_zero():
             return "0*d1"
-        parts = []
-        for i, g in enumerate(self.coeffs, start=1):
-            for key in sorted(g.terms, reverse=True):
-                c = g.terms[key]
-                neg = c < 0
-                mag = -c if neg else c
-                exps = _unpack(key, self.dim)
-                factors = "*".join(
-                    f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}"
-                    for j, e in enumerate(exps) if e)
-                body = f"d{i}"
-                if factors:
-                    body = f"{factors}*{body}"
-                if mag != 1:
-                    body = f"{mag}*{body}"
-                if not parts:
-                    parts.append(("-" if neg else "") + body)
-                else:
-                    parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _format_terms(
+            ((g, f"d{i}") for i, g in enumerate(self.coeffs, start=1)), _x_names(self.dim))
 
     def __repr__(self) -> str:
         return f"Derivation({self.dim}, {str(self)!r})"

@@ -24,6 +24,8 @@ from .sampling import random_derivation, random_poly, seeded_rng
 from .smash import (
     IDENTITY_IDS,
     VerificationReport,
+    _report,
+    _smash_witness,
     omega,
     omega_definitional,
     omega_multi,
@@ -112,27 +114,20 @@ def run_coherence_suite(config: RunConfig) -> list[VerificationReport]:
             f = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
             p = t % (config.p_max + 1)
-            diff = omega(p, f, eta) - omega_definitional(p, f, eta)
-            reports.append(VerificationReport(
+            reports.append(_report(
                 "omega-coherence",
                 {"f": str(f), "eta": str(eta), "p": str(p),
                  "dim": str(dim), "trial": str(t)},
-                "pass" if diff.is_zero() else "fail",
-                None if diff.is_zero() else {"difference": str(diff)}))
+                _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta))))
             fs = tuple(random_poly(rng, dim, config.max_degree)
                        for _ in range(1 + t % 3))
             diff = omega_multi(fs, eta) - omega_multi_definitional(fs, eta)
             collapse = omega_multi((f,) * max(p, 1), eta) - omega(max(p, 1), f, eta)
-            bad = None
-            if not diff.is_zero():
-                bad = {"difference": str(diff)}
-            elif not collapse.is_zero():
-                bad = {"difference": str(collapse)}
-            reports.append(VerificationReport(
+            reports.append(_report(
                 "omega-multi-coherence",
                 {"fs": "; ".join(str(x) for x in fs), "f": str(f), "eta": str(eta),
                  "p": str(max(p, 1)), "dim": str(dim), "trial": str(t)},
-                "pass" if bad is None else "fail", bad))
+                _smash_witness(diff) or _smash_witness(collapse)))
     return reports
 
 
@@ -190,12 +185,10 @@ def run_negative_control(config: RunConfig) -> list[VerificationReport]:
     rhs = omega(p + q, x, eta.bracket(mu))
     rhs = rhs - p * omega(p + q - 1, x, mu.apply(x) * eta)  # corrupted: wrong sign
     rhs = rhs - q * omega(p + q - 1, x, eta.apply(x) * mu)
-    diff = lhs - rhs
-    return [VerificationReport(
+    return [_report(
         "negative-control-lemma3",
         {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1", "dim": "1"},
-        "pass" if diff.is_zero() else "fail",
-        None if diff.is_zero() else {"difference": str(diff)})]
+        _smash_witness(lhs - rhs))]
 
 
 _IDENTITY_GROUPS = {

@@ -104,6 +104,21 @@ def test_order_twist_rational_weight(tmp_path):
     assert r["lie_map_order"] == 1 and r["rank"] == 1
 
 
+def test_order_negative_nmax_exits_two(capsys):
+    assert main(["order", "--module", "zoo:forms", "--dim", "1", "--nmax", "-1"]) == 2
+    assert "--nmax" in capsys.readouterr().err
+
+
+def test_order_search_bound_below_the_order_fails(tmp_path):
+    # no order <= 0 works, so the oracle answers n_max + 1 = 1, which is no
+    # proof that the order is 1
+    code, data = run_json(tmp_path, ["order", "--module", "zoo:twist", "--lam", "1/2",
+                                     "--nmax", "0"])
+    assert code == 1
+    (r,) = data["results"]
+    assert r["oracle_order"] == 1 and r["status"] == "fail"
+
+
 def test_order_bad_module_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     data = module_to_dict(differential_forms(1))

@@ -72,6 +72,16 @@ def test_print_canonical_order():
     assert str(p) == "x1^2*x2 + x1 + x2 + 1"
 
 
+def test_inexact_coefficients_rejected():
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError):
+            Poly.constant(1, bad)
+        with pytest.raises(TypeError):
+            Poly(1, {(1,): bad})
+    assert Poly.constant(1, Fraction(4, 2)).terms == {0: 2}
+    assert Poly(1, {(1,): Fraction(1, 2)}) == P("1/2*x1")
+
+
 # -- derivative + derivation examples -----------------------------------------------
 
 def test_partial_derivative_examples():
