@@ -200,16 +200,50 @@ def test_validate_trivial_and_jets():
     assert jet_module(1, 2).validated
 
 
-def test_validate_detects_tampered_tensor():
+def _tampered() -> AVModule:
     # a non-flat, incompatible single entry in dim 2
-    bad = AVModule(2, 2, 1, {(1, (1, 0)): (
+    return AVModule(2, 2, 1, {(1, (1, 0)): (
         (Poly.variable(2, 1), Poly.zero(2)),
         (Poly.zero(2), Poly.zero(2)),
     )}, name="tampered")
+
+
+def _corrupted(module: AVModule) -> AVModule:
+    """The module with x2^2 added to entry [0][-1] of its first tensor key."""
+    tensor = dict(module.tensor)
+    key = sorted(tensor)[0]
+    rows = [list(row) for row in tensor[key]]
+    rows[0][-1] = rows[0][-1] + parse_poly("x2^2", module.dim)
+    tensor[key] = tuple(tuple(row) for row in rows)
+    return AVModule(module.dim, module.rank, module.order, tensor, name=module.name)
+
+
+def test_validate_detects_tampered_tensor():
+    bad = _tampered()
     report = bad.validate()
     assert report.status == "fail"
     assert report.witness is not None and "defect" in report.witness
     assert not bad.validated
+
+
+@pytest.mark.parametrize("build, inputs, witness", [
+    (_tampered,
+     {"module": "tampered", "dim": "2", "rank": "2", "order": "1"},
+     {"defect": "(1, 0)", "g": "1", "h": "x1", "i": "1", "j": "1", "vector": "(1, 0)"}),
+    (lambda: _corrupted(jet_module(2, 1)),
+     {"module": "jets(2,1)", "dim": "2", "rank": "3", "order": "1"},
+     {"defect": "(-x2^2, 0, 0)", "g": "x2", "h": "x1", "i": "1", "j": "1",
+      "vector": "(0, 0, 1)"}),
+    (lambda: _corrupted(differential_forms(2)),
+     {"module": "forms(2)", "dim": "2", "rank": "2", "order": "1"},
+     {"defect": "(-2*x2^2, 0)", "g": "x2", "h": "x1", "i": "1", "j": "1",
+      "vector": "(0, 1)"}),
+], ids=["tampered", "jets", "forms"])
+def test_failing_validation_witnesses(build, inputs, witness):
+    # no golden report hash covers a failed validation: pin the first witness
+    assert build().validate().to_dict() == {
+        "identity": "module-bracket-compatibility", "inputs": inputs,
+        "status": "fail", "witness": witness}
 
 
 def test_unvalidated_module_refuses_to_act():
