@@ -10,14 +10,20 @@ construction and bracket compatibility [rho(eta), rho(mu)] = rho([eta, mu])
 is what ``validate`` checks.  N is the differential-operator order of the
 module's Lie map, bounded by rank^2 for every valid module.
 
-The annihilation test for a smash element with canonical components
-P_i(x, y) is exact: the element kills the whole module iff every diagonal
-restriction P_i|_{y=x} vanishes and the matrix
+Every action is held as one operator pair (symbol, terms): d polynomials
+s_i and a list of (c, D[i,alpha]) with c nonzero, acting as
 
-    sum_{i, alpha} (d_y^alpha P_i)|_{y=x} * D[i,alpha]
+    m -> sum_i s_i * d_i(m) + sum_{(c, D)} c * D m.
 
-is identically zero (first-order operators vanish iff their symbol and
-their values on a module basis vanish).
+For a vector field g_1 d_1 + ... + g_d d_d the symbol is (g_i) and
+c = d^alpha(g_i).  For a smash element with canonical components P_i(x, y)
+the symbol is P_i|_{y=x} and c = (d_y^alpha P_i)|_{y=x}.  One loop applies
+either pair to a module element.
+
+The annihilation test for a smash element is exact: the element kills the
+whole module iff its symbol vanishes and the matrix sum_{(c, D)} c * D is
+identically zero (first-order operators vanish iff their symbol and their
+values on a module basis vanish).
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Poly, ...], ...]
+# An operator pair (symbol, terms), as in the module docstring.
+Operator = tuple[Sequence[Poly], list[tuple[Poly, Matrix]]]
 
 
 class ModuleSchemaError(PolyError):
@@ -278,101 +286,81 @@ class AVModule:
 
     # -- actions -------------------------------------------------------------------
 
-    def _act_derivation_unchecked(self, e: Derivation, m: ModuleElement) -> ModuleElement:
-        d = self.dim
-        out = [Poly.zero(d) for _ in range(self.rank)]
-        for i in range(1, d + 1):
-            g = e.coeffs[i - 1]
-            if not g.terms:
-                continue
-            for j, entry in enumerate(m.entries):
-                de = entry.partial_derivative(i)
-                if de.terms:
-                    out[j] = out[j] + g * de
+    def _field_operator(self, e: Derivation) -> Operator:
+        """rho(e) as an operator pair: symbol e, coefficients d^alpha(g_i)."""
+        terms = []
         for (i, alpha), mat in self.tensor.items():
             c = partial_power(e.coeffs[i - 1], alpha)
-            if not c.terms:
-                continue
-            mv = _mat_vec(mat, m.entries, d)
-            for j in range(self.rank):
-                if mv[j].terms:
-                    out[j] = out[j] + c * mv[j]
-        return ModuleElement(out)
+            if c.terms:
+                terms.append((c, mat))
+        return e.coeffs, terms
 
-    def act_derivation(self, e: Derivation, m: ModuleElement) -> ModuleElement:
-        """Apply the vector field e to m through the action tensor."""
-        self._require_validated()
-        if e.dim != self.dim or m.dim != self.dim:
-            raise DimensionMismatch("dimension mismatch with the module")
-        if m.rank != self.rank:
-            raise DimensionMismatch(f"element rank {m.rank} vs module rank {self.rank}")
-        return self._act_derivation_unchecked(e, m)
+    def _smash_operator(self, u: SmashElement) -> Operator:
+        """The action of u as an operator pair, read off the canonical
+        components: symbol P_i|_{y=x}, coefficients (d_y^alpha P_i)|_{y=x}."""
+        symbol = tuple(restrict_to_diagonal(comp) for comp in u.components)
+        terms = []
+        for (i, alpha), mat in self.tensor.items():
+            c = restrict_to_diagonal(partial_power(u.components[i - 1], (0,) * self.dim + alpha))
+            if c.terms:
+                terms.append((c, mat))
+        return symbol, terms
 
-    def act_smash(self, u: SmashElement, m: ModuleElement) -> ModuleElement:
-        """Apply a function#vector-field element to m.
-
-        Uses the canonical components P_i(x, y) directly: the symbol part is
-        P_i|_{y=x} * d_i(m) and the tensor part reads off (d_y^alpha P_i)|_{y=x}.
-        Agrees with expanding u into terms f # eta and summing f * rho(eta)m.
-        """
-        self._require_validated()
-        if u.dim != self.dim or m.dim != self.dim:
-            raise DimensionMismatch("dimension mismatch with the module")
-        if m.rank != self.rank:
-            raise DimensionMismatch(f"element rank {m.rank} vs module rank {self.rank}")
+    def _apply(self, op: Operator, m: ModuleElement) -> ModuleElement:
+        """The one loop that applies an operator pair to a module element."""
+        symbol, terms = op
         d = self.dim
         out = [Poly.zero(d) for _ in range(self.rank)]
-        for i in range(1, d + 1):
-            comp = u.components[i - 1]
-            if not comp.terms:
-                continue
-            s = restrict_to_diagonal(comp)
+        for i, s in enumerate(symbol, start=1):
             if not s.terms:
                 continue
             for j, entry in enumerate(m.entries):
                 de = entry.partial_derivative(i)
                 if de.terms:
                     out[j] = out[j] + s * de
-        for (i, alpha), mat in self.tensor.items():
-            comp = u.components[i - 1]
-            if not comp.terms:
-                continue
-            c = restrict_to_diagonal(_partial_y(comp, alpha, d))
-            if not c.terms:
-                continue
+        for c, mat in terms:
             mv = _mat_vec(mat, m.entries, d)
             for j in range(self.rank):
                 if mv[j].terms:
                     out[j] = out[j] + c * mv[j]
         return ModuleElement(out)
 
+    def _check_operands(self, x, m: ModuleElement):
+        self._require_validated()
+        if x.dim != self.dim or m.dim != self.dim:
+            raise DimensionMismatch("dimension mismatch with the module")
+        if m.rank != self.rank:
+            raise DimensionMismatch(f"element rank {m.rank} vs module rank {self.rank}")
+
+    def act_derivation(self, e: Derivation, m: ModuleElement) -> ModuleElement:
+        """Apply the vector field e to m through the action tensor."""
+        self._check_operands(e, m)
+        return self._apply(self._field_operator(e), m)
+
+    def act_smash(self, u: SmashElement, m: ModuleElement) -> ModuleElement:
+        """Apply a function#vector-field element to m.
+
+        Uses the canonical components P_i(x, y) directly, not an expansion of
+        u into terms f # eta; agrees with summing f * rho(eta)m over those.
+        """
+        self._check_operands(u, m)
+        return self._apply(self._smash_operator(u), m)
+
     def annihilates(self, u: SmashElement) -> bool:
         """Exact decision: does u act as zero on the whole module?"""
         self._require_validated()
         if u.dim != self.dim:
             raise DimensionMismatch("dimension mismatch with the module")
-        d = self.dim
-        for comp in u.components:
-            if comp.terms and not restrict_to_diagonal(comp).is_zero():
-                return False
-        acc: Optional[list[list[Poly]]] = None
-        for (i, alpha), mat in self.tensor.items():
-            comp = u.components[i - 1]
-            if not comp.terms:
-                continue
-            c = restrict_to_diagonal(_partial_y(comp, alpha, d))
-            if not c.terms:
-                continue
-            if acc is None:
-                acc = [[Poly.zero(d) for _ in range(self.rank)] for _ in range(self.rank)]
-            for a in range(self.rank):
-                row = mat[a]
-                for b in range(self.rank):
-                    if row[b].terms:
-                        acc[a][b] = acc[a][b] + c * row[b]
-        if acc is None:
-            return True
-        return all(p.is_zero() for row in acc for p in row)
+        symbol, terms = self._smash_operator(u)
+        if any(s.terms for s in symbol):
+            return False
+        acc = [[Poly.zero(self.dim)] * self.rank for _ in range(self.rank)]
+        for c, mat in terms:
+            for a, row in enumerate(mat):
+                for b, p in enumerate(row):
+                    if p.terms:
+                        acc[a][b] = acc[a][b] + c * p
+        return all(not p.terms for row in acc for p in row)
 
     # -- validation ----------------------------------------------------------------
 
@@ -394,15 +382,15 @@ class AVModule:
         exps = monomials_per_variable(d, self.order + 2)
         monos = [Poly.monomial(d, e) for e in exps]
         vectors = _test_vectors(self)
-        inner_cache: dict[tuple[int, int], list[ModuleElement]] = {}
+        cache: dict[tuple[int, int], tuple[Derivation, Operator, list[ModuleElement]]] = {}
 
-        def images(idx: int, gidx: int) -> list[ModuleElement]:
-            key = (idx, gidx)
-            got = inner_cache.get(key)
+        def field(idx: int, gidx: int):
+            """(g d_idx, its operator, its images of the test vectors), g = monos[gidx]."""
+            got = cache.get((idx, gidx))
             if got is None:
                 eta = _direction(d, idx, monos[gidx])
-                got = [self._act_derivation_unchecked(eta, v) for v in vectors]
-                inner_cache[key] = got
+                op = self._field_operator(eta)
+                got = cache[(idx, gidx)] = (eta, op, [self._apply(op, v) for v in vectors])
             return got
 
         for i in range(1, d + 1):
@@ -411,15 +399,12 @@ class AVModule:
                     for hj, h in enumerate(monos):
                         if i == j and gi >= hj:
                             continue  # antisymmetric defect: ordered pairs suffice
-                        eta = _direction(d, i, g)
-                        mu = _direction(d, j, h)
-                        lie = eta.bracket(mu)
-                        mu_v = images(j, hj)
-                        eta_v = images(i, gi)
+                        eta, eta_op, eta_v = field(i, gi)
+                        mu, mu_op, mu_v = field(j, hj)
+                        lie_op = self._field_operator(eta.bracket(mu))
                         for t, v in enumerate(vectors):
-                            defect = self._act_derivation_unchecked(eta, mu_v[t]) \
-                                - self._act_derivation_unchecked(mu, eta_v[t]) \
-                                - self._act_derivation_unchecked(lie, v)
+                            defect = self._apply(eta_op, mu_v[t]) \
+                                - self._apply(mu_op, eta_v[t]) - self._apply(lie_op, v)
                             if not defect.is_zero():
                                 witness = {
                                     "i": str(i), "j": str(j), "g": str(g), "h": str(h),
@@ -448,17 +433,6 @@ def _test_vectors(module: AVModule) -> list[ModuleElement]:
         xk = Poly.variable(module.dim, k)
         vectors.extend(xk * b for b in module.basis())
     return vectors
-
-
-def _partial_y(p: Poly, alpha: MultiIndex, d: int) -> Poly:
-    """Iterated partial of a doubled polynomial in the y-block directions."""
-    out = p
-    for t, e in enumerate(alpha):
-        for _ in range(e):
-            if not out.terms:
-                return out
-            out = out.partial_derivative(d + t + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------------
@@ -500,18 +474,10 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     coords = [Poly.variable(d, i) for i in range(1, d + 1)]
     gs = [Poly.monomial(d, a) for a in multi_indices(d, module.order + 1)]
     for n in range(n_max + 1):
-        ok = True
-        for fs in combinations_with_replacement(coords, n + 1):
-            for i in range(1, d + 1):
-                for g in gs:
-                    if not module.annihilates(omega_multi(fs, _direction(d, i, g))):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(module.annihilates(omega_multi(fs, _direction(d, i, g)))
+               for fs in combinations_with_replacement(coords, n + 1)
+               for i in range(1, d + 1)
+               for g in gs):
             return n
     return n_max + 1
 
@@ -805,8 +771,6 @@ def module_from_dict(data: Mapping) -> AVModule:
     order = data["order"]
     if dim < 1:
         raise ModuleSchemaError("dim must be >= 1")
-    if rank < 1:
-        raise ModuleSchemaError("rank must be >= 1")
     name = str(data.get("name", ""))
     terms = data.get("terms", [])
     if not isinstance(terms, (list, tuple)):
@@ -820,21 +784,18 @@ def module_from_dict(data: Mapping) -> AVModule:
                 raise ModuleSchemaError(f"term missing field {field!r}")
         i = entry["i"]
         alpha = entry["alpha"]
-        if not isinstance(i, int) or not 1 <= i <= dim:
-            raise ModuleSchemaError(f"term direction {i!r} out of range 1..{dim}")
-        if (not isinstance(alpha, (list, tuple)) or len(alpha) != dim
-                or any(not isinstance(a, int) or a < 0 for a in alpha)):
+        # AVModule checks the ranges and shapes; only the JSON types are left
+        if not isinstance(i, int):
+            raise ModuleSchemaError(f"term direction {i!r} is not an integer")
+        if not isinstance(alpha, (list, tuple)) or any(not isinstance(a, int) for a in alpha):
             raise ModuleSchemaError(f"bad multi-index {alpha!r}")
-        if sum(alpha) > order:
-            raise ModuleSchemaError(
-                f"term multi-index {alpha!r} exceeds declared order {order}")
         key = (i, tuple(alpha))
         if key in tensor:
             raise ModuleSchemaError(f"duplicate term at {key}")
         rows = entry["matrix"]
-        if not isinstance(rows, (list, tuple)) or len(rows) != rank \
-                or any(not isinstance(row, (list, tuple)) or len(row) != rank for row in rows):
-            raise ModuleSchemaError(f"matrix at {key} is not {rank}x{rank}")
+        if not isinstance(rows, (list, tuple)) \
+                or any(not isinstance(row, (list, tuple)) for row in rows):
+            raise ModuleSchemaError(f"matrix at {key} is not a list of rows")
         mat = tuple(tuple(parse_poly(str(cell), dim) for cell in row) for row in rows)
         tensor[key] = mat
     return _validated(AVModule(dim, rank, order, tensor, name=name),

@@ -13,8 +13,10 @@ field::
 
 Because the degree field is most significant, comparing keys as integers is
 exactly the graded-lexicographic order with x1 > x2 > ... > xn, and adding
-two keys multiplies the monomials (fields never carry for the degrees that
-occur here; see ``_MAX_EXPONENT``).
+two keys multiplies the monomials.  Invariant: every product has total
+degree <= 0xFFFF, so no field carries into the next; a product of higher
+degree raises ``PolyError``.  Constructors admit exponents below
+``_MAX_EXPONENT``.
 
 A derivation g1*d1 + ... + gn*dn is a tuple of coefficient polynomials,
 where d<i> denotes the partial derivative in x<i>.
@@ -33,8 +35,7 @@ MultiIndex = tuple[int, ...]
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
 
-# Public constructors reject exponents above this; products of such
-# polynomials stay below the 16-bit field limit for any power computed here.
+# Public constructors and the parser reject exponents from this bound up.
 _MAX_EXPONENT = 1 << 14
 
 
@@ -156,10 +157,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(k >> (_FIELD * self.dim) == 0 for k in self.terms)
 
-    def constant_value(self) -> Coeff:
-        """The coefficient of the constant monomial."""
-        return self.terms.get(0, 0)
-
     def total_degree(self) -> int:
         """Largest total degree of a term, or -1 for the zero polynomial."""
         if not self.terms:
@@ -224,6 +221,11 @@ class Poly:
             a, b = self.terms, other.terms
             if not a or not b:
                 return Poly.zero(self.dim)
+            # Adding keys adds every field, the degree field included; with
+            # the product's degree <= _MASK no field can carry into the next.
+            sh = _FIELD * self.dim
+            if (max(a) >> sh) + (max(b) >> sh) > _MASK:
+                raise PolyError(f"product degree exceeds the exponent limit {_MASK}")
             out: dict[int, Coeff] = {}
             get = out.get
             for ka, ca in a.items():

@@ -185,6 +185,14 @@ def test_annihilator_bad_poly_exits_two(capsys):
                  "--f", "x1", "--eta", "d3"]) == 2
 
 
+def test_annihilator_past_the_exponent_limit_exits_two(capsys):
+    # omega(4, f, eta) has degree 5 * 16383 > 0xFFFF; a carry between the
+    # exponent fields would print x1*y1^16379 where y1^81915 belongs
+    assert main(["annihilator", "--module", "zoo:jets", "--dim", "1", "--n", "4",
+                 "--f", "x1^16383", "--eta", "x1^16383*d1"]) == 2
+    assert "exponent limit" in capsys.readouterr().err
+
+
 # -- module files -----------------------------------------------------------------------
 
 def test_zoo_export_import_round_trip(tmp_path):

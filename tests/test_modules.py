@@ -437,6 +437,19 @@ def test_from_dict_schema_errors():
         module_from_dict({"dim": 1, "rank": 1})  # missing order
     with pytest.raises(ModuleSchemaError):
         module_from_dict({"dim": 1, "rank": 1, "order": "x"})
+    # the range and shape checks are AVModule's; each still raises a schema error
+    for field, value in [
+        ("rank", 0),
+        ("terms", [{"i": 2, "alpha": [1], "matrix": [["1"]]}]),  # direction
+        ("terms", [{"i": 1, "alpha": [1, 0], "matrix": [["1"]]}]),  # alpha length
+        ("terms", [{"i": 1, "alpha": [-1], "matrix": [["1"]]}]),  # alpha sign
+        ("terms", [{"i": 1, "alpha": [1], "matrix": [["1", "0"]]}]),  # row length
+        ("terms", [{"i": "1", "alpha": [1], "matrix": [["1"]]}]),  # JSON types
+        ("terms", [{"i": 1, "alpha": 1, "matrix": [["1"]]}]),
+        ("terms", [{"i": 1, "alpha": [1], "matrix": ["1"]}]),
+    ]:
+        with pytest.raises(ModuleSchemaError):
+            module_from_dict(dict(good, **{field: value}))
 
 
 def test_from_dict_validation_failure():

@@ -9,6 +9,7 @@ from smashmod import (
     Derivation,
     DimensionMismatch,
     Poly,
+    PolyError,
     PolyParseError,
     parse_derivation,
     parse_poly,
@@ -204,6 +205,45 @@ def test_derivation_round_trip(data):
     dim = data.draw(st.integers(min_value=1, max_value=3))
     e = data.draw(derivations(dim))
     assert parse_derivation(str(e), dim) == e
+
+
+def test_products_past_the_exponent_limit_raise():
+    # 5 * 16000 = 80000 > 0xFFFF would carry into x1^14464 and x1*x2^14464
+    with pytest.raises(PolyError):
+        parse_poly("x1^16000", 1) ** 5
+    with pytest.raises(PolyError):
+        parse_poly("x2^16000", 2) ** 5
+    top = parse_poly("x1^16383*x2^16383*x3^16383*x4^16383", 4)  # degree 65532
+    assert (top * P("x1^3", 4)).coefficient((16386, 16383, 16383, 16383)) == 1
+    with pytest.raises(PolyError):
+        top * P("x1^4", 4)
+
+
+def _reference_product(p, q):
+    """Product over plain exponent tuples, without packed keys."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_near_the_exponent_limit(data):
+    # dims 3 and 4 let two constructible operands reach past degree 0xFFFF
+    dim = data.draw(st.integers(min_value=1, max_value=4))
+    exponent = st.one_of(st.integers(0, 16383), st.integers(16000, 16383))
+    terms = st.dictionaries(st.tuples(*[exponent] * dim), coeffs, min_size=1, max_size=3)
+    p = Poly(dim, data.draw(terms))
+    q = Poly(dim, data.draw(terms))
+    ref = _reference_product(p, q)
+    if max((sum(e) for e in ref), default=0) > 0xFFFF:
+        with pytest.raises(PolyError):
+            p * q
+    else:
+        assert dict((p * q).items()) == ref
 
 
 def test_dimension_mismatch_is_an_error():
