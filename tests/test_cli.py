@@ -193,6 +193,14 @@ def test_annihilator_past_the_exponent_limit_exits_two(capsys):
     assert "exponent limit" in capsys.readouterr().err
 
 
+def test_annihilator_term_past_the_degree_limit_exits_two(capsys):
+    # one term of degree 5 * 16383 > 0xFFFF; it used to parse as x1*x2^16379
+    f = "*".join(["x2^16383"] * 5)
+    assert main(["annihilator", "--module", "zoo:dmodule", "--dim", "2",
+                 "--f", f, "--eta", "d1"]) == 2
+    assert "exponent limit" in capsys.readouterr().err
+
+
 # -- module files -----------------------------------------------------------------------
 
 def test_zoo_export_import_round_trip(tmp_path):

@@ -137,6 +137,18 @@ def test_act_zero_derivation():
     assert m.act_derivation(Derivation.zero(1), v).is_zero()
 
 
+def test_elements_of_different_rank_do_not_combine():
+    from smashmod import DimensionMismatch
+
+    a, b = ModuleElement((x, x)), ModuleElement((x,))
+    with pytest.raises(DimensionMismatch):
+        a + b
+    with pytest.raises(DimensionMismatch):
+        a - b
+    with pytest.raises(DimensionMismatch):
+        b - a
+
+
 def test_act_smash_forms_examples():
     m = differential_forms(1)
     dx = m.basis_element(0)
@@ -447,6 +459,11 @@ def test_from_dict_schema_errors():
         ("terms", [{"i": "1", "alpha": [1], "matrix": [["1"]]}]),  # JSON types
         ("terms", [{"i": 1, "alpha": 1, "matrix": [["1"]]}]),
         ("terms", [{"i": 1, "alpha": [1], "matrix": ["1"]}]),
+        ("dim", True),  # JSON booleans are not integers
+        ("rank", True),
+        ("order", True),
+        ("terms", [{"i": True, "alpha": [1], "matrix": [["1"]]}]),
+        ("terms", [{"i": 1, "alpha": [True], "matrix": [["1"]]}]),
     ]:
         with pytest.raises(ModuleSchemaError):
             module_from_dict(dict(good, **{field: value}))

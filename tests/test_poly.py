@@ -246,6 +246,23 @@ def test_products_near_the_exponent_limit(data):
         assert dict((p * q).items()) == ref
 
 
+def test_terms_past_the_degree_limit_are_rejected():
+    # 5 * 16383 = 81915 > 0xFFFF: summed into one packed key the exponents
+    # carried into the x1 field and parsed as x1*x2^16379
+    text = "1 + " + "*".join(["x2^16383"] * 5)
+    with pytest.raises(PolyParseError, match="exponent limit") as exc:
+        parse_poly(text, 2)
+    assert exc.value.position == 4  # the start of the offending term
+    with pytest.raises(ValueError):
+        Poly(5, {(16383,) * 5: 1})  # degree 81915, admitted before
+    with pytest.raises(ValueError):
+        Poly(2, {(1, -1): 1})
+    # degree 0xFFFF itself is admitted, in one exponent or spread out
+    assert parse_poly("x1^65535", 1).total_degree() == 0xFFFF
+    assert str(parse_poly("x1^30000*x2^35535", 2)) == "x1^30000*x2^35535"
+    assert Poly(5, {(13107,) * 5: 1}) * Poly.constant(5, 1) == Poly(5, {(13107,) * 5: 1})
+
+
 def test_dimension_mismatch_is_an_error():
     with pytest.raises(DimensionMismatch):
         P("x1") + parse_poly("x1", 2)
@@ -269,3 +286,44 @@ def test_derivation_laws_seeded_sweep():
             assert e.bracket(u) == -(u.bracket(e))
             jac = e.bracket(u.bracket(w)) + w.bracket(e.bracket(u)) + u.bracket(w.bracket(e))
             assert jac.is_zero()
+
+
+# -- cross-check against sympy -------------------------------------------------------
+
+def _sympy_poly(p, gens):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.items()}, *gens,
+        domain="QQ")
+
+
+def _from_sympy(sp):
+    """A sympy polynomial as {exponent tuple: coefficient}, zero terms dropped."""
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in sp.terms() if c}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_agrees_with_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    gens = sympy.symbols(f"x1:{dim + 1}")
+    a = data.draw(polys(dim))
+    b = data.draw(polys(dim).filter(bool))
+    sa, sb = _sympy_poly(a, gens), _sympy_poly(b, gens)
+    assert dict((a * b).items()) == _from_sympy(sa * sb)
+    n = data.draw(st.integers(min_value=0, max_value=3))
+    assert dict((a ** n).items()) == _from_sympy(sa ** n)
+    for i in range(1, dim + 1):
+        assert dict(a.partial_derivative(i).items()) == _from_sympy(sa.diff(gens[i - 1]))
+    # division: exact exactly when sympy leaves no remainder
+    quot, rem = sympy.div(sa, sb)
+    got = a.exact_divide(b)
+    if rem.is_zero:
+        assert dict(got.items()) == _from_sympy(quot)
+    else:
+        assert got is None
+    assert (a * b).exact_divide(b) == a
+    if not b.is_constant():
+        assert (a * b + 1).exact_divide(b) is None
+        assert not sympy.div(_sympy_poly(a * b + 1, gens), sb)[1].is_zero

@@ -172,6 +172,27 @@ def test_tensor_act_is_a_module_action(data):
     assert tensor_act(a * a2, b * b2, u) == tensor_act(a, b, tensor_act(a2, b2, u))
 
 
+def test_scaling_by_a_doubled_product_is_the_tensor_action():
+    a, b = parse_poly("x1^2 - 3", 1), parse_poly("1/2*x1 + 1", 1)
+    u = omega(2, parse_poly("x1^2 + x1", 1), x * d)
+    P = embed_function(a) * embed_coefficient(b)  # a(x) b(y)
+    assert u * P == tensor_act(a, b, u)
+    assert P * u == tensor_act(a, b, u)
+    with pytest.raises(DimensionMismatch):
+        u * a  # a polynomial in the base variables, not the doubled ones
+
+
+def test_tuple_types_compare_unequal():
+    # a derivation, a module element and a smash element built on the same tuple
+    from smashmod import ModuleElement
+
+    comps = (doubled("x1*x2"),)
+    assert Derivation((x,)) != ModuleElement((x,))
+    assert ModuleElement((x,)) != Derivation((x,))
+    assert SmashElement(1, comps) != ModuleElement(comps)
+    assert SmashElement(1, comps) == from_term(x, x * d)
+
+
 # -- identity verification ------------------------------------------------------------
 
 def test_verify_lemma3_example():
