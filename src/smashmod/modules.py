@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (
@@ -40,6 +41,7 @@ from .poly import (
     MultiIndex,
     Poly,
     PolyError,
+    _PolyTuple,
     index_order,
     monomials_per_variable,
     multi_binomial,
@@ -135,10 +137,11 @@ def _direction(d: int, i: int, g: Poly) -> Derivation:
     return Derivation(tuple(g if t == i - 1 else zero for t in range(d)))
 
 
-class ModuleElement:
+class ModuleElement(_PolyTuple):
     """An element of A^r: a tuple of r polynomials in the base variables."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ()
+    entries = property(attrgetter("_polys"))
 
     def __init__(self, entries: Iterable[Poly]):
         entries = tuple(entries)
@@ -148,7 +151,7 @@ class ModuleElement:
         if any(p.dim != dim for p in entries):
             raise DimensionMismatch("entries disagree on dim")
         self.dim = dim
-        self.entries = entries
+        self._polys = entries
 
     @classmethod
     def zero(cls, dim: int, rank: int) -> "ModuleElement":
@@ -156,37 +159,7 @@ class ModuleElement:
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return ModuleElement(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return ModuleElement(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return ModuleElement(tuple(-p for p in self.entries))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return ModuleElement(tuple(p * other for p in self.entries))
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return len(self._polys)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.entries) + ")"
@@ -208,13 +181,13 @@ class AVModule:
 
     def __init__(self, dim: int, rank: int, order: int,
                  tensor: Mapping[tuple[int, MultiIndex], Matrix],
-                 name: str = "", _sentinel_ok: bool = False):
+                 name: str = ""):
         if dim < 1:
             raise ModuleSchemaError("dim must be a positive integer")
-        if rank < 1 and not _sentinel_ok:
+        if rank < 1:
             raise ModuleSchemaError("rank must be >= 1")
-        if rank < 0 or order < 0:
-            raise ModuleSchemaError("rank and order must be nonnegative")
+        if order < 0:
+            raise ModuleSchemaError("order must be nonnegative")
         clean: dict[tuple[int, MultiIndex], Matrix] = {}
         for (i, alpha), mat in tensor.items():
             alpha = tuple(alpha)
@@ -244,7 +217,7 @@ class AVModule:
         self.order = order
         self.tensor = clean
         self.name = name
-        self._validated = _sentinel_ok and rank == 0
+        self._validated = False
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -375,9 +348,6 @@ class AVModule:
         """
         inputs = {"module": self.name or "<anonymous>", "dim": str(self.dim),
                   "rank": str(self.rank), "order": str(self.order)}
-        if self.rank == 0:
-            self._validated = True
-            return VerificationReport("module-bracket-compatibility", inputs, "pass")
         d = self.dim
         exps = monomials_per_variable(d, self.order + 2)
         monos = [Poly.monomial(d, e) for e in exps]
@@ -419,7 +389,7 @@ class AVModule:
         """Order of the action tensor: max |alpha| with D[i,alpha] nonzero."""
         self._require_validated()
         got = max((index_order(a) for (_, a) in self.tensor), default=0)
-        if self.rank and got > self.rank ** 2:
+        if got > self.rank ** 2:
             raise ValidationError(
                 f"order {got} exceeds the rank^2 bound {self.rank ** 2}")
         return got
@@ -450,8 +420,6 @@ def min_annihilating_order(module: AVModule, f: Poly, e: Derivation) -> int:
     module._require_validated()
     if f.dim != module.dim or e.dim != module.dim:
         raise DimensionMismatch("dimension mismatch with the module")
-    if f.is_constant():
-        return 1
     worst = 0
     for q in range(1, module.order + 1):
         if not module.annihilates(omega(q, f, e)):
@@ -495,6 +463,15 @@ def _validated(module: AVModule, message: str) -> AVModule:
 # functors
 # ---------------------------------------------------------------------------------
 
+def _zero_module(dim: int, name: str) -> AVModule:
+    """The rank-0 module, which the constructor rejects: validated, since
+    there is nothing for the action to violate."""
+    out = object.__new__(AVModule)
+    out.dim, out.rank, out.order, out.tensor, out.name = dim, 0, 0, {}, name
+    out._validated = True
+    return out
+
+
 def exterior_power(module: AVModule, k: int) -> AVModule:
     """k-th exterior power, with the action extended as a derivation on wedges.
 
@@ -508,11 +485,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
     r = module.rank
     name = f"wedge^{k}({module.name or 'M'})"
     if k > r:
-        return AVModule(module.dim, 0, 0, {}, name=name, _sentinel_ok=True)
-    if k == 1:
-        out = AVModule(module.dim, r, module.order, module.tensor, name=name)
-        out._validated = True
-        return out
+        return _zero_module(module.dim, name)
     subsets = list(combinations(range(r), k))
     index = {S: a for a, S in enumerate(subsets)}
     nr = len(subsets)
@@ -753,6 +726,11 @@ def module_to_dict(module: AVModule) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """An integer in the JSON sense: Python's bool is an int, JSON's is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def module_from_dict(data: Mapping) -> AVModule:
     """Parse and validate a module-definition mapping.
 
@@ -764,7 +742,7 @@ def module_from_dict(data: Mapping) -> AVModule:
     for field in ("dim", "rank", "order"):
         if field not in data:
             raise ModuleSchemaError(f"missing field {field!r}")
-        if not isinstance(data[field], int):
+        if not _is_int(data[field]):
             raise ModuleSchemaError(f"field {field!r} must be an integer")
     dim = data["dim"]
     rank = data["rank"]
@@ -785,9 +763,9 @@ def module_from_dict(data: Mapping) -> AVModule:
         i = entry["i"]
         alpha = entry["alpha"]
         # AVModule checks the ranges and shapes; only the JSON types are left
-        if not isinstance(i, int):
+        if not _is_int(i):
             raise ModuleSchemaError(f"term direction {i!r} is not an integer")
-        if not isinstance(alpha, (list, tuple)) or any(not isinstance(a, int) for a in alpha):
+        if not isinstance(alpha, (list, tuple)) or not all(map(_is_int, alpha)):
             raise ModuleSchemaError(f"bad multi-index {alpha!r}")
         key = (i, tuple(alpha))
         if key in tensor:

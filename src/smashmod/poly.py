@@ -13,13 +13,15 @@ field::
 
 Because the degree field is most significant, comparing keys as integers is
 exactly the graded-lexicographic order with x1 > x2 > ... > xn, and adding
-two keys multiplies the monomials.  Invariant: every product has total
-degree <= 0xFFFF, so no field carries into the next; a product of higher
-degree raises ``PolyError``.  Constructors admit exponents below
-``_MAX_EXPONENT``.
+two keys multiplies the monomials.  Invariant: every term has total degree
+<= 0xFFFF, so no field carries into the next.  The constructor and the
+parser reject a term of higher degree, and a product that would create one
+raises ``PolyError``.
 
 A derivation g1*d1 + ... + gn*dn is a tuple of coefficient polynomials,
-where d<i> denotes the partial derivative in x<i>.
+where d<i> denotes the partial derivative in x<i>.  It shares its
+componentwise arithmetic with the other tuples of polynomials (smash
+elements, module elements) through ``_PolyTuple``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -34,9 +37,6 @@ MultiIndex = tuple[int, ...]
 
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
-
-# Public constructors and the parser reject exponents from this bound up.
-_MAX_EXPONENT = 1 << 14
 
 
 class PolyError(ValueError):
@@ -112,9 +112,10 @@ class Poly:
                 if len(exps) != dim:
                     raise DimensionMismatch(
                         f"exponent tuple {exps} has length {len(exps)}, expected {dim}")
-                if any(e < 0 or e >= _MAX_EXPONENT for e in exps):
+                if min(exps) < 0 or sum(exps) > _MASK:
                     raise ValueError(f"exponent out of range in {exps}")
-                packed[_pack(exps)] = packed.get(_pack(exps), 0) + _exact(c)
+                key = _pack(exps)
+                packed[key] = packed.get(key, 0) + _exact(c)
         self.terms = _clean(packed)
 
     # -- fast internal constructor -------------------------------------------------
@@ -398,8 +399,6 @@ def parse_poly(text: str, dim: int) -> Poly:
         e = 1
         if i < n and text[i] == "^":
             e, i = read_int(i + 1, "exponent")
-            if e >= _MAX_EXPONENT:
-                raise PolyParseError("exponent too large", pos)
         exps[idx - 1] += e
         return i
 
@@ -417,6 +416,7 @@ def parse_poly(text: str, dim: int) -> Poly:
         elif not first:
             raise PolyParseError("expected '+' or '-' between terms", i)
         first = False
+        start = i
         coeff: Coeff = 1
         exps = [0] * dim
         if i < n and text[i].isdigit():
@@ -449,6 +449,8 @@ def parse_poly(text: str, dim: int) -> Poly:
             else:
                 i = j
                 break
+        if sum(exps) > _MASK:
+            raise PolyParseError(f"term degree exceeds the exponent limit {_MASK}", start)
         key = _pack(exps)
         terms[key] = terms.get(key, 0) + sign * coeff
         i = skip_ws(i)
@@ -463,14 +465,75 @@ def parse_poly(text: str, dim: int) -> Poly:
 # derivations
 # ---------------------------------------------------------------------------------
 
-class Derivation:
+class _PolyTuple:
+    """A fixed-length tuple of polynomials with componentwise arithmetic.
+
+    The one place that decides how vector fields, smash elements and module
+    elements compare, add, subtract, negate and scale.  Each subclass checks
+    its own constructor arguments, sets ``dim`` and exposes the tuple under
+    its own read-only name; results keep the shape of their operands.
+    """
+
+    __slots__ = ("dim", "_polys")
+
+    def _new(self, polys: Iterable[Poly]):
+        """A value of the same type and ``dim``, without the constructor's
+        checks (the operations here preserve the shape)."""
+        out = object.__new__(type(self))
+        out.dim = self.dim
+        out._polys = tuple(polys)
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(p.terms for p in self._polys)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self._polys == other._polys
+
+    __hash__ = None
+
+    def _check(self, other: "_PolyTuple"):
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        if len(self._polys) != len(other._polys):
+            raise DimensionMismatch(
+                f"{len(self._polys)} components vs {len(other._polys)}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self._new(a + b for a, b in zip(self._polys, other._polys))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self._new(a - b for a, b in zip(self._polys, other._polys))
+
+    def __neg__(self):
+        return self._new(-p for p in self._polys)
+
+    def __mul__(self, other):
+        """Scaling by a rational or by a polynomial in the components' variables."""
+        if isinstance(other, (int, Fraction, Poly)):
+            return self._new(p * other for p in self._polys)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+class Derivation(_PolyTuple):
     """A polynomial vector field g1*d1 + ... + g<dim>*d<dim>.
 
     Immutable; ``coeffs[i-1]`` is the coefficient of the partial derivative
     in x<i>.
     """
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ()
+    coeffs = property(attrgetter("_polys"))
 
     def __init__(self, coeffs: Iterable[Poly]):
         coeffs = tuple(coeffs)
@@ -483,7 +546,7 @@ class Derivation:
             raise DimensionMismatch(
                 f"{len(coeffs)} components for {dim} variables")
         self.dim = dim
-        self.coeffs = coeffs
+        self._polys = coeffs
 
     @classmethod
     def zero(cls, dim: int) -> "Derivation":
@@ -495,16 +558,6 @@ class Derivation:
         if not 1 <= i <= dim:
             raise ValueError(f"variable index {i} out of range 1..{dim}")
         return cls(tuple(Poly.constant(dim, 1 if j == i - 1 else 0) for j in range(dim)))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    __hash__ = None
 
     def apply(self, p: Poly) -> Poly:
         """eta(p) = sum_i g_i * dp/dx_i; satisfies the Leibniz rule exactly."""
@@ -523,31 +576,6 @@ class Derivation:
         return Derivation(tuple(
             self.apply(other.coeffs[j]) - other.apply(self.coeffs[j])
             for j in range(self.dim)))
-
-    def __add__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return Derivation(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return Derivation(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return Derivation(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        """Scaling by a polynomial or rational: (g*eta) = sum g*g_i d_i."""
-        if isinstance(other, (int, Fraction, Poly)):
-            return Derivation(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -21,8 +21,8 @@ doubled polynomials (derived by expanding [f#eta, g#mu] = fg#[eta,mu]
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (
@@ -31,6 +31,7 @@ from .poly import (
     DimensionMismatch,
     Poly,
     _FIELD,
+    _PolyTuple,
     _clean,
     _format_terms,
     _x_names,
@@ -100,10 +101,15 @@ def restrict_to_diagonal(p: Poly) -> Poly:
     return Poly._raw(d, _clean(out))
 
 
-class SmashElement:
-    """Canonical form of an element of the function#vector-field Lie algebra."""
+class SmashElement(_PolyTuple):
+    """Canonical form of an element of the function#vector-field Lie algebra.
 
-    __slots__ = ("dim", "components")
+    ``components[i-1]`` is the doubled polynomial P_i(x, y); scaling by a
+    doubled polynomial a(x)*b(y) is the A(x)A action.
+    """
+
+    __slots__ = ()
+    components = property(attrgetter("_polys"))
 
     def __init__(self, dim: int, components: Iterable[Poly]):
         components = tuple(components)
@@ -114,48 +120,12 @@ class SmashElement:
         if any(c.dim != 2 * dim for c in components):
             raise DimensionMismatch("components must live in 2*dim doubled variables")
         self.dim = dim
-        self.components = components
+        self._polys = components
 
     @classmethod
     def zero(cls, dim: int) -> "SmashElement":
         z = Poly.zero(2 * dim)
         return cls(dim, (z,) * dim)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        return self.dim == other.dim and self.components == other.components
-
-    __hash__ = None
-
-    def _check(self, other: "SmashElement"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-
-    def __add__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        self._check(other)
-        return SmashElement(self.dim, (a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        self._check(other)
-        return SmashElement(self.dim, (a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self):
-        return SmashElement(self.dim, (-c for c in self.components))
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return SmashElement(self.dim, (c * scalar for c in self.components))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         names = _x_names(self.dim) + [f"y{i + 1}" for i in range(self.dim)]
@@ -178,8 +148,7 @@ def tensor_act(a: Poly, b: Poly, u: SmashElement) -> SmashElement:
     """(a tensor b) acting by af # b*eta: multiply component i by a(x)*b(y)."""
     if a.dim != u.dim or b.dim != u.dim:
         raise DimensionMismatch(f"dim {a.dim}/{b.dim} vs {u.dim}")
-    factor = embed_function(a) * embed_coefficient(b)
-    return SmashElement(u.dim, (factor * c for c in u.components))
+    return u * (embed_function(a) * embed_coefficient(b))
 
 
 def smash_bracket(u: SmashElement, v: SmashElement) -> SmashElement:
