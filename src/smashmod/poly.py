@@ -462,7 +462,7 @@ def parse_poly(text: str, dim: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------------
-# derivations
+# tuples of polynomials; derivations
 # ---------------------------------------------------------------------------------
 
 class _PolyTuple:
