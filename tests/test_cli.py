@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+
+import pytest
 
 from smashmod import IDENTITY_IDS, differential_forms, module_to_dict, zoo
 from smashmod.cli import load_module_spec, main, save_module_spec
+from smashmod.suites import RunConfig, iter_identity_samples
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -65,6 +69,23 @@ def test_verify_unknown_suite_exits_two(capsys):
 def test_verify_invalid_config_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--trials", "0"]) == 2
     assert main(["verify", "--suite", "lemma3", "--dims", "0"]) == 2
+
+
+def test_level_grid_is_computed_per_trial():
+    # the (p, q) levels follow the row-major grid 1..p_max x 1..p_max,
+    # cycled, without building the p_max^2 pairs up front
+    config = RunConfig(dims=(1,), max_degree=1, trials=11, seed=3, p_max=3)
+    levels = [(b["p"], b["q"]) for _, _, b in iter_identity_samples(config)]
+    grid = [(p, q) for p in range(1, 4) for q in range(1, 4)]
+    assert levels == grid + grid[:2]
+    big = RunConfig(dims=(1,), max_degree=1, trials=1, seed=3, p_max=1000)
+    tracemalloc.start()
+    try:
+        next(iter_identity_samples(big))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"first sample peaked at {peak} bytes"
 
 
 def test_verify_text_format(capsys):
@@ -199,6 +220,23 @@ def test_annihilator_term_past_the_degree_limit_exits_two(capsys):
     assert main(["annihilator", "--module", "zoo:dmodule", "--dim", "2",
                  "--f", f, "--eta", "d1"]) == 2
     assert "exponent limit" in capsys.readouterr().err
+
+
+LONG = "9" * 5000  # past the 4300 digits int() converts by default
+
+
+@pytest.mark.parametrize("f, eta", [
+    (LONG + "*x1", "d1"),     # coefficient
+    ("x1^" + LONG, "d1"),     # exponent
+    ("x" + LONG, "d1"),       # variable index
+    ("x1", "x1^" + LONG + "*d1"),
+    ("x1", "d" + LONG),       # direction index
+], ids=["coefficient", "exponent", "variable-index", "field-exponent", "direction-index"])
+def test_annihilator_over_long_number_exits_two(capsys, f, eta):
+    assert main(["annihilator", "--module", "zoo:forms", "--dim", "1",
+                 "--f", f, "--eta", eta]) == 2
+    err = capsys.readouterr().err
+    assert "too many digits" in err and "at position" in err
 
 
 # -- module files -----------------------------------------------------------------------

@@ -68,6 +68,32 @@ def test_parse_signs_and_merging():
     assert parse_poly("x1 − 1", 1) == P("x1 - 1")
 
 
+LONG = "9" * 5000  # past the 4300 digits int() converts by default
+
+
+@pytest.mark.parametrize("text, position", [
+    (LONG + "*x1", 0),            # coefficient
+    ("1/" + LONG + "*x1", 2),     # denominator
+    ("x1^" + LONG, 3),            # exponent
+    ("x" + LONG, 1),              # variable index
+], ids=["coefficient", "denominator", "exponent", "variable-index"])
+def test_over_long_numbers_are_parse_errors(text, position):
+    with pytest.raises(PolyParseError, match="too many digits") as exc:
+        parse_poly(text, 1)
+    assert exc.value.position == position
+    with pytest.raises(PolyParseError, match="too many digits") as exc:
+        parse_derivation(text + "*d1", 1)
+    assert exc.value.position == position
+
+
+def test_over_long_direction_index_is_a_parse_error():
+    with pytest.raises(PolyParseError, match="too many digits") as exc:
+        parse_derivation("x1*d" + LONG, 1)
+    assert exc.value.position == 4
+    # a long number under the limit is an ordinary coefficient
+    assert parse_poly("9" * 4000, 1) == Poly.constant(1, int("9" * 4000))
+
+
 def test_print_canonical_order():
     p = parse_poly("x2 + x1 + x1^2*x2 + 1", 2)
     assert str(p) == "x1^2*x2 + x1 + x2 + 1"
@@ -112,6 +138,68 @@ def test_derivation_bracket_examples():
     assert eta.bracket(eta).is_zero()
     a, b = Derivation.partial(2, 1), Derivation.partial(2, 2)
     assert a.bracket(b).is_zero()
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x1*d1 + x1^ *d2", 11),  # missing exponent
+    ("d1 + 2*x3*d2", 7),      # variable out of range
+    ("x1*d1 + 3/0*d2", 9),    # zero denominator
+    ("x1*d1 + d3", 8),        # direction out of range
+    ("x1*d1 + x2", 10),       # a term without its direction
+    ("d1 + x1*d2*x1", 10),    # a factor after the direction
+    ("  ", 0),                # empty
+])
+def test_derivation_error_positions_are_offsets_into_the_input(text, position):
+    with pytest.raises(PolyParseError) as exc:
+        parse_derivation(text, 2)
+    assert exc.value.position == position
+
+
+def test_derivation_terms_end_in_a_direction():
+    assert parse_derivation("x1 * d2 - 2 *x2* d2", 2) == Derivation(
+        (Poly.zero(2), parse_poly("x1 - 2*x2", 2)))
+    for text in ("x1", "d1*x1", "x1*d1*d2", "*d1", "d 1", "x1*d1 x2*d2", "d1 + "):
+        with pytest.raises(PolyParseError):
+            parse_derivation(text, 2)
+    with pytest.raises(PolyParseError):
+        parse_poly("x1*d1", 2)  # a polynomial has no directions
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def field_terms(draw, dim):
+    """(sign, coefficient text, direction) for one "<poly term>*d<i>" term;
+    the coefficient text is "" when the term is the bare direction."""
+    factors = draw(st.lists(
+        st.tuples(st.integers(1, dim), st.one_of(st.none(), st.integers(0, 5))),
+        max_size=3))
+    parts = [f"x{i}" + ("" if e is None else f"^{e}") for i, e in factors]
+    number = draw(st.one_of(st.none(), st.integers(0, 40).map(str),
+                            st.tuples(st.integers(0, 40), st.integers(1, 9))
+                            .map(lambda nd: f"{nd[0]}/{nd[1]}")))
+    if number is not None:
+        parts.insert(0, number)
+    glue = draw(_SPACE) + "*" + draw(_SPACE)
+    return draw(st.sampled_from("+-")), glue.join(parts), draw(st.integers(1, dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_field_terms_parse_to_their_coefficients(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    terms = data.draw(st.lists(field_terms(dim), min_size=1, max_size=4))
+    text = ""
+    comps = [Poly.zero(dim) for _ in range(dim)]
+    for k, (sign, coeff, i) in enumerate(terms):
+        term = f"{coeff}{data.draw(_SPACE)}*{data.draw(_SPACE)}d{i}" if coeff else f"d{i}"
+        if k or sign == "-":
+            text += f"{data.draw(_SPACE)}{sign}{data.draw(_SPACE)}"
+        text += term
+        value = parse_poly(coeff, dim) if coeff else Poly.constant(dim, 1)
+        comps[i - 1] = comps[i - 1] + (value if sign == "+" else -value)
+    assert parse_derivation(text, dim) == Derivation(comps)
 
 
 def test_exact_divide():
