@@ -369,13 +369,24 @@ def parse_poly(text: str, dim: int) -> Poly:
     term ::= [sign] (rational | [rational "*"] factor ("*" factor)*)
     factor ::= "x"<index> ["^"<exponent>]     rational ::= int ["/" positive-int]
 
-    Terms are joined by "+"/"-"; whitespace is ignored; no parentheses.
-    Raises PolyParseError with the offending position on bad input.
+    Terms are joined by "+"/"-"; whitespace is ignored between tokens; no
+    parentheses.  Raises PolyParseError with the offending position on bad input.
+    """
+    (p,) = _parse_terms(text, dim, field=False)
+    return p
+
+
+def _parse_terms(text: str, dim: int, field: bool) -> list[Poly]:
+    """The one scanner behind ``parse_poly`` and ``parse_derivation``.
+
+    Returns the polynomial, or with ``field`` the ``dim`` coefficients of a
+    vector field, each of whose terms is a polynomial term closed by the
+    factor d<index>.  Every error position is an offset into ``text``.
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     n = len(text)
-    terms: dict[int, Coeff] = {}
+    comps: list[dict[int, Coeff]] = [{} for _ in range(dim if field else 1)]
 
     def skip_ws(i: int) -> int:
         while i < n and text[i] in _WS:
@@ -384,81 +395,75 @@ def parse_poly(text: str, dim: int) -> Poly:
 
     def read_int(i: int, what: str) -> tuple[int, int]:
         j = i
-        while j < n and text[j].isdigit():
+        while j < n and text[j].isdecimal():
             j += 1
         if j == i:
             raise PolyParseError(f"expected {what}", i)
-        return int(text[i:j]), j
+        try:
+            return int(text[i:j]), j
+        except ValueError:  # past int()'s limit, sys.get_int_max_str_digits()
+            raise PolyParseError(f"{what} has too many digits", i) from None
 
-    def read_factor(i: int, exps: list[int]) -> int:
-        # caller guarantees text[i] == "x"
-        pos = i
-        idx, i = read_int(i + 1, "variable index")
+    def read_index(i: int, what: str) -> tuple[int, int]:
+        # the 0-based index after the letter at text[i] ("x" or "d")
+        idx, j = read_int(i + 1, what)
         if not 1 <= idx <= dim:
-            raise PolyParseError(f"variable index x{idx} out of range 1..{dim}", pos)
-        e = 1
-        if i < n and text[i] == "^":
-            e, i = read_int(i + 1, "exponent")
-        exps[idx - 1] += e
-        return i
+            raise PolyParseError(f"{what} {text[i]}{idx} out of range 1..{dim}", i)
+        return idx - 1, j
 
     i = skip_ws(0)
     if i == n:
-        raise PolyParseError("empty polynomial", 0)
-    first = True
+        raise PolyParseError("empty vector field" if field else "empty polynomial", 0)
     while True:
-        i = skip_ws(i)
+        # here i < n, and text[i] starts the first term or is a sign
         sign = 1
-        if i < n and text[i] in _SIGNS:
+        if text[i] in _SIGNS:
             if text[i] != "+":
                 sign = -1
             i = skip_ws(i + 1)
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", i)
-        first = False
         start = i
         coeff: Coeff = 1
         exps = [0] * dim
-        if i < n and text[i].isdigit():
-            num, i = read_int(i, "number")
-            den = 1
-            if i < n and text[i] == "/":
-                pos = i
-                den, i = read_int(i + 1, "denominator")
-                if den == 0:
-                    raise PolyParseError("zero denominator", pos)
-            coeff = _norm(Fraction(num, den))
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n or text[i] != "x":
-                    raise PolyParseError("expected variable after '*'", i)
-                i = read_factor(i, exps)
-        elif i < n and text[i] == "x":
-            i = read_factor(i, exps)
-        else:
-            raise PolyParseError("expected a term", i)
-        # further "*"-joined factors
+        direction = None
+        # "*"-joined items: a leading rational, factors, and d<index> last
         while True:
-            j = skip_ws(i)
-            if j < n and text[j] == "*":
-                j = skip_ws(j + 1)
-                if j >= n or text[j] != "x":
-                    raise PolyParseError("expected variable after '*'", j)
-                i = read_factor(j, exps)
+            c = text[i] if i < n else ""
+            if i == start and c.isdecimal():
+                coeff, i = read_int(i, "number")
+                if i < n and text[i] == "/":
+                    slash = i
+                    den, i = read_int(i + 1, "denominator")
+                    if den == 0:
+                        raise PolyParseError("zero denominator", slash)
+                    coeff = _norm(Fraction(coeff, den))
+            elif c == "x":
+                var, i = read_index(i, "variable index")
+                e = 1
+                if i < n and text[i] == "^":
+                    e, i = read_int(i + 1, "exponent")
+                exps[var] += e
+            elif field and c == "d":
+                direction, i = read_index(i, "direction index")
+            elif i == start:
+                raise PolyParseError("expected a term", i)
             else:
-                i = j
+                raise PolyParseError(
+                    f"expected {'variable or d<index>' if field else 'variable'} after '*'", i)
+            i = skip_ws(i)
+            if direction is not None or i == n or text[i] != "*":
                 break
+            i = skip_ws(i + 1)
+        if field and direction is None:
+            raise PolyParseError("term does not end in d<index>", i)
         if sum(exps) > _MASK:
             raise PolyParseError(f"term degree exceeds the exponent limit {_MASK}", start)
+        terms = comps[direction or 0]
         key = _pack(exps)
         terms[key] = terms.get(key, 0) + sign * coeff
-        i = skip_ws(i)
         if i == n:
-            break
+            return [Poly._raw(dim, _clean(t)) for t in comps]
         if text[i] not in _SIGNS:
             raise PolyParseError(f"unexpected character {text[i]!r}", i)
-    return Poly._raw(dim, _clean(terms))
 
 
 # ---------------------------------------------------------------------------------
@@ -590,58 +595,11 @@ class Derivation(_PolyTuple):
 def parse_derivation(text: str, dim: int) -> Derivation:
     """Parse 'x1^2*d1 + 3/2*d2' style vector-field text.
 
-    Each term is a polynomial term from the flat grammar whose final factor
-    is d<i> naming the coordinate direction.
+    field ::= the polynomial grammar with every term closed by a final
+    factor "d"<index> naming the coordinate direction; a bare d<index> has
+    coefficient 1.
     """
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    n = len(text)
-    comps = [Poly.zero(dim) for _ in range(dim)]
-
-    i = 0
-    while i < n and text[i] in _WS:
-        i += 1
-    if i == n:
-        raise PolyParseError("empty derivation", 0)
-    first = True
-    while i < n:
-        # split off one signed term ending at the next top-level sign
-        j = i
-        if text[j] in _SIGNS:
-            j += 1
-        while j < n and text[j] not in _SIGNS:
-            j += 1
-        chunk = text[i:j].strip()
-        if not chunk:
-            raise PolyParseError("expected a term", i)
-        sign = 1
-        body = chunk
-        if body[0] in _SIGNS:
-            if body[0] != "+":
-                sign = -1
-            body = body[1:].strip()
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", i)
-        first = False
-        # the trailing factor must be d<index>
-        k = body.rfind("d")
-        if k < 0:
-            raise PolyParseError("term does not end in d<index>", i)
-        idx_text = body[k + 1:].strip()
-        if not idx_text.isdigit():
-            raise PolyParseError("expected index after 'd'", i + k)
-        idx = int(idx_text)
-        if not 1 <= idx <= dim:
-            raise PolyParseError(f"derivation index d{idx} out of range 1..{dim}", i + k)
-        head = body[:k].strip()
-        if head.endswith("*"):
-            head = head[:-1].strip()
-        elif head:
-            raise PolyParseError("expected '*' before 'd'", i + k)
-        coeff_poly = parse_poly(head, dim) if head else Poly.constant(dim, 1)
-        comps[idx - 1] = comps[idx - 1] + sign * coeff_poly
-        i = j
-    return Derivation(tuple(comps))
+    return Derivation(_parse_terms(text, dim, field=True))
 
 
 # ---------------------------------------------------------------------------------

@@ -79,7 +79,6 @@ def iter_identity_samples(config: RunConfig):
     trials >= p_max^2 covers it exhaustively in every dimension.
     """
     config.check()
-    pq = [(p, q) for p in range(1, config.p_max + 1) for q in range(1, config.p_max + 1)]
     for dim in config.dims:
         rng = seeded_rng(config.seed, "identities", dim)
         for t in range(config.trials):
@@ -88,8 +87,8 @@ def iter_identity_samples(config: RunConfig):
             h = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
             mu = random_derivation(rng, dim, config.max_degree)
-            p, q = pq[t % len(pq)]
-            yield dim, t, {"f": f, "g": g, "h": h, "eta": eta, "mu": mu, "p": p, "q": q}
+            p, q = divmod(t % config.p_max ** 2, config.p_max)  # row-major, from 0
+            yield dim, t, {"f": f, "g": g, "h": h, "eta": eta, "mu": mu, "p": p + 1, "q": q + 1}
 
 
 def run_identity_suite(ids, config: RunConfig) -> list[VerificationReport]:
