@@ -270,7 +270,7 @@ def test_unvalidated_module_refuses_to_act():
 
 def test_schema_errors():
     with pytest.raises(ModuleSchemaError):
-        AVModule(1, 0, 0, {})  # rank 0 rejected outside the sentinel path
+        AVModule(1, 0, 0, {})  # rank 0 rejected; only exterior_power builds it
     with pytest.raises(ModuleSchemaError):
         AVModule(1, 1, 0, {(1, (1,)): ((one,),)})  # entry above declared order
     with pytest.raises(ModuleSchemaError):
