@@ -20,6 +20,7 @@ from smashmod import (
     module_to_dict,
     omega,
     oracle_order,
+    parse_derivation,
     parse_poly,
     smash_bracket,
     tangent_adjoint,
@@ -423,6 +424,28 @@ def test_tensor_product_order_cancellation():
 def test_tensor_product_rank_and_validation():
     t = tensor_product(differential_forms(2), tangent_adjoint(2))
     assert t.rank == 4 and t.validated and t.order <= 1
+
+
+def _tensor_element(u, v):
+    """u (x) v in the tensor product's basis order: entry (k1, k2) at k1 * rank(v) + k2."""
+    return ModuleElement(tuple(a * b for a in u.entries for b in v.entries))
+
+
+@pytest.mark.parametrize("m1, m2, eta", [
+    (differential_forms(2), tangent_adjoint(2), "x1^2*x2*d1 + x2^2*d2 - 3*x1*d2"),
+    (jet_module(1, 1), jet_module(1, 2), "x1^3*d1 - 2*x1^2*d1"),
+], ids=["forms-adjoint", "jets-jets"])
+def test_tensor_product_acts_by_the_leibniz_rule(m1, m2, eta):
+    # rho(e)(b1 (x) b2) = rho1(e) b1 (x) b2 + b1 (x) rho2(e) b2 on every basis pair,
+    # which pins the (i1, i2) -> i1 * r2 + i2 layout of the product's basis
+    t = tensor_product(m1, m2)
+    e = parse_derivation(eta, m1.dim)
+    for i1, b1 in enumerate(m1.basis()):
+        for i2, b2 in enumerate(m2.basis()):
+            got = t.act_derivation(e, t.basis_element(i1 * m2.rank + i2))
+            expect = _tensor_element(m1.act_derivation(e, b1), b2) \
+                + _tensor_element(b1, m2.act_derivation(e, b2))
+            assert got == expect
 
 
 # -- serialization -------------------------------------------------------------------
