@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Mapping
 
-from .poly import Derivation, DimensionMismatch, Poly, PolyError
+from .poly import Derivation, DimensionMismatch, Poly, PolyError, _sum_products
 from .modules import AVModule, ModuleElement, _test_vectors
 from .smash import (
     SmashElement,
@@ -219,16 +219,15 @@ def _annihilator_series(module: AVModule, g: Poly, eta: Derivation, m: ModuleEle
     for _ in range(N):
         g_pow.append(g_pow[-1] * g)
     Gu = Poly.constant(2 * d, 1)
-    acc = ModuleElement.zero(d, module.rank)
+    parts = []  # (w(u), omega(u, g, eta) m, g^{N-u})
     for u in range(N + 1):
         smash_u = SmashElement(d, tuple(Gu * embed_coefficient(c) for c in eta.coeffs))
-        term = module.act_smash(smash_u, m)
-        if not term.is_zero():
-            scale = g_pow[N - u] if weights is None else weights(u) * g_pow[N - u]
-            acc = acc + term * scale
+        parts.append((1 if weights is None else weights(u), module.act_smash(smash_u, m),
+                      g_pow[N - u]))
         if u < N:
             Gu = Gu * G
-    return acc
+    return ModuleElement(_sum_products(d, [(w, term.entries[j], scale) for w, term, scale in parts])
+                         for j in range(module.rank))
 
 
 class LocalizedModule:

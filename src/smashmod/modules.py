@@ -10,27 +10,28 @@ construction and bracket compatibility [rho(eta), rho(mu)] = rho([eta, mu])
 is what ``validate`` checks.  N is the differential-operator order of the
 module's Lie map, bounded by rank^2 for every valid module.
 
-Every action is held as one operator pair (symbol, terms): d polynomials
-s_i and a list of (c, D[i,alpha]) with c nonzero, acting as
+Every action is a first-order operator on A^r, held as one operator pair
+(symbol, matrix): d polynomials s_i and one r x r polynomial matrix
+M = sum_{(i,alpha)} c_{i,alpha} * D[i,alpha], acting as
 
-    m -> sum_i s_i * d_i(m) + sum_{(c, D)} c * D m.
+    m -> sum_i s_i * d_i(m) + M m.
 
 For a vector field g_1 d_1 + ... + g_d d_d the symbol is (g_i) and
-c = d^alpha(g_i).  For a smash element with canonical components P_i(x, y)
-the symbol is P_i|_{y=x} and c = (d_y^alpha P_i)|_{y=x}.  One loop applies
-either pair to a module element.
+c_{i,alpha} = d^alpha(g_i).  For a smash element with canonical components
+P_i(x, y) the symbol is P_i|_{y=x} and c_{i,alpha} = (d_y^alpha P_i)|_{y=x}.
+M is summed once per operator; applying a signed sum of operators takes
+one product sum (``poly._sum_products``) per entry of the result.
 
 The annihilation test for a smash element is exact: the element kills the
-whole module iff its symbol vanishes and the matrix sum_{(c, D)} c * D is
-identically zero (first-order operators vanish iff their symbol and their
-values on a module basis vanish).
+whole module iff its symbol and its matrix are both zero (a first-order
+operator vanishes iff its symbol and its values on a module basis vanish).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -42,6 +43,7 @@ from .poly import (
     Poly,
     PolyError,
     _PolyTuple,
+    _sum_products,
     index_order,
     monomials_per_variable,
     multi_binomial,
@@ -74,8 +76,8 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Poly, ...], ...]
-# An operator pair (symbol, terms), as in the module docstring.
-Operator = tuple[Sequence[Poly], list[tuple[Poly, Matrix]]]
+# An operator pair (symbol, matrix), as in the module docstring.
+Operator = tuple[Sequence[Poly], Matrix]
 
 
 class ModuleSchemaError(PolyError):
@@ -94,41 +96,6 @@ class ValidationError(PolyError):
 
 def _mat_is_zero(mat: Matrix) -> bool:
     return all(p.is_zero() for row in mat for p in row)
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_vec(mat: Matrix, vec: Sequence[Poly], dim: int) -> list[Poly]:
-    out = []
-    for row in mat:
-        acc = Poly.zero(dim)
-        for p, v in zip(row, vec):
-            if p.terms and v.terms:
-                acc = acc + p * v
-        out.append(acc)
-    return out
-
-
-def _identity(dim: int, r: int) -> Matrix:
-    one = Poly.constant(dim, 1)
-    zero = Poly.zero(dim)
-    return tuple(tuple(one if i == j else zero for j in range(r)) for i in range(r))
-
-
-def _kron(a: Matrix, b: Matrix, dim: int) -> Matrix:
-    ra, rb = len(a), len(b)
-    out = []
-    for i1 in range(ra):
-        for i2 in range(rb):
-            row = []
-            for j1 in range(ra):
-                for j2 in range(rb):
-                    p, q = a[i1][j1], b[i2][j2]
-                    row.append(p * q if (p.terms and q.terms) else Poly.zero(dim))
-            out.append(tuple(row))
-    return tuple(out)
 
 
 def _direction(d: int, i: int, g: Poly) -> Derivation:
@@ -259,43 +226,42 @@ class AVModule:
 
     # -- actions -------------------------------------------------------------------
 
+    def _operator(self, symbol: Sequence[Poly], coeffs: list[Poly]) -> Operator:
+        """The pair (symbol, sum of c * D[i,alpha]), with coeffs holding one
+        c per tensor entry, in the tensor's order."""
+        terms = [(c, mat) for c, mat in zip(coeffs, self.tensor.values()) if c.terms]
+        r = range(self.rank)
+        matrix = tuple(tuple(
+            _sum_products(self.dim, [(1, c, mat[a][b]) for c, mat in terms])
+            for b in r) for a in r)
+        return symbol, matrix
+
     def _field_operator(self, e: Derivation) -> Operator:
         """rho(e) as an operator pair: symbol e, coefficients d^alpha(g_i)."""
-        terms = []
-        for (i, alpha), mat in self.tensor.items():
-            c = partial_power(e.coeffs[i - 1], alpha)
-            if c.terms:
-                terms.append((c, mat))
-        return e.coeffs, terms
+        return self._operator(e.coeffs, [partial_power(e.coeffs[i - 1], alpha)
+                                         for i, alpha in self.tensor])
 
     def _smash_operator(self, u: SmashElement) -> Operator:
         """The action of u as an operator pair, read off the canonical
         components: symbol P_i|_{y=x}, coefficients (d_y^alpha P_i)|_{y=x}."""
-        symbol = tuple(restrict_to_diagonal(comp) for comp in u.components)
-        terms = []
-        for (i, alpha), mat in self.tensor.items():
-            c = restrict_to_diagonal(partial_power(u.components[i - 1], (0,) * self.dim + alpha))
-            if c.terms:
-                terms.append((c, mat))
-        return symbol, terms
+        P = u.components
+        return self._operator(
+            tuple(restrict_to_diagonal(p) for p in P),
+            [restrict_to_diagonal(partial_power(P[i - 1], (0,) * self.dim + alpha))
+             for i, alpha in self.tensor])
 
-    def _apply(self, op: Operator, m: ModuleElement) -> ModuleElement:
-        """The one loop that applies an operator pair to a module element."""
-        symbol, terms = op
-        d = self.dim
-        out = [Poly.zero(d) for _ in range(self.rank)]
-        for i, s in enumerate(symbol, start=1):
-            if not s.terms:
-                continue
-            for j, entry in enumerate(m.entries):
-                de = entry.partial_derivative(i)
-                if de.terms:
-                    out[j] = out[j] + s * de
-        for c, mat in terms:
-            mv = _mat_vec(mat, m.entries, d)
-            for j in range(self.rank):
-                if mv[j].terms:
-                    out[j] = out[j] + c * mv[j]
+    def _apply(self, *parts: tuple[int, Operator, ModuleElement]) -> ModuleElement:
+        """sum sign * op(m) over the (sign, op, m) parts: one product sum
+        per entry, out_j = sum_i s_i * d_i(m_j) + sum_k matrix[j][k] * m_k."""
+        out = []
+        for j in range(self.rank):
+            triples = []
+            for sign, (symbol, matrix), m in parts:
+                entry = m.entries[j]
+                triples.extend((sign, s, entry.partial_derivative(i))
+                               for i, s in enumerate(symbol, start=1) if s.terms)
+                triples.extend(zip(repeat(sign), matrix[j], m.entries))
+            out.append(_sum_products(self.dim, triples))
         return ModuleElement(out)
 
     def _check_operands(self, x, m: ModuleElement):
@@ -308,7 +274,7 @@ class AVModule:
     def act_derivation(self, e: Derivation, m: ModuleElement) -> ModuleElement:
         """Apply the vector field e to m through the action tensor."""
         self._check_operands(e, m)
-        return self._apply(self._field_operator(e), m)
+        return self._apply((1, self._field_operator(e), m))
 
     def act_smash(self, u: SmashElement, m: ModuleElement) -> ModuleElement:
         """Apply a function#vector-field element to m.
@@ -317,23 +283,15 @@ class AVModule:
         u into terms f # eta; agrees with summing f * rho(eta)m over those.
         """
         self._check_operands(u, m)
-        return self._apply(self._smash_operator(u), m)
+        return self._apply((1, self._smash_operator(u), m))
 
     def annihilates(self, u: SmashElement) -> bool:
         """Exact decision: does u act as zero on the whole module?"""
         self._require_validated()
         if u.dim != self.dim:
             raise DimensionMismatch("dimension mismatch with the module")
-        symbol, terms = self._smash_operator(u)
-        if any(s.terms for s in symbol):
-            return False
-        acc = [[Poly.zero(self.dim)] * self.rank for _ in range(self.rank)]
-        for c, mat in terms:
-            for a, row in enumerate(mat):
-                for b, p in enumerate(row):
-                    if p.terms:
-                        acc[a][b] = acc[a][b] + c * p
-        return all(not p.terms for row in acc for p in row)
+        symbol, matrix = self._smash_operator(u)
+        return not any(s.terms for s in symbol) and _mat_is_zero(matrix)
 
     # -- validation ----------------------------------------------------------------
 
@@ -360,7 +318,7 @@ class AVModule:
             if got is None:
                 eta = _direction(d, idx, monos[gidx])
                 op = self._field_operator(eta)
-                got = cache[(idx, gidx)] = (eta, op, [self._apply(op, v) for v in vectors])
+                got = cache[(idx, gidx)] = (eta, op, [self._apply((1, op, v)) for v in vectors])
             return got
 
         for i in range(1, d + 1):
@@ -373,8 +331,8 @@ class AVModule:
                         mu, mu_op, mu_v = field(j, hj)
                         lie_op = self._field_operator(eta.bracket(mu))
                         for t, v in enumerate(vectors):
-                            defect = self._apply(eta_op, mu_v[t]) \
-                                - self._apply(mu_op, eta_v[t]) - self._apply(lie_op, v)
+                            defect = self._apply((1, eta_op, mu_v[t]), (-1, mu_op, eta_v[t]),
+                                                 (-1, lie_op, v))
                             if not defect.is_zero():
                                 witness = {
                                     "i": str(i), "j": str(j), "g": str(g), "h": str(h),
@@ -524,16 +482,18 @@ def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
     if m1.dim != m2.dim:
         raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
     d = m1.dim
-    id1 = _identity(d, m1.rank)
-    id2 = _identity(d, m2.rank)
+    zero = Poly.zero(d)
+    # basis e_{i1} (x) e_{i2} at index i1 * r2 + i2; entrywise D1 (x) 1 + 1 (x) D2
+    pairs = [(i1, i2) for i1 in range(m1.rank) for i2 in range(m2.rank)]
+    zero1 = ((zero,) * m1.rank,) * m1.rank
+    zero2 = ((zero,) * m2.rank,) * m2.rank
     tensor = {}
     for key in set(m1.tensor) | set(m2.tensor):
-        parts = []
-        if key in m1.tensor:
-            parts.append(_kron(m1.tensor[key], id2, d))
-        if key in m2.tensor:
-            parts.append(_kron(id1, m2.tensor[key], d))
-        mat = parts[0] if len(parts) == 1 else _mat_add(parts[0], parts[1])
+        a = m1.tensor.get(key, zero1)
+        b = m2.tensor.get(key, zero2)
+        mat = tuple(tuple(
+            (a[i1][j1] if i2 == j2 else zero) + (b[i2][j2] if i1 == j1 else zero)
+            for j1, j2 in pairs) for i1, i2 in pairs)
         if not _mat_is_zero(mat):
             tensor[key] = mat
     order = max((index_order(a) for (_, a) in tensor), default=0)

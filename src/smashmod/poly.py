@@ -18,6 +18,12 @@ two keys multiplies the monomials.  Invariant: every term has total degree
 parser reject a term of higher degree, and a product that would create one
 raises ``PolyError``.
 
+There is one product loop, ``_sum_products``: it adds up c * a * b over
+(scalar, polynomial, polynomial) triples in one dictionary, and it is the
+one place that checks the operands' dimensions and the product degree
+guard.  ``Poly.__mul__`` is its one-triple case; every sum of products in
+the package (derivations, brackets, module actions) is one call.
+
 A derivation g1*d1 + ... + gn*dn is a tuple of coefficient polynomials,
 where d<i> denotes the partial derivative in x<i>.  It shares its
 componentwise arithmetic with the other tuples of polynomials (smash
@@ -218,22 +224,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            self._check(other)
-            a, b = self.terms, other.terms
-            if not a or not b:
-                return Poly.zero(self.dim)
-            # Adding keys adds every field, the degree field included; with
-            # the product's degree <= _MASK no field can carry into the next.
-            sh = _FIELD * self.dim
-            if (max(a) >> sh) + (max(b) >> sh) > _MASK:
-                raise PolyError(f"product degree exceeds the exponent limit {_MASK}")
-            out: dict[int, Coeff] = {}
-            get = out.get
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-            return Poly._raw(self.dim, _clean(out))
+            return _sum_products(self.dim, ((1, self, other),))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.dim)
@@ -320,6 +311,31 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.dim}, {str(self)!r})"
+
+
+def _sum_products(dim: int, triples: Iterable[tuple[Coeff, Poly, Poly]]) -> Poly:
+    """sum c * a * b over the (c, a, b) triples, c an int or a Fraction,
+    accumulated in one dictionary and cleaned once."""
+    sh = _FIELD * dim
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for c, a, b in triples:
+        if a.dim != dim or b.dim != dim:
+            raise DimensionMismatch(f"dim {dim} vs {b.dim if a.dim == dim else a.dim}")
+        ta, tb = a.terms, b.terms
+        if not c or not ta or not tb:
+            continue
+        # Adding keys adds every field, the degree field included; with
+        # the product's degree <= _MASK no field can carry into the next.
+        if (max(ta) >> sh) + (max(tb) >> sh) > _MASK:
+            raise PolyError(f"product degree exceeds the exponent limit {_MASK}")
+        for ka, ca in ta.items():
+            if c != 1:
+                ca = c * ca
+            for kb, cb in tb.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    return Poly._raw(dim, _clean(out))
 
 
 def _x_names(dim: int) -> list[str]:
@@ -568,11 +584,8 @@ class Derivation(_PolyTuple):
         """eta(p) = sum_i g_i * dp/dx_i; satisfies the Leibniz rule exactly."""
         if p.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {p.dim}")
-        out = Poly.zero(self.dim)
-        for i, g in enumerate(self.coeffs, start=1):
-            if g.terms:
-                out = out + g * p.partial_derivative(i)
-        return out
+        return _sum_products(self.dim, [(1, g, p.partial_derivative(i))
+                                        for i, g in enumerate(self.coeffs, start=1) if g.terms])
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """Lie bracket of vector fields: component j is self(other_j) - other(self_j)."""

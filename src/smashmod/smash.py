@@ -34,6 +34,7 @@ from .poly import (
     _PolyTuple,
     _clean,
     _format_terms,
+    _sum_products,
     _x_names,
 )
 
@@ -172,27 +173,19 @@ def smash_bracket(u: SmashElement, v: SmashElement) -> SmashElement:
     diagQ = [embed_function(restrict_to_diagonal(q)) if q.terms else q for q in Q]
     out = []
     for l in range(d):
-        acc = Poly.zero(2 * d)
         Ql = Q[l]
         Pl = P[l]
+        triples = []
         for i in range(d):
             if P[i].terms:
-                dq = Ql.partial_derivative(d + i + 1)
-                if dq.terms:
-                    acc = acc + P[i] * dq
+                triples.append((1, P[i], Ql.partial_derivative(d + i + 1)))
             if Q[i].terms:
-                dp = Pl.partial_derivative(d + i + 1)
-                if dp.terms:
-                    acc = acc - Q[i] * dp
+                triples.append((-1, Q[i], Pl.partial_derivative(d + i + 1)))
             if diagP[i].terms:
-                dqx = Ql.partial_derivative(i + 1)
-                if dqx.terms:
-                    acc = acc + diagP[i] * dqx
+                triples.append((1, diagP[i], Ql.partial_derivative(i + 1)))
             if diagQ[i].terms:
-                dpx = Pl.partial_derivative(i + 1)
-                if dpx.terms:
-                    acc = acc - diagQ[i] * dpx
-        out.append(acc)
+                triples.append((-1, diagQ[i], Pl.partial_derivative(i + 1)))
+        out.append(_sum_products(2 * d, triples))
     return SmashElement(d, out)
 
 
@@ -269,12 +262,9 @@ def function_commutator(u: SmashElement, g: Poly) -> Poly:
     """
     if g.dim != u.dim:
         raise DimensionMismatch(f"dim {g.dim} vs {u.dim}")
-    acc = Poly.zero(u.dim)
-    for i in range(u.dim):
-        gi = g.partial_derivative(i + 1)
-        if gi.terms and u.components[i].terms:
-            acc = acc + restrict_to_diagonal(u.components[i] * embed_coefficient(gi))
-    return acc
+    return restrict_to_diagonal(_sum_products(2 * u.dim, [
+        (1, P, embed_coefficient(g.partial_derivative(i)))
+        for i, P in enumerate(u.components, start=1)]))
 
 
 # ---------------------------------------------------------------------------------

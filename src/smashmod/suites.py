@@ -19,7 +19,7 @@ from .modules import (
     tangent_adjoint,
     trivial_dmodule,
 )
-from .poly import Derivation, Poly
+from .poly import _MASK, Derivation, Poly
 from .sampling import random_derivation, random_poly, seeded_rng
 from .smash import (
     IDENTITY_IDS,
@@ -48,8 +48,9 @@ class RunConfig:
     def check(self):
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive integers")
-        if self.max_degree < 1:
-            raise ValueError("max degree must be >= 1")
+        if not 1 <= self.max_degree <= _MASK:
+            raise ValueError(f"max degree must be in 1..{_MASK}, the exponent limit "
+                             f"(got {self.max_degree})")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.p_max < 1:

@@ -71,6 +71,15 @@ def test_verify_invalid_config_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--dims", "0"]) == 2
 
 
+@pytest.mark.parametrize("degree", ["0", "65536", "70000"])
+def test_verify_degree_outside_the_exponent_limit_exits_two(capsys, degree):
+    # the sampler used to fail inside Poly with "exponent out of range in (67192,)"
+    assert main(["verify", "--suite", "all", "--dims", "1", "--trials", "1",
+                 "--degree", degree]) == 2
+    err = capsys.readouterr().err
+    assert "max degree" in err and "65535" in err and degree in err
+
+
 def test_level_grid_is_computed_per_trial():
     # the (p, q) levels follow the row-major grid 1..p_max x 1..p_max,
     # cycled, without building the p_max^2 pairs up front

@@ -14,7 +14,7 @@ from smashmod import (
     parse_derivation,
     parse_poly,
 )
-from smashmod.poly import multi_indices, partial_power
+from smashmod.poly import _sum_products, multi_indices, partial_power
 
 
 def P(text, dim=1):
@@ -332,6 +332,58 @@ def test_products_near_the_exponent_limit(data):
             p * q
     else:
         assert dict((p * q).items()) == ref
+
+
+def _unit_exps(dim, i, e):
+    return tuple(e if j == i else 0 for j in range(dim))
+
+
+def _triples(dim):
+    return st.lists(st.tuples(coeffs, polys(dim), polys(dim)), max_size=5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sum_products_matches_summed_reference_products(data):
+    # c runs over int, Fraction, zero and negative scalars; operands may be zero
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    triples = data.draw(_triples(dim))
+    expect = {}
+    for c, a, b in triples:
+        for e, v in _reference_product(a, b).items():
+            expect[e] = expect.get(e, 0) + c * v
+    got = _sum_products(dim, triples)
+    assert got.dim == dim
+    assert dict(got.items()) == {e: v for e, v in expect.items() if v}
+    assert all(type(v) is int or v.denominator != 1 for v in got.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_products_refuses_a_wrong_dim_triple(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    triples = data.draw(_triples(dim))
+    other = data.draw(polys(data.draw(st.sampled_from([n for n in (1, 2, 3, 4) if n != dim]))))
+    right = data.draw(polys(dim))
+    bad = (data.draw(coeffs),) + ((other, right) if data.draw(st.booleans()) else (right, other))
+    triples.insert(data.draw(st.integers(0, len(triples))), bad)
+    with pytest.raises(DimensionMismatch):
+        _sum_products(dim, triples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_products_refuses_one_triple_past_the_degree_limit(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    triples = data.draw(_triples(dim))
+    s = data.draw(st.integers(1, 0xFFFF))
+    t = data.draw(st.integers(0x10000 - s, 0xFFFF))
+    a = Poly.monomial(dim, _unit_exps(dim, data.draw(st.integers(0, dim - 1)), s))
+    b = Poly.monomial(dim, _unit_exps(dim, data.draw(st.integers(0, dim - 1)), t))
+    c = data.draw(coeffs.filter(bool))
+    triples.insert(data.draw(st.integers(0, len(triples))), (c, a, b))
+    with pytest.raises(PolyError, match="exponent limit"):
+        _sum_products(dim, triples)
 
 
 def test_terms_past_the_degree_limit_are_rejected():
