@@ -1,14 +1,17 @@
 """Independent oracles the tests check the library against.
 
 Each oracle recomputes a quantity through a different route than the library
-uses: term-by-term expansion instead of closed forms, quotient-rule calculus
-on rational one-forms instead of the localized series, and triangular solves
-from jet prolongations instead of the closed binomial tensor.
+uses: term-by-term expansion instead of closed forms, bracket compatibility
+by applying the action to sampled monomial fields instead of the structure
+equations, quotient-rule calculus on rational one-forms instead of the
+localized series, and triangular solves from jet prolongations instead of the
+closed binomial tensor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from smashmod import (
@@ -21,8 +24,9 @@ from smashmod import (
     from_term,
     multi_indices,
 )
-from smashmod.modules import Matrix
+from smashmod.modules import Matrix, _direction
 from smashmod.poly import MultiIndex
+from smashmod.smash import VerificationReport
 
 
 def decompose_terms(u: SmashElement) -> list[tuple[Poly, Derivation]]:
@@ -59,17 +63,72 @@ def act_smash_by_terms(module: AVModule, u: SmashElement, m: ModuleElement) -> M
     return acc
 
 
-def annihilates_by_sampling(module: AVModule, u: SmashElement) -> bool:
-    """Annihilation decided by applying u to a spanning family.
+def spanning_vectors(module: AVModule) -> list[ModuleElement]:
+    """The basis and its multiples x_k * basis.
 
-    The action of u is first order, so killing the basis forces the matrix
-    part to vanish and killing x_k * basis then forces the symbol to vanish.
+    A first-order operator that kills the basis has no matrix part, and one
+    that then kills x_k * basis has no symbol either, so both samplers below
+    test their operator identities on these vectors.
     """
     vectors = module.basis()
     for k in range(1, module.dim + 1):
         xk = Poly.variable(module.dim, k)
         vectors.extend(xk * b for b in module.basis())
-    return all(act_smash_by_terms(module, u, v).is_zero() for v in vectors)
+    return vectors
+
+
+def annihilates_by_sampling(module: AVModule, u: SmashElement) -> bool:
+    """Annihilation decided by applying u to a spanning family."""
+    return all(act_smash_by_terms(module, u, v).is_zero() for v in spanning_vectors(module))
+
+
+def validate_by_sampling(module: AVModule) -> VerificationReport:
+    """Bracket compatibility decided by applying the action to sampled fields.
+
+    The defect [rho(g d_i), rho(h d_j)] - rho([g d_i, h d_j]) is A-linear
+    in the argument and bilinear in the order-(N+1) jets of (g, h), so
+    vanishing on all monomials of per-variable degree <= N+2 applied to
+    the basis (and, as a redundant guard, to x_k * basis) proves it
+    vanishes identically.  Never marks the module validated; the witness
+    names the first failing (i, j, g, h, vector).
+    """
+    inputs = {"module": module.name or "<anonymous>", "dim": str(module.dim),
+              "rank": str(module.rank), "order": str(module.order)}
+    d = module.dim
+    exps = product(range(module.order + 3), repeat=d)
+    monos = [Poly.monomial(d, e) for e in exps]
+    vectors = spanning_vectors(module)
+    cache = {}
+
+    def field(idx: int, gidx: int):
+        """(g d_idx, its operator, its images of the test vectors), g = monos[gidx]."""
+        got = cache.get((idx, gidx))
+        if got is None:
+            eta = _direction(d, idx, monos[gidx])
+            op = module._field_operator(eta)
+            got = cache[(idx, gidx)] = (eta, op, [module._apply((1, op, v)) for v in vectors])
+        return got
+
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            for gi, g in enumerate(monos):
+                for hj, h in enumerate(monos):
+                    if i == j and gi >= hj:
+                        continue  # antisymmetric defect: ordered pairs suffice
+                    eta, eta_op, eta_v = field(i, gi)
+                    mu, mu_op, mu_v = field(j, hj)
+                    lie_op = module._field_operator(eta.bracket(mu))
+                    for t, v in enumerate(vectors):
+                        defect = module._apply((1, eta_op, mu_v[t]), (-1, mu_op, eta_v[t]),
+                                               (-1, lie_op, v))
+                        if not defect.is_zero():
+                            witness = {
+                                "i": str(i), "j": str(j), "g": str(g), "h": str(h),
+                                "vector": str(v), "defect": str(defect),
+                            }
+                            return VerificationReport(
+                                "module-bracket-compatibility", inputs, "fail", witness)
+    return VerificationReport("module-bracket-compatibility", inputs, "pass")
 
 
 # -- rational one-forms on the line -------------------------------------------------

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from smashmod import (
     AVModule,
@@ -18,6 +19,7 @@ from smashmod import (
     min_annihilating_order,
     module_from_dict,
     module_to_dict,
+    multi_indices,
     omega,
     oracle_order,
     parse_derivation,
@@ -35,7 +37,9 @@ from oracles import (
     act_smash_by_terms,
     annihilates_by_sampling,
     jet_tensor_by_prolongation,
+    validate_by_sampling,
 )
+from test_acceptance import small_zoo
 
 x = Poly.variable(1, 1)
 one = Poly.constant(1, 1)
@@ -259,6 +263,90 @@ def test_failing_validation_witnesses(build, inputs, witness):
         "status": "fail", "witness": witness}
 
 
+def test_sampling_validator_witnesses():
+    # the sampler's first (i, j, g, h, vector) witnesses, pinned exactly
+    witnesses = [validate_by_sampling(build()).witness for build in (
+        _tampered, lambda: _corrupted(jet_module(2, 1)),
+        lambda: _corrupted(differential_forms(2)))]
+    assert witnesses == [
+        {"defect": "(1, 0)", "g": "1", "h": "x1", "i": "1", "j": "1", "vector": "(1, 0)"},
+        {"defect": "(-x2^2, 0, 0)", "g": "x2", "h": "x1", "i": "1", "j": "1",
+         "vector": "(0, 0, 1)"},
+        {"defect": "(-2*x2^2, 0)", "g": "x2", "h": "x1", "i": "1", "j": "1",
+         "vector": "(0, 1)"},
+    ]
+
+
+# -- validation against the sampling oracle ------------------------------------------
+
+def _verdicts(module: AVModule) -> tuple[bool, bool]:
+    """(library, oracle) pass/fail of one module."""
+    return module.validate().passed, validate_by_sampling(module).passed
+
+
+def _rank_one_order_zero(*entries: str) -> AVModule:
+    """The rank-one module on the plane with D[i,0] = entries[i-1]."""
+    return AVModule(2, 1, 0, {(i, (0, 0)): ((parse_poly(t, 2),),)
+                              for i, t in enumerate(entries, start=1)}, name="order0")
+
+
+def test_validate_agrees_with_the_sampling_oracle_on_the_zoo():
+    for module in small_zoo():
+        assert _verdicts(module) == (True, True), module.name
+
+
+@pytest.mark.parametrize("build, passes", [
+    (lambda: exterior_power(jet_module(1, 2), 2), True),
+    (lambda: exterior_power(jet_module(2, 1), 2), True),
+    (lambda: exterior_power(differential_forms(2), 2), True),
+    (lambda: tensor_product(twist(Fraction(1, 2)), jet_module(1, 1)), True),
+    (lambda: tensor_product(differential_forms(1), dual_module(jet_module(1, 2))), True),
+    (lambda: dual_module(jet_module(1, 2)), True),
+    (lambda: dual_module(jet_module(2, 1)), True),
+    (lambda: module_from_dict(module_to_dict(jet_module(2, 1))), True),
+    (lambda: module_from_dict(module_to_dict(twist(Fraction(-3, 2)))), True),
+    # a flat connection D[i,0] = d_i(x1^2*x2 + x2^3), and one with curl -2
+    (lambda: _rank_one_order_zero("2*x1*x2", "x1^2 + 3*x2^2"), True),
+    (lambda: _rank_one_order_zero("x2", "-x1"), False),
+    (_tampered, False),
+    (lambda: _corrupted(jet_module(2, 1)), False),
+    (lambda: _corrupted(differential_forms(2)), False),
+], ids=["wedge-jets1", "wedge-jets2", "wedge-forms", "twist-x-jets", "forms-x-dual",
+        "dual-jets1", "dual-jets2", "file-jets", "file-twist", "order0-flat", "order0-curl",
+        "tampered", "corrupted-jets", "corrupted-forms"])
+def test_validate_agrees_with_the_sampling_oracle(build, passes):
+    assert _verdicts(build()) == (passes, passes)
+
+
+_CORRUPTIBLE = {
+    "forms(2)": lambda: differential_forms(2),
+    "adjoint(2)": lambda: tangent_adjoint(2),
+    "jets(1,2)": lambda: jet_module(1, 2),
+    "jets(2,1)": lambda: jet_module(2, 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_the_sampling_oracle_on_perturbed_tensors(data):
+    # add a small polynomial to one entry of D[i,alpha], |alpha| <= order;
+    # the declared order follows the perturbed tensor
+    module = _CORRUPTIBLE[data.draw(st.sampled_from(sorted(_CORRUPTIBLE)))]()
+    d, r = module.dim, module.rank
+    key = data.draw(st.sampled_from(
+        [(i, a) for i in range(1, d + 1) for a in multi_indices(d, module.order)]))
+    row, col = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d),
+                                      st.sampled_from((-2, -1, 1, 2)), min_size=1, max_size=2))
+    tensor = dict(module.tensor)
+    rows = [list(line) for line in tensor.get(key, ((Poly.zero(d),) * r,) * r)]
+    rows[row][col] = rows[row][col] + Poly(d, terms)
+    tensor[key] = tuple(map(tuple, rows))
+    order = max((sum(alpha) for (_, alpha), mat in tensor.items()
+                 if any(p.terms for line in mat for p in line)), default=0)
+    library, oracle = _verdicts(AVModule(d, r, order, tensor, name=module.name))
+    event("pass" if oracle else "fail")
+    assert library == oracle
 def test_unvalidated_module_refuses_to_act():
     raw = AVModule(1, 1, 1, {(1, (1,)): ((one,),)}, name="raw")
     with pytest.raises(ValidationError):
