@@ -23,7 +23,7 @@ from operator import attrgetter, itemgetter
 from typing import Mapping
 
 from .poly import Derivation, DimensionMismatch, Poly, PolyError, _sum_products
-from .modules import AVModule, ModuleElement, _test_vectors
+from .modules import AVModule, ModuleElement
 from .smash import (
     SmashElement,
     VerificationReport,
@@ -346,7 +346,9 @@ def verify_localized(name: str, module: AVModule, f: Poly,
             raise ValueError(f"missing binding {missing[0]!r} for check {name!r}")
         return [inputs[k] for k in keys]
 
-    vectors = _test_vectors(module)
+    basis = module.basis()  # each law is tested on the basis and on x_k * basis
+    vectors = basis + [Poly.variable(module.dim, k) * b for k in range(1, module.dim + 1)
+                       for b in basis]
 
     # each branch defines sides(v): the two sides of the law on the vector v
     if name == "welldefined":

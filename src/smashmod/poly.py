@@ -33,7 +33,6 @@ elements, module elements) through ``_PolyTuple``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
@@ -634,11 +633,6 @@ def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
     for head in range(total, -1, -1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-def monomials_per_variable(dim: int, max_per_var: int) -> list[MultiIndex]:
-    """All exponent tuples with every entry <= max_per_var."""
-    return [tuple(e) for e in product(range(max_per_var + 1), repeat=dim)]
 
 
 def index_order(alpha: MultiIndex) -> int:

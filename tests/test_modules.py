@@ -246,18 +246,20 @@ def test_validate_detects_tampered_tensor():
 @pytest.mark.parametrize("build, inputs, witness", [
     (_tampered,
      {"module": "tampered", "dim": "2", "rank": "2", "order": "1"},
-     {"defect": "(1, 0)", "g": "1", "h": "x1", "i": "1", "j": "1", "vector": "(1, 0)"}),
+     {"i": "1", "j": "1", "beta": "(0, 0)", "gamma": "(1, 0)", "entry": "(0, 0)",
+      "defect": "1"}),
     (lambda: _corrupted(jet_module(2, 1)),
      {"module": "jets(2,1)", "dim": "2", "rank": "3", "order": "1"},
-     {"defect": "(-x2^2, 0, 0)", "g": "x2", "h": "x1", "i": "1", "j": "1",
-      "vector": "(0, 0, 1)"}),
+     {"i": "1", "j": "1", "beta": "(0, 1)", "gamma": "(1, 0)", "entry": "(0, 2)",
+      "defect": "-x2^2"}),
     (lambda: _corrupted(differential_forms(2)),
      {"module": "forms(2)", "dim": "2", "rank": "2", "order": "1"},
-     {"defect": "(-2*x2^2, 0)", "g": "x2", "h": "x1", "i": "1", "j": "1",
-      "vector": "(0, 1)"}),
+     {"i": "1", "j": "1", "beta": "(0, 1)", "gamma": "(1, 0)", "entry": "(0, 1)",
+      "defect": "-2*x2^2"}),
 ], ids=["tampered", "jets", "forms"])
 def test_failing_validation_witnesses(build, inputs, witness):
-    # no golden report hash covers a failed validation: pin the first witness
+    # no golden report hash covers a failed validation: pin the first witness,
+    # the first nonzero entry of a structure matrix C_ij[beta, gamma]
     assert build().validate().to_dict() == {
         "identity": "module-bracket-compatibility", "inputs": inputs,
         "status": "fail", "witness": witness}
