@@ -22,7 +22,7 @@ from .modules import (
     oracle_order,
     zoo,
 )
-from .poly import PolyError, parse_derivation, parse_poly
+from .poly import DegreeOverflow, PolyError, parse_derivation, parse_poly
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 EXIT_OK = 0
@@ -143,11 +143,15 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown suite {s!r} (known: {', '.join(SUITE_NAMES)})")
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
-    for s in suites:
-        for report in run_suite(s, config):
-            record = report.to_dict()
-            record["suite"] = s
-            envelope.results.append(record)
+    try:
+        for s in suites:
+            for report in run_suite(s, config):
+                record = report.to_dict()
+                record["suite"] = s
+                envelope.results.append(record)
+    except DegreeOverflow as e:  # the suites' products grow with both options
+        raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
+                        f"({config.p_max})") from e
     return _emit(envelope, args)
 
 

@@ -52,6 +52,10 @@ class DimensionMismatch(PolyError):
     """Operands live over different numbers of variables."""
 
 
+class DegreeOverflow(PolyError):
+    """A product's total degree would pass the exponent limit."""
+
+
 class PolyParseError(PolyError):
     """Input text does not match the polynomial grammar."""
 
@@ -327,7 +331,7 @@ def _sum_products(dim: int, triples: Iterable[tuple[Coeff, Poly, Poly]]) -> Poly
         # Adding keys adds every field, the degree field included; with
         # the product's degree <= _MASK no field can carry into the next.
         if (max(ta) >> sh) + (max(tb) >> sh) > _MASK:
-            raise PolyError(f"product degree exceeds the exponent limit {_MASK}")
+            raise DegreeOverflow(f"product degree exceeds the exponent limit {_MASK}")
         for ka, ca in ta.items():
             if c != 1:
                 ca = c * ca

@@ -71,6 +71,14 @@ def test_verify_invalid_config_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--dims", "0"]) == 2
 
 
+def test_verify_product_past_the_exponent_limit_names_the_options(capsys):
+    # --degree 40000 is inside the limit, but the suites' products are not
+    assert main(["verify", "--suite", "all", "--dims", "1", "--trials", "1",
+                 "--degree", "40000"]) == 2
+    err = capsys.readouterr().err
+    assert "--degree" in err and "--pmax" in err and "65535" in err
+
+
 @pytest.mark.parametrize("degree", ["0", "65536", "70000"])
 def test_verify_degree_outside_the_exponent_limit_exits_two(capsys, degree):
     # the sampler used to fail inside Poly with "exponent out of range in (67192,)"
