@@ -1,12 +1,15 @@
 """Command-line contract: exit codes, determinism, report structure."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import smashmod
 from smashmod import IDENTITY_IDS, differential_forms, module_to_dict, zoo
 from smashmod.cli import load_module_spec, main, save_module_spec
 from smashmod.suites import RunConfig, iter_identity_samples
@@ -271,8 +274,12 @@ def test_zoo_export_import_round_trip(tmp_path):
 
 
 def test_console_script_entry():
-    # the installed entry point wires up argparse's usage exit code
+    # the installed entry point wires up argparse's usage exit code; the child
+    # imports the package these tests import, from a checkout or an install
+    parent = str(Path(smashmod.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (parent, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "smashmod.cli", "order"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # --module is required
