@@ -138,9 +138,11 @@ def cmd_verify(args) -> int:
     suites = [s for s in str(args.suite).split(",") if s]
     if not suites:
         raise ValueError("no suite selected")
-    for s in suites:
+    for i, s in enumerate(suites):
         if s not in SUITE_NAMES:
             raise ValueError(f"unknown suite {s!r} (known: {', '.join(SUITE_NAMES)})")
+        if s in suites[:i]:  # it would rerun the same checks and count them twice
+            raise ValueError(f"suite {s!r} given twice")
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
     try:

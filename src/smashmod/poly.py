@@ -22,7 +22,13 @@ There is one product loop, ``_sum_products``: it adds up c * a * b over
 (scalar, polynomial, polynomial) triples in one dictionary, and it is the
 one place that checks the operands' dimensions and the product degree
 guard.  ``Poly.__mul__`` is its one-triple case; every sum of products in
-the package (derivations, brackets, module actions) is one call.
+the package (derivations, brackets, module actions) is one call.  It keeps
+the sum as integer numerators over one running common denominator, as
+FLINT's ``fmpq_mpoly`` does.  A triple with at least ``_SCALE_PAIRS``
+coefficient pairs and a Fraction in c, a or b is scaled to integer
+numerators over the lcm of its denominators, so its pairs cost int
+operations only; smaller triples keep the plain loop.  Each output
+coefficient is divided by the common denominator once, at the end.
 
 A derivation g1*d1 + ... + gn*dn is a tuple of coefficient polynomials,
 where d<i> denotes the partial derivative in x<i>.  It shares its
@@ -33,7 +39,7 @@ elements, module elements) through ``_PolyTuple``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -42,6 +48,10 @@ MultiIndex = tuple[int, ...]
 
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
+# Fewest coefficient pairs for which a triple is scaled to integers: the localized
+# action's many tiny products average under one pair, where scaling costs more than it saves.
+_SCALE_PAIRS = 16
+_denominator = attrgetter("denominator")
 
 
 class PolyError(ValueError):
@@ -316,12 +326,22 @@ class Poly:
         return f"Poly({self.dim}, {str(self)!r})"
 
 
+def _numerators(terms: dict[int, Coeff]) -> tuple[dict[int, int], int]:
+    """The terms as integer numerators over the lcm of their denominators."""
+    d = lcm(*map(_denominator, terms.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+
 def _sum_products(dim: int, triples: Iterable[tuple[Coeff, Poly, Poly]]) -> Poly:
     """sum c * a * b over the (c, a, b) triples, c an int or a Fraction,
-    accumulated in one dictionary and cleaned once."""
+    accumulated in one dictionary and cleaned once.
+
+    The accumulator holds the sum times ``den``, the lcm of the
+    denominators of the triples taken on the integer path so far."""
     sh = _FIELD * dim
     out: dict[int, Coeff] = {}
     get = out.get
+    den = 1
     for c, a, b in triples:
         if a.dim != dim or b.dim != dim:
             raise DimensionMismatch(f"dim {dim} vs {b.dim if a.dim == dim else a.dim}")
@@ -332,12 +352,29 @@ def _sum_products(dim: int, triples: Iterable[tuple[Coeff, Poly, Poly]]) -> Poly
         # the product's degree <= _MASK no field can carry into the next.
         if (max(ta) >> sh) + (max(tb) >> sh) > _MASK:
             raise DegreeOverflow(f"product degree exceeds the exponent limit {_MASK}")
+        # A sum that meets a Fraction is a Fraction: a C-level test for one.
+        if len(ta) * len(tb) >= _SCALE_PAIRS and (
+                type(c) is not int or type(sum(ta.values())) is not int
+                or type(sum(tb.values())) is not int):
+            ta, da = _numerators(ta)
+            tb, db = _numerators(tb)
+            t = c.denominator * da * db
+            if den % t:
+                step = lcm(den, t) // den
+                den *= step
+                for k, v in out.items():
+                    out[k] = v * step
+            c = c.numerator * (den // t)
+        elif den != 1:
+            c *= den
         for ka, ca in ta.items():
             if c != 1:
                 ca = c * ca
             for kb, cb in tb.items():
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
+    if den != 1:
+        out = {k: Fraction(v, den) for k, v in out.items() if v}
     return Poly._raw(dim, _clean(out))
 
 

@@ -48,6 +48,9 @@ class RunConfig:
     def check(self):
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive integers")
+        for i, d in enumerate(self.dims):
+            if d in self.dims[:i]:
+                raise ValueError(f"dimension {d} given twice")
         if not 1 <= self.max_degree <= _MASK:
             raise ValueError(f"max degree must be in 1..{_MASK}, the exponent limit "
                              f"(got {self.max_degree})")

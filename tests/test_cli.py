@@ -69,6 +69,18 @@ def test_verify_unknown_suite_exits_two(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_repeated_suite_exits_two(capsys):
+    # a repeated suite reran its checks and counted them twice in the summary
+    assert main(["verify", "--suite", "lemma3,lemma2,lemma3", "--dims", "1",
+                 "--trials", "1"]) == 2
+    assert "error: suite 'lemma3' given twice" in capsys.readouterr().err
+
+
+def test_verify_repeated_dimension_exits_two(capsys):
+    assert main(["verify", "--suite", "lemma3", "--dims", "1,2,1", "--trials", "1"]) == 2
+    assert "error: dimension 1 given twice" in capsys.readouterr().err
+
+
 def test_verify_invalid_config_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--trials", "0"]) == 2
     assert main(["verify", "--suite", "lemma3", "--dims", "0"]) == 2

@@ -14,7 +14,7 @@ from smashmod import (
     parse_derivation,
     parse_poly,
 )
-from smashmod.poly import _sum_products, multi_indices, partial_power
+from smashmod.poly import _SCALE_PAIRS, DegreeOverflow, _sum_products, multi_indices, partial_power
 
 
 def P(text, dim=1):
@@ -227,9 +227,9 @@ coeffs = st.one_of(
 )
 
 
-def polys(dim, max_degree=4, max_terms=3):
+def polys(dim, max_degree=4, max_terms=3, min_terms=0):
     exps = st.tuples(*[st.integers(min_value=0, max_value=max_degree) for _ in range(dim)])
-    return st.dictionaries(exps, coeffs, min_size=0, max_size=max_terms).map(
+    return st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms).map(
         lambda t: Poly(dim, t))
 
 
@@ -348,14 +348,75 @@ def test_sum_products_matches_summed_reference_products(data):
     # c runs over int, Fraction, zero and negative scalars; operands may be zero
     dim = data.draw(st.integers(min_value=1, max_value=3))
     triples = data.draw(_triples(dim))
+    got = _sum_products(dim, triples)
+    assert got.dim == dim
+    assert dict(got.items()) == _reference_sum(triples)
+    assert all(type(v) is int or v.denominator != 1 for v in got.terms.values())
+
+
+def _reference_sum(triples):
+    """sum c * a * b over plain exponent tuples, zero terms dropped."""
     expect = {}
     for c, a, b in triples:
         for e, v in _reference_product(a, b).items():
             expect[e] = expect.get(e, 0) + c * v
+    return {e: v for e, v in expect.items() if v}
+
+
+def _assert_matches_reference(triples, dim):
+    """Same values as the reference sum, and int exactly for integral values."""
     got = _sum_products(dim, triples)
     assert got.dim == dim
-    assert dict(got.items()) == {e: v for e, v in expect.items() if v}
-    assert all(type(v) is int or v.denominator != 1 for v in got.terms.values())
+    assert dict(got.items()) == _reference_sum(triples)
+    assert all((type(v) is int) == (v.denominator == 1) for v in got.terms.values())
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sum_products_on_both_sides_of_the_scaling_cutoff(data):
+    # triples of at least 4 x 4 terms reach _SCALE_PAIRS and, when c, a or b
+    # carries a Fraction, run on integer numerators; the small ones do not
+    assert _SCALE_PAIRS <= 16
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    wide = polys(dim, max_degree=7, max_terms=8, min_terms=4)
+    large = data.draw(st.lists(st.tuples(coeffs, wide, wide), min_size=1, max_size=3))
+    small = data.draw(st.lists(st.tuples(coeffs, polys(dim, 7, 8), polys(dim)), max_size=4))
+    _assert_matches_reference(data.draw(st.permutations(large + small)), dim)
+
+
+def _wide(dim, coefficients, degree=0):
+    """A polynomial with one term per coefficient, at distinct exponents
+    starting from degree ``degree`` in x1."""
+    return Poly(dim, {_unit_exps(dim, 0, degree + i): c for i, c in enumerate(coefficients)})
+
+
+def test_sum_products_kernel_edge_cases():
+    third = _wide(1, [Fraction(1, 3), 2, -1, 5])
+    quarter = _wide(1, [3, Fraction(-1, 4), 1, 7], degree=2)
+    ints = _wide(1, [1, -2, 3, 4])
+    # scaled with denominator 3, an integer triple, then 1/4: the running
+    # denominator is raised from 3 to 12 in the middle of the sum
+    got = _assert_matches_reference([(1, third, ints), (2, ints, ints), (1, quarter, ints)], 1)
+    assert {3, 4, 12} <= {v.denominator for v in got.terms.values() if type(v) is not int}
+    # a small rational triple after a scaled one
+    small = (Fraction(2, 5), P("x1"), P("x1 + 1/7"))
+    _assert_matches_reference([(1, third, quarter), small], 1)
+    _assert_matches_reference([small, (1, third, quarter), small], 1)
+    # terms that cancel across triples drop their keys, on either path
+    assert _sum_products(1, [(Fraction(1, 2), third, ints), (Fraction(-1, 2), third, ints),
+                             (1, P("x1"), P("x1"))]) == P("x1^2")
+    assert _sum_products(1, [(1, third, ints), (-1, ints, third)]).is_zero()
+    # a Fraction scalar with integer operands
+    got = _assert_matches_reference([(Fraction(2, 3), ints, ints)], 1)
+    assert any(type(v) is not int for v in got.terms.values())
+    # the dimension check and the degree guard on a large rational triple
+    other = _wide(2, [Fraction(1, 3), 1, Fraction(2, 7), 5])
+    with pytest.raises(DimensionMismatch):
+        _sum_products(1, [(1, third, ints), (Fraction(1, 3), third, other)])
+    top = _wide(1, [Fraction(1, 3), 1, 2, 3], degree=0xFFFF - 3)
+    with pytest.raises(DegreeOverflow):
+        _sum_products(1, [(1, third, ints), (Fraction(1, 5), top, quarter)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,8 +509,9 @@ def test_kernel_agrees_with_sympy(data):
     sympy = pytest.importorskip("sympy")
     dim = data.draw(st.integers(min_value=1, max_value=3))
     gens = sympy.symbols(f"x1:{dim + 1}")
-    a = data.draw(polys(dim))
-    b = data.draw(polys(dim).filter(bool))
+    # up to 8 terms, so products cross the kernel's scaling cutoff too
+    a = data.draw(polys(dim, max_terms=8))
+    b = data.draw(polys(dim, max_terms=8).filter(bool))
     sa, sb = _sympy_poly(a, gens), _sympy_poly(b, gens)
     assert dict((a * b).items()) == _from_sympy(sa * sb)
     n = data.draw(st.integers(min_value=0, max_value=3))
