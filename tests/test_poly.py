@@ -347,28 +347,20 @@ def _triples(dim):
 def test_sum_products_matches_summed_reference_products(data):
     # c runs over int, Fraction, zero and negative scalars; operands may be zero
     dim = data.draw(st.integers(min_value=1, max_value=3))
-    triples = data.draw(_triples(dim))
-    got = _sum_products(dim, triples)
-    assert got.dim == dim
-    assert dict(got.items()) == _reference_sum(triples)
-    assert all(type(v) is int or v.denominator != 1 for v in got.terms.values())
+    _assert_matches_reference(data.draw(_triples(dim)), dim)
 
 
-def _reference_sum(triples):
-    """sum c * a * b over plain exponent tuples, zero terms dropped."""
+def _assert_matches_reference(triples, dim):
+    """_sum_products against the summed reference products: the same values,
+    and an int for every integral value."""
     expect = {}
     for c, a, b in triples:
         for e, v in _reference_product(a, b).items():
             expect[e] = expect.get(e, 0) + c * v
-    return {e: v for e, v in expect.items() if v}
-
-
-def _assert_matches_reference(triples, dim):
-    """Same values as the reference sum, and int exactly for integral values."""
     got = _sum_products(dim, triples)
     assert got.dim == dim
-    assert dict(got.items()) == _reference_sum(triples)
-    assert all((type(v) is int) == (v.denominator == 1) for v in got.terms.values())
+    assert dict(got.items()) == {e: v for e, v in expect.items() if v}
+    assert all(type(v) is int or v.denominator != 1 for v in got.terms.values())
     return got
 
 
