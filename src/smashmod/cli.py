@@ -23,7 +23,7 @@ from .modules import (
     zoo,
 )
 from .poly import DegreeOverflow, PolyError, parse_derivation, parse_poly
-from .suites import SUITE_NAMES, RunConfig, run_suite
+from .suites import SUITE_CHECKS, SUITE_NAMES, RunConfig, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -112,13 +112,13 @@ def save_module_spec(module: AVModule, path: str) -> None:
 
 def _resolve_module(args) -> AVModule:
     spec = args.module
+    params = {key: getattr(args, key) for key in ("dim", "rank", "n", "lam")
+              if getattr(args, key) is not None}
     if spec.startswith("zoo:"):
-        params = {}
-        for key in ("dim", "rank", "n", "lam"):
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
         return zoo(spec[4:], **params)
+    if params:  # a module file fixes its own parameters
+        raise ValueError(f"--{next(iter(params))} applies to zoo: modules only, "
+                         f"not to the module file {spec!r}")
     return load_module_spec(spec)
 
 
@@ -134,15 +134,20 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         p_max=args.pmax,
     )
-    config.check()
     suites = [s for s in str(args.suite).split(",") if s]
     if not suites:
         raise ValueError("no suite selected")
-    for i, s in enumerate(suites):
-        if s not in SUITE_NAMES:
+    owner = {}  # check id -> the first selected suite that runs it
+    for s in suites:
+        if s not in SUITE_CHECKS:
             raise ValueError(f"unknown suite {s!r} (known: {', '.join(SUITE_NAMES)})")
-        if s in suites[:i]:  # it would rerun the same checks and count them twice
+        # an overlap would rerun the same checks and count them twice
+        first = next((owner[c] for c in SUITE_CHECKS[s] if c in owner), None)
+        if first == s:
             raise ValueError(f"suite {s!r} given twice")
+        if first is not None:
+            raise ValueError(f"suite {s!r} repeats checks of suite {first!r}")
+        owner.update(dict.fromkeys(SUITE_CHECKS[s], s))
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
     try:

@@ -11,8 +11,11 @@ The localized vector-field action is the finite series
     (eta / f^k) m  =  sum_{p=0}^{N} omega(p, f^k, eta) m / f^{k(p+1)},
 
 cut off at the module order N: beyond it the terms annihilate because the
-doubled components vanish on the diagonal to order p > N.  Elements with
-denominators act through the quotient rule
+doubled components vanish on the diagonal to order p > N.  Over the common
+denominator f^{k(N+1)} the levels are one smash element S # eta, with
+S = sum_p f(x)^{k(N-p)} (f(x)^k - f(y)^k)^p, applied to m once: a function
+of x only scales the action.  At k = 0, S = 1 and the series is eta itself.
+Elements with denominators act through the quotient rule
 (eta/f^k)(m/f^l) = -l eta(f)/f^{k+l+1} m + f^{-l} (eta/f^k)(m).
 """
 
@@ -208,26 +211,24 @@ def _annihilator_series(module: AVModule, g: Poly, eta: Derivation, m: ModuleEle
                         weights=None) -> ModuleElement:
     """sum_{u=0}^{N} w(u) * (omega(u, g, eta) m) * g^{N-u}, N the module order.
 
-    w is ``weights`` or, when None, 1 (and then nothing is multiplied by it).
-    The localized action passes g = f^k without weights; the check of its
-    1/f^k re-expansion passes g = f with binomial weights.
+    Applied as the one element S # eta, with the doubled polynomial
+    S = sum_u w(u) * g(x)^{N-u} * (g(x) - g(y))^u.  This holds because a
+    function of x only scales the action, act_smash(a(x) * v, m) =
+    a * act_smash(v, m), so the weighted levels sum to one smash element.
+    w is ``weights`` or, when None, 1.  The localized action passes g = f^k
+    without weights; the check of its 1/f^k re-expansion passes g = f with
+    binomial weights.
     """
-    N = module.order
-    d = module.dim
-    G = embed_function(g) - embed_coefficient(g)
-    g_pow = [Poly.constant(d, 1)]
+    N, d = module.order, module.dim
+    gx = embed_function(g)
+    G = gx - embed_coefficient(g)
+    gx_pow, G_pow = [Poly.constant(2 * d, 1)], [Poly.constant(2 * d, 1)]
     for _ in range(N):
-        g_pow.append(g_pow[-1] * g)
-    Gu = Poly.constant(2 * d, 1)
-    parts = []  # (w(u), omega(u, g, eta) m, g^{N-u})
-    for u in range(N + 1):
-        smash_u = SmashElement(d, tuple(Gu * embed_coefficient(c) for c in eta.coeffs))
-        parts.append((1 if weights is None else weights(u), module.act_smash(smash_u, m),
-                      g_pow[N - u]))
-        if u < N:
-            Gu = Gu * G
-    return ModuleElement(_sum_products(d, [(w, term.entries[j], scale) for w, term, scale in parts])
-                         for j in range(module.rank))
+        gx_pow.append(gx_pow[-1] * gx)
+        G_pow.append(G_pow[-1] * G)
+    S = _sum_products(2 * d, [(1 if weights is None else weights(u), gx_pow[N - u], G_pow[u])
+                              for u in range(N + 1)])
+    return module.act_smash(SmashElement(d, (S * embed_coefficient(c) for c in eta.coeffs)), m)
 
 
 class LocalizedModule:
@@ -252,7 +253,8 @@ class LocalizedModule:
         return LocalizedDerivation(self.base, e, denom_exp)
 
     def act(self, ed: LocalizedDerivation, me: LocalizedModuleElement) -> LocalizedModuleElement:
-        """Apply eta/f^k through the finite annihilator series; result reduced."""
+        """Apply eta/f^k to m/f^l through the finite annihilator series, with
+        the quotient-rule term -l eta(f) m / f^{k+l+1}; result reduced."""
         if ed.base != self.base or me.base != self.base:
             raise BaseMismatch("operands do not belong to this localized context")
         if me.module is not self.module:
@@ -260,19 +262,12 @@ class LocalizedModule:
         module, f = self.module, self.base
         k, eta = ed.denom_exp, ed.numerator
         l, m = me.denom_exp, me.numerator
-        if k == 0:
-            series = LocalizedModuleElement(
-                f, module, module.act_derivation(eta, m), l)
-        else:
-            series = LocalizedModuleElement(
-                f, module, _annihilator_series(module, f ** k, eta, m),
-                k * (module.order + 1) + l)
-        if l:
-            etaf = eta.apply(f)
-            if not etaf.is_zero():
-                leib = LocalizedModuleElement(
-                    f, module, (m * etaf) * (-l), k + l + 1)
-                series = series + leib
+        series = LocalizedModuleElement(
+            f, module, _annihilator_series(module, f ** k, eta, m),
+            k * (module.order + 1) + l)
+        if l:  # + reduces its sum; l = 0 skips adding a zero term
+            return series + LocalizedModuleElement(
+                f, module, m * (-l * eta.apply(f)), k + l + 1)
         return series.reduce()
 
 

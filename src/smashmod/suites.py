@@ -37,7 +37,8 @@ from .smash import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for a verification run; identical configs give identical reports."""
+    """Knobs for a verification run, checked on construction (ValueError);
+    identical configs give identical reports."""
 
     dims: tuple[int, ...] = (1, 2, 3)
     max_degree: int = 4
@@ -45,7 +46,7 @@ class RunConfig:
     seed: int = 2026
     p_max: int = 4
 
-    def check(self):
+    def __post_init__(self):
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive integers")
         for i, d in enumerate(self.dims):
@@ -82,7 +83,6 @@ def iter_identity_samples(config: RunConfig):
     the levels p, q; the (p, q) grid 1..p_max x 1..p_max is cycled so that
     trials >= p_max^2 covers it exhaustively in every dimension.
     """
-    config.check()
     for dim in config.dims:
         rng = seeded_rng(config.seed, "identities", dim)
         for t in range(config.trials):
@@ -109,7 +109,6 @@ def run_coherence_suite(config: RunConfig) -> list[VerificationReport]:
     """Closed forms against the definitional constructions: the alternating
     binomial sum for omega, the iterated tensor action for the multi-function
     product, and the collapse of the product form onto equal functions."""
-    config.check()
     reports = []
     for dim in config.dims:
         rng = seeded_rng(config.seed, "coherence", dim)
@@ -147,7 +146,6 @@ def run_localized_suite(ids, config: RunConfig) -> list[VerificationReport]:
     """Sweep the localized-action checks over small zoo modules, cycling the
     module per trial; dimensions above 2 are skipped (the laws are dimension
     independent and the sweep cost grows quickly)."""
-    config.check()
     reports = []
     for dim in [d for d in config.dims if d <= 2]:
         mods = _localized_modules(dim)
@@ -194,7 +192,8 @@ def run_negative_control(config: RunConfig) -> list[VerificationReport]:
         _smash_witness(lhs - rhs))]
 
 
-_IDENTITY_GROUPS = {
+# suite name -> the ids of the checks it runs
+SUITE_CHECKS = {
     "lemma2": ("lemma2-commute-A",),
     "lemma3": ("lemma3-commutator",),
     "lemma4": ("lemma4-1", "lemma4-2", "lemma4-3", "lemma4-4", "lemma4-5"),
@@ -206,30 +205,30 @@ _IDENTITY_GROUPS = {
     "lemma5": ("lemma5-deriv-bracket",),
     "lemma4.1": ("lemma4.1-recurrence",),
     "identities": IDENTITY_IDS,
+    "omega-coherence": ("omega-coherence",),
+    **{name: (name,) for name in LOCALIZED_CHECK_IDS},
+    "localized": LOCALIZED_CHECK_IDS,
+    "negative-control": ("negative-control",),
+    "all": IDENTITY_IDS + ("omega-coherence",) + LOCALIZED_CHECK_IDS,
 }
 
-_LOCALIZED_GROUPS = {name: (name,) for name in LOCALIZED_CHECK_IDS}
-_LOCALIZED_GROUPS["localized"] = LOCALIZED_CHECK_IDS
-
-SUITE_NAMES = (
-    tuple(_IDENTITY_GROUPS) + ("omega-coherence",)
-    + tuple(_LOCALIZED_GROUPS) + ("negative-control", "all")
-)
+SUITE_NAMES = tuple(SUITE_CHECKS)
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
     """Run one named suite; 'all' runs every check family that must pass."""
-    if name in _IDENTITY_GROUPS:
-        return run_identity_suite(_IDENTITY_GROUPS[name], config)
-    if name == "omega-coherence":
-        return run_coherence_suite(config)
-    if name in _LOCALIZED_GROUPS:
-        return run_localized_suite(_LOCALIZED_GROUPS[name], config)
+    if name not in SUITE_CHECKS:
+        raise ValueError(f"unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
     if name == "negative-control":
         return run_negative_control(config)
-    if name == "all":
-        reports = run_identity_suite(IDENTITY_IDS, config)
+    checks = SUITE_CHECKS[name]
+    reports = []
+    identities = [c for c in checks if c in IDENTITY_IDS]
+    if identities:
+        reports += run_identity_suite(identities, config)
+    if "omega-coherence" in checks:
         reports += run_coherence_suite(config)
-        reports += run_localized_suite(LOCALIZED_CHECK_IDS, config)
-        return reports
-    raise ValueError(f"unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
+    localized = [c for c in checks if c in LOCALIZED_CHECK_IDS]
+    if localized:
+        reports += run_localized_suite(localized, config)
+    return reports

@@ -4,7 +4,8 @@ Each oracle recomputes a quantity through a different route than the library
 uses: term-by-term expansion instead of closed forms, bracket compatibility
 by applying the action to sampled monomial fields instead of the structure
 equations, quotient-rule calculus on rational one-forms instead of the
-localized series, and triangular solves from jet prolongations instead of the
+localized series, the localized series one level at a time instead of as
+one smash element, and triangular solves from jet prolongations instead of the
 closed binomial tensor.
 """
 
@@ -25,8 +26,8 @@ from smashmod import (
     multi_indices,
 )
 from smashmod.modules import Matrix, _direction
-from smashmod.poly import MultiIndex
-from smashmod.smash import VerificationReport
+from smashmod.poly import MultiIndex, _sum_products
+from smashmod.smash import VerificationReport, embed_coefficient, embed_function
 
 
 def decompose_terms(u: SmashElement) -> list[tuple[Poly, Derivation]]:
@@ -144,6 +145,32 @@ def localized_derivative(a: LocalizedPoly) -> LocalizedPoly:
 def lie_derivative_one_form(g: LocalizedPoly, a: LocalizedPoly) -> LocalizedPoly:
     """L_{g d}(a dx) = (g a' + a g') dx for rational g, a over the same base."""
     return g * localized_derivative(a) + a * localized_derivative(g)
+
+
+# -- the localized series level by level ---------------------------------------------
+
+def series_by_levels(module: AVModule, g: Poly, eta: Derivation, m: ModuleElement,
+                     weights=None) -> ModuleElement:
+    """sum_{u=0}^{N} w(u) * (omega(u, g, eta) m) * g^{N-u}, N the module order,
+    with one action per level u, each scaled by g^{N-u} afterwards (the
+    library applies the weighted sum as one smash element instead).
+    """
+    N = module.order
+    d = module.dim
+    G = embed_function(g) - embed_coefficient(g)
+    g_pow = [Poly.constant(d, 1)]
+    for _ in range(N):
+        g_pow.append(g_pow[-1] * g)
+    Gu = Poly.constant(2 * d, 1)
+    parts = []  # (w(u), omega(u, g, eta) m, g^{N-u})
+    for u in range(N + 1):
+        smash_u = SmashElement(d, tuple(Gu * embed_coefficient(c) for c in eta.coeffs))
+        parts.append((1 if weights is None else weights(u), module.act_smash(smash_u, m),
+                      g_pow[N - u]))
+        if u < N:
+            Gu = Gu * G
+    return ModuleElement(_sum_products(d, [(w, term.entries[j], scale) for w, term, scale in parts])
+                         for j in range(module.rank))
 
 
 # -- jets by brute-force prolongation ------------------------------------------------

@@ -76,6 +76,18 @@ def test_verify_repeated_suite_exits_two(capsys):
     assert "error: suite 'lemma3' given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suites, later, earlier", [
+    ("identities,lemma3", "lemma3", "identities"),  # reported 10 checks for 9
+    ("all,localized", "localized", "all"),  # 23 for 17
+    ("localized,welldefined", "welldefined", "localized"),  # 7 for 6
+])
+def test_verify_overlapping_suites_exit_two(capsys, suites, later, earlier):
+    # a suite inside an earlier one reran its checks and counted them twice
+    assert main(["verify", "--suite", suites, "--dims", "1", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"suite {later!r}" in err and f"suite {earlier!r}" in err
+
+
 def test_verify_repeated_dimension_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--dims", "1,2,1", "--trials", "1"]) == 2
     assert "error: dimension 1 given twice" in capsys.readouterr().err
@@ -203,6 +215,16 @@ def test_order_unparsable_json_exits_two(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--dim", "3"), ("--rank", "2"), ("--n", "7"),
+                                         ("--lam", "5")])
+def test_order_zoo_flag_on_a_module_file_exits_two(tmp_path, capsys, flag, value):
+    # the flags were ignored, and the report echoed the file's module
+    path = tmp_path / "forms.json"
+    save_module_spec(differential_forms(1), str(path))
+    assert main(["order", "--module", str(path), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+
+
 # -- annihilator ------------------------------------------------------------------------
 
 def test_annihilator_forms_spec_example(tmp_path):
@@ -295,3 +317,11 @@ def test_console_script_entry():
         [sys.executable, "-m", "smashmod.cli", "order"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # --module is required
+
+
+def test_annihilator_zoo_flag_on_a_module_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "jets.json"
+    save_module_spec(zoo("jets", dim=1, n=2), str(path))
+    assert main(["annihilator", "--module", str(path), "--n", "3",
+                 "--f", "x1", "--eta", "d1"]) == 2
+    assert "--n" in capsys.readouterr().err

@@ -20,10 +20,11 @@ from smashmod import (
     trivial_dmodule,
     verify_localized,
 )
-from smashmod.localize import BaseMismatch
+from smashmod.localize import BaseMismatch, _annihilator_series
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
+from smashmod.suites import _localized_modules
 
-from oracles import lie_derivative_one_form
+from oracles import lie_derivative_one_form, series_by_levels
 
 x = Poly.variable(1, 1)
 one = Poly.constant(1, 1)
@@ -101,6 +102,11 @@ def test_base_mismatch_rejected():
 
 # -- the localized action --------------------------------------------------------------
 
+def _random_element(rng, module):
+    return ModuleElement(random_poly(rng, module.dim, 2, nonzero=False)
+                         for _ in range(module.rank))
+
+
 def test_action_embeds_the_plain_action():
     forms = differential_forms(1)
     ctx = LocalizedModule(forms, x)
@@ -109,6 +115,35 @@ def test_action_embeds_the_plain_action():
     got = ctx.act(ctx.derivation(eta, 0), dx)
     assert got == ctx.include(forms.act_derivation(eta, forms.basis_element(0)))
     assert got.denom_exp == 0
+    # at k = 0 the action runs through act_smash, the plain action through
+    # act_derivation; on m / f^l the quotient rule adds -l eta(f) m / f^{l+1}
+    for dim in (1, 2):
+        rng = seeded_rng(59, "plain", dim)
+        for mod in _localized_modules(dim):
+            f = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
+            eta = random_derivation(rng, dim, 2)
+            ctx = LocalizedModule(mod, f)
+            for m in mod.basis() + [_random_element(rng, mod)]:
+                for l in range(3):
+                    got = ctx.act(ctx.derivation(eta, 0), LocalizedModuleElement(f, mod, m, l))
+                    plain = mod.act_derivation(eta, m) * f - m * (l * eta.apply(f))
+                    assert got == LocalizedModuleElement(f, mod, plain, l + 1)
+                    assert l or got.denom_exp == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_series_is_one_smash_element(dim):
+    # the series applied as one element S # eta against one action per level
+    rng = seeded_rng(53, "series", dim)
+    for mod in _localized_modules(dim):
+        f = random_poly(rng, dim, 2, nonconstant=True)
+        eta = random_derivation(rng, dim, 2)
+        m = _random_element(rng, mod)
+        cases = [(f ** k, None) for k in range(4)]
+        cases += [(f, lambda u: u + 1), (f, lambda u: (u + 1) * (u + 2) // 2)]
+        for g, weights in cases:
+            assert (_annihilator_series(mod, g, eta, m, weights)
+                    == series_by_levels(mod, g, eta, m, weights)), (mod.name, str(g))
 
 
 def test_action_inverse_derivative_witness():

@@ -11,6 +11,7 @@ from smashmod import (
     ModuleElement,
     ModuleSchemaError,
     Poly,
+    SmashElement,
     ValidationError,
     differential_forms,
     dual_module,
@@ -26,6 +27,7 @@ from smashmod import (
     parse_poly,
     smash_bracket,
     tangent_adjoint,
+    tensor_act,
     tensor_product,
     trivial_dmodule,
     twist,
@@ -40,6 +42,7 @@ from oracles import (
     validate_by_sampling,
 )
 from test_acceptance import small_zoo
+from test_poly import polys
 
 x = Poly.variable(1, 1)
 one = Poly.constant(1, 1)
@@ -182,6 +185,17 @@ def test_act_smash_matches_term_expansion():
             v = ModuleElement(tuple(random_poly(rng, mod.dim, 2, nonzero=False)
                                     for _ in range(mod.rank)))
             assert mod.act_smash(u, v) == act_smash_by_terms(mod, u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(small_zoo()), st.data())
+def test_a_function_of_x_scales_the_action(mod, data):
+    # the localized series sums its levels into one element on this fact
+    d = mod.dim
+    a = data.draw(polys(d, 2, 3))
+    u = SmashElement(d, [data.draw(polys(2 * d, 2, 3)) for _ in range(d)])
+    m = ModuleElement([data.draw(polys(d, 2, 2)) for _ in range(mod.rank)])
+    assert mod.act_smash(tensor_act(a, Poly.constant(d, 1), u), m) == a * mod.act_smash(u, m)
 
 
 def test_representation_property():
