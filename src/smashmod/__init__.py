@@ -7,83 +7,17 @@ by differential-operator action tensors, annihilation decisions, the
 differential-operator order of the action (with an independent commutator
 oracle), and the localized action with its finite series.  Everything is
 checked with zero tolerance; there is no floating point anywhere.
+The public names are those in the ``__all__`` of each submodule.
 """
 
 __version__ = "0.1.0"
 
-from .poly import (
-    Coeff,
-    Derivation,
-    DimensionMismatch,
-    MultiIndex,
-    Poly,
-    PolyError,
-    PolyParseError,
-    multi_indices,
-    parse_derivation,
-    parse_poly,
-    partial_power,
-)
-from .smash import (
-    IDENTITY_IDS,
-    SmashElement,
-    VerificationReport,
-    from_term,
-    function_commutator,
-    omega,
-    omega_definitional,
-    omega_multi,
-    omega_multi_definitional,
-    smash_bracket,
-    tensor_act,
-    verify_identity,
-)
-from .modules import (
-    AVModule,
-    Matrix,
-    ModuleElement,
-    ModuleSchemaError,
-    ValidationError,
-    differential_forms,
-    dual_module,
-    exterior_power,
-    jet_module,
-    min_annihilating_order,
-    module_from_dict,
-    module_to_dict,
-    oracle_order,
-    tangent_adjoint,
-    tensor_product,
-    trivial_dmodule,
-    twist,
-    zoo,
-)
-from .localize import (
-    LOCALIZED_CHECK_IDS,
-    LocalizedDerivation,
-    LocalizedModule,
-    LocalizedModuleElement,
-    LocalizedPoly,
-    apply_localized_derivation,
-    extend_base,
-    verify_localized,
-)
-from .suites import RunConfig, SUITE_NAMES, run_suite
+from . import localize, modules, poly, smash, suites
+from .poly import *
+from .smash import *
+from .modules import *
+from .localize import *
+from .suites import *
 
-__all__ = [
-    "__version__",
-    "Coeff", "Derivation", "DimensionMismatch", "MultiIndex", "Poly",
-    "PolyError", "PolyParseError", "multi_indices", "parse_derivation",
-    "parse_poly", "partial_power",
-    "IDENTITY_IDS", "SmashElement", "VerificationReport", "from_term",
-    "function_commutator", "omega", "omega_definitional", "omega_multi",
-    "omega_multi_definitional", "smash_bracket", "tensor_act", "verify_identity",
-    "AVModule", "Matrix", "ModuleElement", "ModuleSchemaError", "ValidationError",
-    "differential_forms", "dual_module", "exterior_power", "jet_module",
-    "min_annihilating_order", "module_from_dict", "module_to_dict", "oracle_order",
-    "tangent_adjoint", "tensor_product", "trivial_dmodule", "twist", "zoo",
-    "LOCALIZED_CHECK_IDS", "LocalizedDerivation", "LocalizedModule",
-    "LocalizedModuleElement", "LocalizedPoly",
-    "apply_localized_derivation", "extend_base", "verify_localized",
-    "RunConfig", "SUITE_NAMES", "run_suite",
-]
+__all__ = ["__version__", *poly.__all__, *smash.__all__, *modules.__all__,
+           *localize.__all__, *suites.__all__]

@@ -23,7 +23,8 @@ from .modules import (
     zoo,
 )
 from .poly import DegreeOverflow, PolyError, parse_derivation, parse_poly
-from .suites import SUITE_CHECKS, SUITE_NAMES, RunConfig, run_suite
+from .localize import LOCALIZED_CHECK_IDS
+from .suites import LOCALIZED_DIMS, SUITE_CHECKS, SUITE_NAMES, RunConfig, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -36,13 +37,12 @@ class ReportEnvelope:
 
     config: dict
     results: list = field(default_factory=list)
-    tool: dict = field(default_factory=lambda: {"name": "smashmod", "version": __version__})
 
     def to_dict(self) -> dict:
         results = sorted(self.results, key=_result_key)
         failed = sum(1 for r in results if r.get("status") == "fail")
         return {
-            "tool": self.tool,
+            "tool": {"name": "smashmod", "version": __version__},
             "config": self.config,
             "results": results,
             "summary": {
@@ -147,6 +147,12 @@ def cmd_verify(args) -> int:
             raise ValueError(f"suite {s!r} given twice")
         if first is not None:
             raise ValueError(f"suite {s!r} repeats checks of suite {first!r}")
+        # a suite that runs no check would pass vacuously
+        if (set(SUITE_CHECKS[s]) <= set(LOCALIZED_CHECK_IDS)
+                and not set(config.dims) & set(LOCALIZED_DIMS)):
+            raise ValueError(
+                f"suite {s!r} runs no check at dims {','.join(map(str, config.dims))}: "
+                f"the localized checks run at dims {' and '.join(map(str, LOCALIZED_DIMS))} only")
         owner.update(dict.fromkeys(SUITE_CHECKS[s], s))
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
@@ -241,11 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run exact identity suites")
     v.add_argument("--suite", default="all",
                    help="comma-separated suite names (default all); see docs for the list")
-    v.add_argument("--dims", default="1,2,3", help="comma-separated dimensions")
-    v.add_argument("--degree", type=int, default=4, help="max degree of sampled polynomials")
-    v.add_argument("--trials", type=int, default=100, help="seeded samples per dimension")
-    v.add_argument("--seed", type=int, default=2026, help="PRNG seed (echoed in reports)")
-    v.add_argument("--pmax", type=int, default=4, help="exhaustive level range 1..pmax")
+    cfg = RunConfig()  # RunConfig's field defaults are the option defaults
+    v.add_argument("--dims", default=",".join(map(str, cfg.dims)),
+                   help="comma-separated dimensions")
+    v.add_argument("--degree", type=int, default=cfg.max_degree,
+                   help="max degree of sampled polynomials")
+    v.add_argument("--trials", type=int, default=cfg.trials, help="seeded samples per dimension")
+    v.add_argument("--seed", type=int, default=cfg.seed, help="PRNG seed (echoed in reports)")
+    v.add_argument("--pmax", type=int, default=cfg.p_max, help="exhaustive level range 1..pmax")
     _add_output_flags(v)
     v.set_defaults(func=cmd_verify)
 

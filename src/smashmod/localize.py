@@ -25,15 +25,17 @@ from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Mapping
 
-from .poly import Derivation, DimensionMismatch, Poly, PolyError, _sum_products
-from .modules import AVModule, ModuleElement
-from .smash import (
-    SmashElement,
-    VerificationReport,
-    _report,
+from .poly import (
+    Derivation,
+    DimensionMismatch,
+    Poly,
+    PolyError,
+    _sum_products,
     embed_coefficient,
     embed_function,
 )
+from .modules import AVModule, ModuleElement
+from .smash import SmashElement, VerificationReport, _report
 
 __all__ = [
     "LocalizedPoly",
@@ -90,14 +92,17 @@ class _LocalizedFraction:
 
     def _reduce(self):
         """Normal form: cancel the base out of every part of the numerator at
-        once (value-preserving)."""
+        once (value-preserving); stop at the first part it does not divide."""
         num, k = self.numerator, self.denom_exp
         if num.is_zero():
             return self._new(self.base, num, 0)
         while k > 0:
-            quots = [p.exact_divide(self.base) for p in self._parts(num)]
-            if any(q is None for q in quots):
-                break
+            quots = []
+            for p in self._parts(num):
+                q = p.exact_divide(self.base)
+                if q is None:
+                    return self._new(self.base, num, k)
+                quots.append(q)
             num, k = self._assemble(quots), k - 1
         return self._new(self.base, num, k)
 
@@ -110,21 +115,23 @@ class _LocalizedFraction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        if not self._same_space(other):
-            return False
-        return (self.numerator * self.base ** other.denom_exp
-                == other.numerator * self.base ** self.denom_exp)
+        return self._same_space(other) and (self - other).is_zero()
 
     __hash__ = None
+
+    def _over(self, k: int):
+        """The numerator over base^k, for k >= denom_exp."""
+        e = k - self.denom_exp
+        if not e or self.is_zero():
+            return self.numerator
+        return self.numerator * self.base ** e
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         _check_base(self, other)
         k = max(self.denom_exp, other.denom_exp)
-        num = (self.numerator * self.base ** (k - self.denom_exp)
-               + other.numerator * self.base ** (k - other.denom_exp))
-        return self._new(self.base, num, k).reduce()
+        return self._new(self.base, self._over(k) + other._over(k), k).reduce()
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):

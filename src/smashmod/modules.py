@@ -52,9 +52,10 @@ from .poly import (
     multi_indices,
     parse_poly,
     partial_power,
+    restrict_to_diagonal,
     unit_index,
 )
-from .smash import SmashElement, VerificationReport, omega, omega_multi, restrict_to_diagonal
+from .smash import SmashElement, VerificationReport, omega, omega_multi
 
 __all__ = [
     "Matrix",
@@ -413,12 +414,12 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     return n_max + 1
 
 
-def _validated(module: AVModule, message: str) -> AVModule:
-    """Validate a freshly built module, raising ValidationError on failure;
-    the message's {} receives the module's name."""
+def _validated(module: AVModule) -> AVModule:
+    """Validate a freshly built module, raising ValidationError on failure."""
     report = module.validate()
     if not report.passed:
-        raise ValidationError(message.format(module.name or "<anonymous>"), report)
+        raise ValidationError(f"module {module.name or '<anonymous>'} failed "
+                              "bracket-compatibility validation", report)
     return module
 
 
@@ -476,8 +477,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
         if not _mat_is_zero(mat_out):
             tensor[(i, alpha)] = mat_out
     order = max((index_order(a) for (_, a) in tensor), default=0)
-    return _validated(AVModule(d, nr, order, tensor, name=name),
-                      "exterior power failed validation: {}")
+    return _validated(AVModule(d, nr, order, tensor, name=name))
 
 
 def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
@@ -503,8 +503,7 @@ def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
             tensor[key] = mat
     order = max((index_order(a) for (_, a) in tensor), default=0)
     name = f"({m1.name or 'M'})x({m2.name or 'N'})"
-    return _validated(AVModule(d, m1.rank * m2.rank, order, tensor, name=name),
-                      "tensor product failed validation: {}")
+    return _validated(AVModule(d, m1.rank * m2.rank, order, tensor, name=name))
 
 
 def dual_module(module: AVModule) -> AVModule:
@@ -515,15 +514,12 @@ def dual_module(module: AVModule) -> AVModule:
         r = len(mat)
         tensor[(i, alpha)] = tuple(tuple(-mat[b][a] for b in range(r)) for a in range(r))
     name = f"dual({module.name or 'M'})"
-    return _validated(AVModule(module.dim, module.rank, module.order, tensor, name=name),
-                      "dual failed validation: {}")
+    return _validated(AVModule(module.dim, module.rank, module.order, tensor, name=name))
 
 
 # ---------------------------------------------------------------------------------
 # the zoo
 # ---------------------------------------------------------------------------------
-
-_ZOO_FAILED = "zoo module failed validation: {}"
 
 
 @lru_cache(maxsize=None)
@@ -531,7 +527,7 @@ def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
     if dim < 1 or rank < 1:
         raise ValueError("trivial_dmodule needs dim >= 1 and rank >= 1")
-    return _validated(AVModule(dim, rank, 0, {}, name=f"dmodule({dim},{rank})"), _ZOO_FAILED)
+    return _validated(AVModule(dim, rank, 0, {}, name=f"dmodule({dim},{rank})"))
 
 
 def _unit_entries(dim: int, c: int, at) -> dict[tuple[int, MultiIndex], Matrix]:
@@ -553,7 +549,7 @@ def differential_forms(dim: int = 1) -> AVModule:
     if dim < 1:
         raise ValueError("differential_forms needs dim >= 1")
     tensor = _unit_entries(dim, 1, lambda i, k: (k, i))
-    return _validated(AVModule(dim, dim, 1, tensor, name=f"forms({dim})"), _ZOO_FAILED)
+    return _validated(AVModule(dim, dim, 1, tensor, name=f"forms({dim})"))
 
 
 @lru_cache(maxsize=None)
@@ -565,7 +561,7 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
     if dim < 1:
         raise ValueError("tangent_adjoint needs dim >= 1")
     tensor = _unit_entries(dim, -1, lambda i, k: (i, k))
-    return _validated(AVModule(dim, dim, 1, tensor, name=f"adjoint({dim})"), _ZOO_FAILED)
+    return _validated(AVModule(dim, dim, 1, tensor, name=f"adjoint({dim})"))
 
 
 @lru_cache(maxsize=None)
@@ -601,7 +597,7 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
                 nonzero = True
             if nonzero:
                 tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
-    return _validated(AVModule(dim, r, n, tensor, name=f"jets({dim},{n})"), _ZOO_FAILED)
+    return _validated(AVModule(dim, r, n, tensor, name=f"jets({dim},{n})"))
 
 
 @lru_cache(maxsize=None)
@@ -617,7 +613,7 @@ def twist(lam: Coeff = 0) -> AVModule:
     else:
         mat = ((Poly.constant(1, lam),),)
         mod = AVModule(1, 1, 1, {(1, (1,)): mat}, name=f"twist({lam})")
-    return _validated(mod, _ZOO_FAILED)
+    return _validated(mod)
 
 
 _ZOO_ALIASES = {
@@ -732,5 +728,4 @@ def module_from_dict(data: Mapping) -> AVModule:
             raise ModuleSchemaError(f"matrix at {key} is not a list of rows")
         mat = tuple(tuple(parse_poly(str(cell), dim) for cell in row) for row in rows)
         tensor[key] = mat
-    return _validated(AVModule(dim, rank, order, tensor, name=name),
-                      "module {} failed bracket-compatibility validation")
+    return _validated(AVModule(dim, rank, order, tensor, name=name))

@@ -16,7 +16,10 @@ exactly the graded-lexicographic order with x1 > x2 > ... > xn, and adding
 two keys multiplies the monomials.  Invariant: every term has total degree
 <= 0xFFFF, so no field carries into the next.  The constructor and the
 parser reject a term of higher degree, and a product that would create one
-raises ``PolyError``.
+raises ``PolyError``.  No other module reads or writes keys: the smash
+layer's doubled variables (x; y) are the keys of 2n variables, built and
+restricted here by ``embed_function``, ``embed_coefficient`` and
+``restrict_to_diagonal``.
 
 There is one product loop, ``_sum_products``: it adds up c * a * b over
 (scalar, polynomial, polynomial) triples in one dictionary, and it is the
@@ -42,6 +45,11 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
+
+__all__ = [
+    "Coeff", "MultiIndex", "PolyError", "DimensionMismatch", "PolyParseError", "Poly",
+    "Derivation", "parse_poly", "parse_derivation", "multi_indices", "partial_power",
+]
 
 Coeff = Union[int, Fraction]
 MultiIndex = tuple[int, ...]
@@ -110,6 +118,51 @@ def _pack(exps: Sequence[int]) -> int:
 
 def _unpack(key: int, dim: int) -> MultiIndex:
     return tuple((key >> (_FIELD * (dim - 1 - i))) & _MASK for i in range(dim))
+
+
+# -- packed-key block surgery ------------------------------------------------------
+#
+# A d-variable key is [deg | e1..ed]; a 2d-variable key is [deg | e1..ed | f1..fd].
+# Fields are 16 bits, so shifting whole blocks moves exponents between the x- and
+# y-blocks without unpacking.
+
+def _embed_x_key(key: int, d: int) -> int:
+    return key << (_FIELD * d)
+
+
+def _embed_y_key(key: int, d: int) -> int:
+    low = key & ((1 << (_FIELD * d)) - 1)
+    deg = key >> (_FIELD * d)
+    return (deg << (_FIELD * 2 * d)) | low
+
+
+def embed_function(p: Poly) -> Poly:
+    """View a d-variable polynomial as f(x) inside the doubled 2d variables."""
+    d = p.dim
+    return Poly._raw(2 * d, {_embed_x_key(k, d): c for k, c in p.terms.items()})
+
+
+def embed_coefficient(p: Poly) -> Poly:
+    """View a d-variable polynomial as g(y) inside the doubled 2d variables."""
+    d = p.dim
+    return Poly._raw(2 * d, {_embed_y_key(k, d): c for k, c in p.terms.items()})
+
+
+def restrict_to_diagonal(p: Poly) -> Poly:
+    """Substitute y := x in a doubled polynomial, returning a d-variable one."""
+    if p.dim % 2:
+        raise DimensionMismatch("diagonal restriction needs a doubled polynomial")
+    d = p.dim // 2
+    block = (1 << (_FIELD * d)) - 1
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for k, c in p.terms.items():
+        deg = k >> (_FIELD * 2 * d)
+        xpart = (k >> (_FIELD * d)) & block
+        ypart = k & block
+        kk = (deg << (_FIELD * d)) | (xpart + ypart)
+        out[kk] = get(kk, 0) + c
+    return Poly._raw(d, _clean(out))
 
 
 class Poly:

@@ -39,12 +39,12 @@ def random_exponents(rng: random.Random, dim: int, max_degree: int,
     return tuple(exps)
 
 
-def random_poly(rng: random.Random, dim: int, max_degree: int,
-                max_terms: int = 2, nonzero: bool = True,
+def random_poly(rng: random.Random, dim: int, max_degree: int, nonzero: bool = True,
                 nonconstant: bool = False, rational_share: float = 0.2) -> Poly:
+    """A polynomial of one or two terms."""
     for _ in range(64):
         terms = {}
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 2)):
             exps = random_exponents(rng, dim, max_degree,
                                     min_degree=1 if nonconstant else 0)
             terms[exps] = terms.get(exps, 0) + random_coefficient(rng, rational_share)
@@ -57,8 +57,7 @@ def random_poly(rng: random.Random, dim: int, max_degree: int,
     raise RuntimeError("sampling failed to satisfy the requested constraints")
 
 
-def random_derivation(rng: random.Random, dim: int, max_degree: int,
-                      max_terms: int = 2, rational_share: float = 0.2) -> Derivation:
+def random_derivation(rng: random.Random, dim: int, max_degree: int) -> Derivation:
     """A nonzero vector field, usually supported on a single direction."""
     if dim == 1 or rng.random() < 0.6:
         support = [rng.randrange(dim)]
@@ -66,8 +65,7 @@ def random_derivation(rng: random.Random, dim: int, max_degree: int,
         support = sorted(rng.sample(range(dim), 2))
     coeffs = [Poly.zero(dim) for _ in range(dim)]
     for i in support:
-        coeffs[i] = random_poly(rng, dim, max_degree, max_terms=max_terms,
-                                rational_share=rational_share)
+        coeffs[i] = random_poly(rng, dim, max_degree)
     return Derivation(tuple(coeffs))
 
 

@@ -26,16 +26,16 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import (
-    Coeff,
     Derivation,
     DimensionMismatch,
     Poly,
-    _FIELD,
     _PolyTuple,
-    _clean,
     _format_terms,
     _sum_products,
     _x_names,
+    embed_coefficient,
+    embed_function,
+    restrict_to_diagonal,
 )
 
 __all__ = [
@@ -51,55 +51,7 @@ __all__ = [
     "function_commutator",
     "verify_identity",
     "IDENTITY_IDS",
-    "embed_function",
-    "embed_coefficient",
-    "restrict_to_diagonal",
 ]
-
-
-# -- packed-key block surgery ------------------------------------------------------
-#
-# A d-variable key is [deg | e1..ed]; a 2d-variable key is [deg | e1..ed | f1..fd].
-# Fields are 16 bits, so shifting whole blocks moves exponents between the x- and
-# y-blocks without unpacking.
-
-def _embed_x_key(key: int, d: int) -> int:
-    return key << (_FIELD * d)
-
-
-def _embed_y_key(key: int, d: int) -> int:
-    low = key & ((1 << (_FIELD * d)) - 1)
-    deg = key >> (_FIELD * d)
-    return (deg << (_FIELD * 2 * d)) | low
-
-
-def embed_function(p: Poly) -> Poly:
-    """View a d-variable polynomial as f(x) inside the doubled 2d variables."""
-    d = p.dim
-    return Poly._raw(2 * d, {_embed_x_key(k, d): c for k, c in p.terms.items()})
-
-
-def embed_coefficient(p: Poly) -> Poly:
-    """View a d-variable polynomial as g(y) inside the doubled 2d variables."""
-    d = p.dim
-    return Poly._raw(2 * d, {_embed_y_key(k, d): c for k, c in p.terms.items()})
-
-
-def restrict_to_diagonal(p: Poly) -> Poly:
-    """Substitute y := x in a doubled polynomial, returning a d-variable one."""
-    if p.dim % 2:
-        raise DimensionMismatch("diagonal restriction needs a doubled polynomial")
-    d = p.dim // 2
-    block = (1 << (_FIELD * d)) - 1
-    out: dict[int, Coeff] = {}
-    get = out.get
-    for k, c in p.terms.items():
-        deg = k >> (_FIELD * 2 * d)
-        xpart = (k >> (_FIELD * d)) & block
-        ypart = k & block
-        kk = (deg << (_FIELD * d)) | (xpart + ypart)
-        out[kk] = get(kk, 0) + c
-    return Poly._raw(d, _clean(out))
 
 
 class SmashElement(_PolyTuple):

@@ -34,6 +34,8 @@ from .smash import (
     verify_identity,
 )
 
+__all__ = ["RunConfig", "SUITE_NAMES", "run_suite"]
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,13 +63,7 @@ class RunConfig:
             raise ValueError("p_max must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "max_degree": self.max_degree,
-            "trials": self.trials,
-            "seed": self.seed,
-            "p_max": self.p_max,
-        }
+        return {**dataclasses.asdict(self), "dims": list(self.dims)}
 
 
 def _tagged(report: VerificationReport, **extra) -> VerificationReport:
@@ -142,12 +138,16 @@ def _localized_modules(dim: int) -> list[AVModule]:
     return mods
 
 
+# The localized-action laws are dimension independent, and their sweep's cost
+# grows quickly with the dimension: they run at these dimensions only.
+LOCALIZED_DIMS = (1, 2)
+
+
 def run_localized_suite(ids, config: RunConfig) -> list[VerificationReport]:
     """Sweep the localized-action checks over small zoo modules, cycling the
-    module per trial; dimensions above 2 are skipped (the laws are dimension
-    independent and the sweep cost grows quickly)."""
+    module per trial; dimensions outside LOCALIZED_DIMS are skipped."""
     reports = []
-    for dim in [d for d in config.dims if d <= 2]:
+    for dim in [d for d in config.dims if d in LOCALIZED_DIMS]:
         mods = _localized_modules(dim)
         rng = seeded_rng(config.seed, "localized", dim)
         for t in range(config.trials):

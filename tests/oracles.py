@@ -26,8 +26,8 @@ from smashmod import (
     multi_indices,
 )
 from smashmod.modules import Matrix, _direction
-from smashmod.poly import MultiIndex, _sum_products
-from smashmod.smash import VerificationReport, embed_coefficient, embed_function
+from smashmod.poly import MultiIndex, _sum_products, embed_coefficient, embed_function
+from smashmod.smash import VerificationReport
 
 
 def decompose_terms(u: SmashElement) -> list[tuple[Poly, Derivation]]:

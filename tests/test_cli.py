@@ -11,7 +11,7 @@ import pytest
 
 import smashmod
 from smashmod import IDENTITY_IDS, differential_forms, module_to_dict, zoo
-from smashmod.cli import load_module_spec, main, save_module_spec
+from smashmod.cli import build_parser, load_module_spec, main, save_module_spec
 from smashmod.suites import RunConfig, iter_identity_samples
 
 
@@ -91,6 +91,23 @@ def test_verify_overlapping_suites_exit_two(capsys, suites, later, earlier):
 def test_verify_repeated_dimension_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--dims", "1,2,1", "--trials", "1"]) == 2
     assert "error: dimension 1 given twice" in capsys.readouterr().err
+
+
+def test_verify_suite_that_runs_no_check_exits_two(tmp_path, capsys):
+    # the localized checks skip every dimension above 2: this passed with 0/0
+    assert main(["verify", "--suite", "welldefined", "--dims", "3", "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "suite 'welldefined' runs no check at dims 3" in err
+    assert "the localized checks run at dims 1 and 2 only" in err
+    code, data = run_json(tmp_path, ["verify", "--suite", "all", "--dims", "3", "--trials", "1"])
+    assert code == 0 and data["summary"]["total"] == len(IDENTITY_IDS) + 2
+
+
+def test_verify_defaults_are_the_run_config_defaults():
+    args = build_parser().parse_args(["verify"])
+    config = RunConfig(dims=tuple(map(int, args.dims.split(","))), max_degree=args.degree,
+                       trials=args.trials, seed=args.seed, p_max=args.pmax)
+    assert config == RunConfig()
 
 
 def test_verify_invalid_config_exits_two(capsys):

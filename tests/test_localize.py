@@ -1,6 +1,7 @@
 """Localized fractions, the series action, and the localized-action laws."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smashmod import (
     Derivation,
@@ -25,6 +26,7 @@ from smashmod.sampling import random_derivation, random_poly, seeded_rng
 from smashmod.suites import _localized_modules
 
 from oracles import lie_derivative_one_form, series_by_levels
+from test_poly import polys
 
 x = Poly.variable(1, 1)
 one = Poly.constant(1, 1)
@@ -66,8 +68,33 @@ def test_constant_base_fully_cancels():
 def test_equality_as_fractions():
     a = LocalizedPoly(x, x * parse_poly("x1 + 1", 1), 2)
     b = LocalizedPoly(x, parse_poly("x1 + 1", 1), 1)
-    assert a == b  # cross multiplication, no reduction needed
+    assert a == b  # their difference is zero; neither needs reducing first
     assert LocalizedPoly(x, one, 1) != LocalizedPoly(x, one, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equality_is_equality_of_fractions(data):
+    dim = data.draw(st.sampled_from((1, 2)), label="dim")
+    f = data.draw(polys(dim, max_degree=2).filter(lambda p: not p.is_constant()), label="f")
+    e = data.draw(st.integers(0, 2), label="e")
+    k = data.draw(st.integers(0, 2), label="k")
+    forms, adjoint = differential_forms(dim), tangent_adjoint(dim)
+    entries = [data.draw(polys(dim, max_degree=2)) for _ in range(dim)]
+    cases = [
+        (LocalizedPoly, entries[0]),
+        (LocalizedDerivation, Derivation(entries)),
+        (lambda b, n, j: LocalizedModuleElement(b, forms, n, j), ModuleElement(entries)),
+    ]
+    other_base = f + Poly.constant(dim, 1)
+    for make, n in cases:
+        assert make(f, n * f ** e, k + e) == make(f, n, k)
+        # another base or module gives False, not an error
+        assert make(f, n, k) != make(other_base, n, k)
+        if not n.is_zero():
+            assert make(f, n, k) != make(f, n, k + 1)
+    m = ModuleElement(entries)
+    assert LocalizedModuleElement(f, forms, m, k) != LocalizedModuleElement(f, adjoint, m, k)
 
 
 def test_text_forms():
@@ -91,6 +118,33 @@ def test_zero_base_rejected():
         LocalizedPoly(Poly.zero(1), x, 1)
     with pytest.raises(ZeroDivisionError):
         LocalizedModule(differential_forms(1), Poly.zero(1))
+
+
+def test_reduce_stops_at_the_first_part_the_base_does_not_divide(monkeypatch):
+    forms = differential_forms(2)
+    f = parse_poly("x1 + x2", 2)
+    me = LocalizedModuleElement(f, forms, ModuleElement((Poly.variable(2, 1), f)), 1)
+    divided = []
+    real = Poly.exact_divide
+    monkeypatch.setattr(Poly, "exact_divide",
+                        lambda self, divisor: divided.append(self) or real(self, divisor))
+    assert me.reduce().denom_exp == 1
+    assert divided == [Poly.variable(2, 1)]  # the second entry is never divided
+
+
+def test_sum_rescales_only_the_numerator_below_the_common_exponent(monkeypatch):
+    a, b, c = LocalizedPoly(x, one, 2), LocalizedPoly(x, x + one, 2), LocalizedPoly(x, one, 1)
+    powers = []
+    real = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda self, n: powers.append(n) or real(self, n))
+    total = a + b
+    assert powers == []
+    assert (total.numerator, total.denom_exp) == (parse_poly("x1 + 2", 1), 2)
+    assert (LocalizedPoly(x, Poly.zero(1), 0) + c).numerator == one
+    assert powers == []  # nor for a zero numerator
+    total = a + c
+    assert powers == [1]
+    assert (total.numerator, total.denom_exp) == (parse_poly("x1 + 1", 1), 2)
 
 
 def test_base_mismatch_rejected():

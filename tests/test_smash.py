@@ -22,7 +22,8 @@ from smashmod import (
     tensor_act,
     verify_identity,
 )
-from smashmod.smash import IDENTITY_IDS, restrict_to_diagonal, embed_function, embed_coefficient
+from smashmod.poly import embed_coefficient, embed_function, restrict_to_diagonal
+from smashmod.smash import IDENTITY_IDS
 
 from oracles import naive_smash_bracket
 
