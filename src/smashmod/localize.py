@@ -13,9 +13,11 @@ The localized vector-field action is the finite series
 cut off at the module order N: beyond it the terms annihilate because the
 doubled components vanish on the diagonal to order p > N.  Over the common
 denominator f^{k(N+1)} the levels are one smash element S # eta, with
-S = sum_p f(x)^{k(N-p)} (f(x)^k - f(y)^k)^p, applied to m once: a function
-of x only scales the action.  At k = 0, S = 1 and the series is eta itself.
-Elements with denominators act through the quotient rule
+S = sum_p f(x)^{k(N-p)} (f(x)^k - f(y)^k)^p: a function of x only scales
+the action.  At k = 0, S = 1 and the series is eta itself.  The operator
+pair of S # eta depends on (f, k, eta) only, so ``LocalizedModule.operator``
+builds it once as a ``LocalizedOperator`` and ``act`` applies it to each
+element.  Elements with denominators act through the quotient rule
 (eta/f^k)(m/f^l) = -l eta(f)/f^{k+l+1} m + f^{-l} (eta/f^k)(m).
 """
 
@@ -34,7 +36,7 @@ from .poly import (
     embed_coefficient,
     embed_function,
 )
-from .modules import AVModule, ModuleElement
+from .modules import AVModule, ModuleElement, Operator
 from .smash import SmashElement, VerificationReport, _report
 
 __all__ = [
@@ -214,11 +216,11 @@ class LocalizedModuleElement(_LocalizedFraction):
         return self._reduce()
 
 
-def _annihilator_series(module: AVModule, g: Poly, eta: Derivation, m: ModuleElement,
-                        weights=None) -> ModuleElement:
-    """sum_{u=0}^{N} w(u) * (omega(u, g, eta) m) * g^{N-u}, N the module order.
+def _series_operator(module: AVModule, g: Poly, eta: Derivation, weights=None) -> Operator:
+    """The operator pair of sum_{u=0}^{N} w(u) * omega(u, g, eta) * g^{N-u},
+    N the module order; ``module._apply((1, pair, m))`` applies it to m.
 
-    Applied as the one element S # eta, with the doubled polynomial
+    The levels are the one element S # eta, with the doubled polynomial
     S = sum_u w(u) * g(x)^{N-u} * (g(x) - g(y))^u.  This holds because a
     function of x only scales the action, act_smash(a(x) * v, m) =
     a * act_smash(v, m), so the weighted levels sum to one smash element.
@@ -235,7 +237,23 @@ def _annihilator_series(module: AVModule, g: Poly, eta: Derivation, m: ModuleEle
         G_pow.append(G_pow[-1] * G)
     S = _sum_products(2 * d, [(1 if weights is None else weights(u), gx_pow[N - u], G_pow[u])
                               for u in range(N + 1)])
-    return module.act_smash(SmashElement(d, (S * embed_coefficient(c) for c in eta.coeffs)), m)
+    return module._smash_operator(SmashElement(d, (S * embed_coefficient(c) for c in eta.coeffs)))
+
+
+class LocalizedOperator:
+    """eta/f^k as an operator of one localized module, built once and applied
+    to any number of elements: the pair of S # eta over f^{k(N+1)}, and eta(f)
+    for the quotient-rule term."""
+
+    __slots__ = ("module", "base", "denom_exp", "pair", "eta_f")
+
+    def __init__(self, module: AVModule, base: Poly, denom_exp: int, pair: Operator,
+                 eta_f: Poly):
+        self.module = module
+        self.base = base
+        self.denom_exp = denom_exp
+        self.pair = pair
+        self.eta_f = eta_f
 
 
 class LocalizedModule:
@@ -259,22 +277,35 @@ class LocalizedModule:
     def derivation(self, e: Derivation, denom_exp: int = 0) -> LocalizedDerivation:
         return LocalizedDerivation(self.base, e, denom_exp)
 
-    def act(self, ed: LocalizedDerivation, me: LocalizedModuleElement) -> LocalizedModuleElement:
-        """Apply eta/f^k to m/f^l through the finite annihilator series, with
-        the quotient-rule term -l eta(f) m / f^{k+l+1}; result reduced."""
-        if ed.base != self.base or me.base != self.base:
+    def operator(self, ed: LocalizedDerivation) -> LocalizedOperator:
+        """Build eta/f^k once, to apply to any number of elements."""
+        if ed.base != self.base:
             raise BaseMismatch("operands do not belong to this localized context")
+        k, eta = ed.denom_exp, ed.numerator
+        return LocalizedOperator(self.module, self.base, k,
+                                 _series_operator(self.module, self.base ** k, eta),
+                                 eta.apply(self.base))
+
+    def act(self, op: LocalizedOperator | LocalizedDerivation,
+            me: LocalizedModuleElement) -> LocalizedModuleElement:
+        """Apply eta/f^k, a LocalizedOperator or a LocalizedDerivation, to
+        m/f^l through the finite annihilator series, with the quotient-rule
+        term -l eta(f) m / f^{k+l+1}; result reduced."""
+        if isinstance(op, LocalizedDerivation):
+            op = self.operator(op)
+        if op.base != self.base or me.base != self.base:
+            raise BaseMismatch("operands do not belong to this localized context")
+        if op.module is not self.module:
+            raise BaseMismatch("operator does not belong to this module")
         if me.module is not self.module:
             raise BaseMismatch("element does not belong to this module")
         module, f = self.module, self.base
-        k, eta = ed.denom_exp, ed.numerator
         l, m = me.denom_exp, me.numerator
-        series = LocalizedModuleElement(
-            f, module, _annihilator_series(module, f ** k, eta, m),
-            k * (module.order + 1) + l)
+        series = LocalizedModuleElement(f, module, module._apply((1, op.pair, m)),
+                                        op.denom_exp * (module.order + 1) + l)
         if l:  # + reduces its sum; l = 0 skips adding a zero term
             return series + LocalizedModuleElement(
-                f, module, m * (-l * eta.apply(f)), k + l + 1)
+                f, module, m * (-l * op.eta_f), op.denom_exp + l + 1)
         return series.reduce()
 
 
@@ -314,13 +345,13 @@ LOCALIZED_CHECK_IDS = (
 )
 
 
-def _series_by_coefficients(context: LocalizedModule, eta: Derivation,
-                            m: ModuleElement, weights, extra_exp: int
-                            ) -> LocalizedModuleElement:
-    """sum_u weights(u) * omega(u, f, eta) m / f^{u + extra_exp}, u = 0..N."""
+def _series_by_coefficients(context: LocalizedModule, series: Operator, m: ModuleElement,
+                            extra_exp: int) -> LocalizedModuleElement:
+    """sum_u weights(u) * omega(u, f, eta) m / f^{u + extra_exp}, u = 0..N,
+    with ``series = _series_operator(module, f, eta, weights)``."""
     module, f = context.module, context.base
-    series = _annihilator_series(module, f, eta, m, weights)
-    return LocalizedModuleElement(f, module, series, module.order + extra_exp).reduce()
+    return LocalizedModuleElement(f, module, module._apply((1, series, m)),
+                                  module.order + extra_exp).reduce()
 
 
 def verify_localized(name: str, module: AVModule, f: Poly,
@@ -352,14 +383,16 @@ def verify_localized(name: str, module: AVModule, f: Poly,
     vectors = basis + [Poly.variable(module.dim, k) * b for k in range(1, module.dim + 1)
                        for b in basis]
 
-    # each branch defines sides(v): the two sides of the law on the vector v
+    # each branch builds its operators once and defines sides(v): the two
+    # sides of the law on the vector v
     if name == "welldefined":
         (eta,) = require("eta")
         j = int(inputs.get("j", 1))
         if j < 1:
             raise ValueError("welldefined needs j >= 1")
-        scaled = LocalizedDerivation(f, (f ** j) * eta, j)  # unreduced on purpose
-        plain = LocalizedDerivation(f, eta, 0)
+        # eta f^j / f^j, unreduced on purpose
+        scaled = context.operator(LocalizedDerivation(f, (f ** j) * eta, j))
+        plain = context.operator(LocalizedDerivation(f, eta, 0))
 
         def sides(v):
             me = context.include(v)
@@ -371,20 +404,21 @@ def verify_localized(name: str, module: AVModule, f: Poly,
         a = LocalizedPoly(f, a_num, int(inputs.get("a_exp", 1)))
         ed = LocalizedDerivation(f, eta, k)
         da = apply_localized_derivation(ed, a)
+        op = context.operator(ed)
 
         def sides(v):
             me = context.include(v)
-            return context.act(ed, a * me), da * me + a * context.act(ed, me)
+            return context.act(op, a * me), da * me + a * context.act(op, me)
 
     elif name == "bracket":
         eta, mu = require("eta", "mu")
-        ed = LocalizedDerivation(f, eta, 1)
-        md = LocalizedDerivation(f, mu, 1)
-        rhs_parts = (
+        ed = context.operator(LocalizedDerivation(f, eta, 1))
+        md = context.operator(LocalizedDerivation(f, mu, 1))
+        rhs_parts = tuple(map(context.operator, (
             LocalizedDerivation(f, -eta.apply(f) * mu, 3),
             LocalizedDerivation(f, mu.apply(f) * eta, 3),
             LocalizedDerivation(f, eta.bracket(mu), 2),
-        )
+        )))
 
         def sides(v):
             me = context.include(v)
@@ -399,11 +433,12 @@ def verify_localized(name: str, module: AVModule, f: Poly,
             k, weights = 2, (lambda u: u + 1)
         else:
             k, weights = 3, (lambda u: (u + 1) * (u + 2) // 2)
-        ed = LocalizedDerivation(f, eta, k)
+        ed = context.operator(LocalizedDerivation(f, eta, k))
+        series = _series_operator(module, f, eta, weights)
 
         def sides(v):
             return (context.act(ed, context.include(v)),
-                    _series_by_coefficients(context, eta, v, weights, k))
+                    _series_by_coefficients(context, series, v, k))
 
     else:  # restriction
         eta, mu, g = require("eta", "mu", "g")
@@ -414,8 +449,8 @@ def verify_localized(name: str, module: AVModule, f: Poly,
         if eta * (g ** b) != mu * (f ** a):
             raise ValueError("representatives are not equal in the common localization")
         context_g = LocalizedModule(module, g)
-        ed_f = LocalizedDerivation(f, eta, a)
-        ed_g = LocalizedDerivation(g, mu, b)
+        ed_f = context.operator(LocalizedDerivation(f, eta, a))
+        ed_g = context_g.operator(LocalizedDerivation(g, mu, b))
 
         def sides(v):
             # f*g == g*f structurally, so both sides live over the same base

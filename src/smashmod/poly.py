@@ -355,21 +355,6 @@ class Poly:
                     rem.pop(kk, None)
         return Poly._raw(self.dim, _clean(quot))
 
-    def evaluate(self, point: Sequence[Coeff]) -> Coeff:
-        """Exact value at a rational point (one value per variable)."""
-        if len(point) != self.dim:
-            raise DimensionMismatch(f"point has {len(point)} coordinates, expected {self.dim}")
-        vals = [Fraction(v) for v in point]
-        total: Coeff = 0
-        for k, c in self.terms.items():
-            term = c
-            for i in range(self.dim):
-                e = (k >> (_FIELD * (self.dim - 1 - i))) & _MASK
-                if e:
-                    term *= vals[i] ** e
-            total += term
-        return _norm(Fraction(total))
-
     # -- text form -----------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -39,9 +39,9 @@ def random_exponents(rng: random.Random, dim: int, max_degree: int,
     return tuple(exps)
 
 
-def random_poly(rng: random.Random, dim: int, max_degree: int, nonzero: bool = True,
-                nonconstant: bool = False, rational_share: float = 0.2) -> Poly:
-    """A polynomial of one or two terms."""
+def random_poly(rng: random.Random, dim: int, max_degree: int, nonconstant: bool = False,
+                rational_share: float = 0.2) -> Poly:
+    """A nonzero polynomial of one or two terms."""
     for _ in range(64):
         terms = {}
         for _ in range(rng.randint(1, 2)):
@@ -49,9 +49,7 @@ def random_poly(rng: random.Random, dim: int, max_degree: int, nonzero: bool = T
                                     min_degree=1 if nonconstant else 0)
             terms[exps] = terms.get(exps, 0) + random_coefficient(rng, rational_share)
         p = Poly(dim, terms)
-        if nonzero and p.is_zero():
-            continue
-        if nonconstant and p.is_constant():
+        if p.is_zero() or (nonconstant and p.is_constant()):
             continue
         return p
     raise RuntimeError("sampling failed to satisfy the requested constraints")
@@ -68,25 +66,3 @@ def random_derivation(rng: random.Random, dim: int, max_degree: int) -> Derivati
         coeffs[i] = random_poly(rng, dim, max_degree)
     return Derivation(tuple(coeffs))
 
-
-def distinct_random_polys(rng: random.Random, dim: int, max_degree: int,
-                          count: int) -> list[Poly]:
-    """Pairwise distinct nonconstant polynomials of a shape that keeps
-    products of count doubled difference factors small: a signed monomial
-    plus a constant offset."""
-    out: list[Poly] = []
-    seen = set()
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 100 * count:
-            raise RuntimeError("could not draw enough distinct polynomials")
-        exps = random_exponents(rng, dim, max_degree, min_degree=1)
-        c = rng.choice((-2, -1, 1, 2))
-        b = rng.randint(-2, 2)
-        key = (exps, c, b)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Poly(dim, {exps: c}) + Poly.constant(dim, b))
-    return out

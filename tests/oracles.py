@@ -5,15 +5,19 @@ uses: term-by-term expansion instead of closed forms, bracket compatibility
 by applying the action to sampled monomial fields instead of the structure
 equations, quotient-rule calculus on rational one-forms instead of the
 localized series, the localized series one level at a time instead of as
-one smash element, and triangular solves from jet prolongations instead of the
-closed binomial tensor.
+one smash element, triangular solves from jet prolongations instead of the
+closed binomial tensor, and exact evaluation at a point instead of products
+of terms.  The seeded samplers at the end draw inputs that only the tests
+need.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from typing import Sequence
 
 from smashmod import (
     AVModule,
@@ -26,7 +30,14 @@ from smashmod import (
     multi_indices,
 )
 from smashmod.modules import Matrix, _direction
-from smashmod.poly import MultiIndex, _sum_products, embed_coefficient, embed_function
+from smashmod.poly import (
+    Coeff,
+    MultiIndex,
+    _sum_products,
+    embed_coefficient,
+    embed_function,
+)
+from smashmod.sampling import random_coefficient, random_exponents
 from smashmod.smash import VerificationReport
 
 
@@ -271,3 +282,52 @@ def jet_tensor_by_prolongation(dim: int, n: int) -> dict[tuple[int, MultiIndex],
             if any(p.terms for row in mat for p in row):
                 tensor[(i, alpha)] = mat
     return tensor
+
+
+# -- evaluation at a point -----------------------------------------------------------
+
+def evaluate(p: Poly, point: Sequence[Coeff]) -> Fraction:
+    """Exact value of p at a rational point (one value per variable)."""
+    assert len(point) == p.dim
+    total = Fraction(0)
+    for exps, c in p.items():
+        term = Fraction(c)
+        for v, e in zip(point, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+# -- seeded samples only the tests draw ----------------------------------------------
+
+def random_poly_or_zero(rng: random.Random, dim: int, max_degree: int) -> Poly:
+    """One or two random terms that may cancel to zero: the first draw of
+    ``random_poly``, which would draw again on zero."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = random_exponents(rng, dim, max_degree)
+        terms[exps] = terms.get(exps, 0) + random_coefficient(rng)
+    return Poly(dim, terms)
+
+
+def distinct_random_polys(rng: random.Random, dim: int, max_degree: int,
+                          count: int) -> list[Poly]:
+    """Pairwise distinct nonconstant polynomials of a shape that keeps
+    products of count doubled difference factors small: a signed monomial
+    plus a constant offset."""
+    out: list[Poly] = []
+    seen = set()
+    guard = 0
+    while len(out) < count:
+        guard += 1
+        if guard > 100 * count:
+            raise RuntimeError("could not draw enough distinct polynomials")
+        exps = random_exponents(rng, dim, max_degree, min_degree=1)
+        c = rng.choice((-2, -1, 1, 2))
+        b = rng.randint(-2, 2)
+        key = (exps, c, b)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(Poly(dim, {exps: c}) + Poly.constant(dim, b))
+    return out

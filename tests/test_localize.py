@@ -21,11 +21,12 @@ from smashmod import (
     trivial_dmodule,
     verify_localized,
 )
-from smashmod.localize import BaseMismatch, _annihilator_series
+from smashmod.localize import BaseMismatch, _series_operator
+from smashmod.modules import AVModule
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
 from smashmod.suites import _localized_modules
 
-from oracles import lie_derivative_one_form, series_by_levels
+from oracles import lie_derivative_one_form, random_poly_or_zero, series_by_levels
 from test_poly import polys
 
 x = Poly.variable(1, 1)
@@ -157,7 +158,7 @@ def test_base_mismatch_rejected():
 # -- the localized action --------------------------------------------------------------
 
 def _random_element(rng, module):
-    return ModuleElement(random_poly(rng, module.dim, 2, nonzero=False)
+    return ModuleElement(random_poly_or_zero(rng, module.dim, 2)
                          for _ in range(module.rank))
 
 
@@ -169,8 +170,9 @@ def test_action_embeds_the_plain_action():
     got = ctx.act(ctx.derivation(eta, 0), dx)
     assert got == ctx.include(forms.act_derivation(eta, forms.basis_element(0)))
     assert got.denom_exp == 0
-    # at k = 0 the action runs through act_smash, the plain action through
-    # act_derivation; on m / f^l the quotient rule adds -l eta(f) m / f^{l+1}
+    # at k = 0 the action applies the operator of S # eta with S = 1, the
+    # plain action goes through act_derivation; on m / f^l the quotient rule
+    # adds -l eta(f) m / f^{l+1}
     for dim in (1, 2):
         rng = seeded_rng(59, "plain", dim)
         for mod in _localized_modules(dim):
@@ -196,8 +198,55 @@ def test_series_is_one_smash_element(dim):
         cases = [(f ** k, None) for k in range(4)]
         cases += [(f, lambda u: u + 1), (f, lambda u: (u + 1) * (u + 2) // 2)]
         for g, weights in cases:
-            assert (_annihilator_series(mod, g, eta, m, weights)
+            assert (mod._apply((1, _series_operator(mod, g, eta, weights), m))
                     == series_by_levels(mod, g, eta, m, weights)), (mod.name, str(g))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_operator_serves_every_vector_in_either_order(dim):
+    # an operator built once, then applied to the vectors forwards and
+    # backwards, against the level-by-level series plus the quotient rule
+    rng = seeded_rng(67, "shared-operator", dim)
+    for mod in _localized_modules(dim):
+        f = random_poly(rng, dim, 2, nonconstant=True)
+        eta = random_derivation(rng, dim, 2)
+        ctx = LocalizedModule(mod, f)
+        vectors = mod.basis() + [_random_element(rng, mod) for _ in range(2)]
+        cases = [(i, l) for i in range(len(vectors)) for l in range(3)]
+        for k in range(4):
+            expected = {}
+            for i, m in enumerate(vectors):
+                series = series_by_levels(mod, f ** k, eta, m)
+                for l in range(3):
+                    expected[i, l] = (
+                        LocalizedModuleElement(f, mod, series, k * (mod.order + 1) + l)
+                        + LocalizedModuleElement(f, mod, m * (-l * eta.apply(f)), k + l + 1))
+            op = ctx.operator(ctx.derivation(eta, k))
+            for order in (cases, cases[::-1]):
+                for i, l in order:
+                    got = ctx.act(op, LocalizedModuleElement(f, mod, vectors[i], l))
+                    assert got == expected[i, l], (mod.name, k, i, l)
+
+
+def test_operator_and_act_refuse_another_base_or_module():
+    forms, jets = differential_forms(1), jet_module(1, 1)
+    ctx, other_base, other_module = (LocalizedModule(forms, x), LocalizedModule(forms, x + one),
+                                     LocalizedModule(jets, x))
+    me = ctx.include(forms.basis_element(0))
+    op = ctx.operator(ctx.derivation(d, 1))
+    context_msg = "operands do not belong to this localized context"
+    with pytest.raises(BaseMismatch, match=context_msg):
+        ctx.operator(other_base.derivation(d, 1))
+    with pytest.raises(BaseMismatch, match=context_msg):
+        ctx.act(other_base.derivation(d, 1), me)
+    with pytest.raises(BaseMismatch, match=context_msg):
+        ctx.act(other_base.operator(other_base.derivation(d, 1)), me)
+    with pytest.raises(BaseMismatch, match=context_msg):
+        ctx.act(op, other_base.include(forms.basis_element(0)))
+    with pytest.raises(BaseMismatch, match="element does not belong to this module"):
+        ctx.act(op, other_module.include(jets.basis_element(0)))
+    with pytest.raises(BaseMismatch, match="operator does not belong to this module"):
+        ctx.act(other_module.operator(other_module.derivation(d, 1)), me)
 
 
 def test_action_inverse_derivative_witness():
@@ -339,6 +388,50 @@ def test_all_checks_across_small_zoo():
         for name, inputs in bindings.items():
             rep = verify_localized(name, mod, f, inputs)
             assert rep.passed, (mod.name, name, rep.witness)
+
+
+# operators each law builds before its vector loop, and its act calls per vector
+_LAW_COSTS = {
+    "welldefined": (2, 2),
+    "leibniz": (1, 2),
+    "bracket": (5, 7),
+    "inverse-square": (2, 1),  # eta / f^2 and the weighted series in f
+    "inverse-cube": (2, 1),
+    "restriction": (2, 2),  # one per base
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_law_builds_its_operators_once(dim, monkeypatch):
+    built, acted = [], []
+    real_operator, real_act = AVModule._smash_operator, LocalizedModule.act
+    monkeypatch.setattr(AVModule, "_smash_operator",
+                        lambda self, u: built.append(u) or real_operator(self, u))
+    monkeypatch.setattr(LocalizedModule, "act",
+                        lambda self, op, me: acted.append(op) or real_act(self, op, me))
+    rng = seeded_rng(71, "operator-count", dim)
+    for mod in _localized_modules(dim):
+        f = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
+        g = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
+        eta = random_derivation(rng, dim, 2)
+        mu = random_derivation(rng, dim, 2)
+        bindings = {
+            "welldefined": {"eta": eta, "j": 2},
+            "leibniz": {"eta": eta, "k": 1, "a_num": g, "a_exp": 1},
+            "bracket": {"eta": eta, "mu": mu},
+            "inverse-square": {"eta": eta},
+            "inverse-cube": {"eta": eta},
+            "restriction": {"eta": (f ** 2) * mu, "eta_exp": 2,
+                            "mu": g * mu, "mu_exp": 1, "g": g},
+        }
+        vectors = mod.rank * (1 + dim)
+        for name, inputs in bindings.items():
+            built.clear()
+            acted.clear()
+            assert verify_localized(name, mod, f, inputs).passed
+            operators, acts_per_vector = _LAW_COSTS[name]
+            assert len(built) == operators, (mod.name, name)
+            assert len(acted) == acts_per_vector * vectors, (mod.name, name)
 
 
 def test_double_localization_consistency():

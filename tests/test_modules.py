@@ -39,6 +39,7 @@ from oracles import (
     act_smash_by_terms,
     annihilates_by_sampling,
     jet_tensor_by_prolongation,
+    random_poly_or_zero,
     validate_by_sampling,
 )
 from test_acceptance import small_zoo
@@ -182,7 +183,7 @@ def test_act_smash_matches_term_expansion():
         for _ in range(6):
             u = omega(rng.randint(0, 2), random_poly(rng, mod.dim, 2),
                       random_derivation(rng, mod.dim, 2))
-            v = ModuleElement(tuple(random_poly(rng, mod.dim, 2, nonzero=False)
+            v = ModuleElement(tuple(random_poly_or_zero(rng, mod.dim, 2)
                                     for _ in range(mod.rank)))
             assert mod.act_smash(u, v) == act_smash_by_terms(mod, u, v)
 

@@ -1,5 +1,6 @@
 """Exact polynomial and derivation arithmetic."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from smashmod import (
     parse_poly,
 )
 from smashmod.poly import _SCALE_PAIRS, DegreeOverflow, _sum_products, multi_indices, partial_power
+
+from oracles import evaluate, random_poly_or_zero
 
 
 def P(text, dim=1):
@@ -251,7 +254,7 @@ def test_ring_axioms_and_evaluation(data):
     # cross-check multiplication against exact evaluation
     point = [Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
              for _ in range(dim)]
-    assert (p * q).evaluate(point) == Fraction(p.evaluate(point)) * Fraction(q.evaluate(point))
+    assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
 
 
 @settings(max_examples=120, deadline=None)
@@ -463,9 +466,23 @@ def test_dimension_mismatch_is_an_error():
         P("x1") * parse_poly("x1", 2)
 
 
+def test_random_poly_or_zero_repeats_the_draws_of_random_poly_allowing_zero():
+    # sha256 of 200 draws each, recorded from random_poly(rng, dim, degree,
+    # nonzero=False) before that setting left the library; zeros included
+    from smashmod.sampling import seeded_rng
+
+    for dim, degree, zeros, digest in (
+            (1, 1, 5, "69021c56292bbb2230af585e29602e8f0f7906e427948b3cab9273fb53e34a96"),
+            (2, 2, 3, "2d2b441a6b903553739454a0eda9dc95bf43162cb87e3b69a50a4b355e93dddc")):
+        rng = seeded_rng(61, "or-zero", dim, degree)
+        draws = [str(random_poly_or_zero(rng, dim, degree)) for _ in range(200)]
+        assert draws.count("0") == zeros
+        assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == digest
+
+
 def test_derivation_laws_seeded_sweep():
     # 100 seeded draws per dimension, degree <= 4: Leibniz, antisymmetry, Jacobi
-    from smashmod.sampling import random_derivation, random_poly, seeded_rng
+    from smashmod.sampling import random_derivation, seeded_rng
 
     for dim in (1, 2, 3):
         rng = seeded_rng(61, "poly-laws", dim)
@@ -473,8 +490,8 @@ def test_derivation_laws_seeded_sweep():
             e = random_derivation(rng, dim, 4)
             u = random_derivation(rng, dim, 3)
             w = random_derivation(rng, dim, 2)
-            p = random_poly(rng, dim, 4, nonzero=False)
-            q = random_poly(rng, dim, 4, nonzero=False)
+            p = random_poly_or_zero(rng, dim, 4)
+            q = random_poly_or_zero(rng, dim, 4)
             assert e.apply(p * q) == e.apply(p) * q + p * e.apply(q)
             assert e.bracket(u) == -(u.bracket(e))
             jac = e.bracket(u.bracket(w)) + w.bracket(e.bracket(u)) + u.bracket(w.bracket(e))
