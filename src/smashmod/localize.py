@@ -4,7 +4,9 @@ Fractions are pairs (numerator, k) standing for numerator / f^k, kept over
 the single base f (principal open sets only).  Normal form cancels f from
 the numerator by exact trial division; the raw constructors deliberately do
 NOT reduce, so representation-independence checks can feed unreduced
-representatives through the action.
+representatives through the action.  Internal results (sums, products,
+reductions, actions) are built without the constructors' checks, which their
+operands have passed; the public constructors keep every check.
 
 The localized vector-field action is the finite series
 
@@ -90,7 +92,10 @@ class _LocalizedFraction:
             raise DimensionMismatch("numerator and base disagree on dim")
 
     def _new(self, base: Poly, numerator, denom_exp: int):
-        return type(self)(base, numerator, denom_exp)
+        """A value of the same type, without the constructor's checks."""
+        out = object.__new__(type(self))
+        out.base, out.numerator, out.denom_exp = base, numerator, denom_exp
+        return out
 
     def _reduce(self):
         """Normal form: cancel the base out of every part of the numerator at
@@ -207,7 +212,9 @@ class LocalizedModuleElement(_LocalizedFraction):
             raise DimensionMismatch("element rank does not match the module")
 
     def _new(self, base: Poly, numerator: ModuleElement, denom_exp: int):
-        return LocalizedModuleElement(base, self.module, numerator, denom_exp)
+        out = super()._new(base, numerator, denom_exp)
+        out.module = self.module
+        return out
 
     def _same_space(self, other) -> bool:
         return self.base == other.base and self.module is other.module
@@ -301,11 +308,9 @@ class LocalizedModule:
             raise BaseMismatch("element does not belong to this module")
         module, f = self.module, self.base
         l, m = me.denom_exp, me.numerator
-        series = LocalizedModuleElement(f, module, module._apply((1, op.pair, m)),
-                                        op.denom_exp * (module.order + 1) + l)
+        series = me._new(f, module._apply((1, op.pair, m)), op.denom_exp * (module.order + 1) + l)
         if l:  # + reduces its sum; l = 0 skips adding a zero term
-            return series + LocalizedModuleElement(
-                f, module, m * (-l * op.eta_f), op.denom_exp + l + 1)
+            return series + me._new(f, m * (-l * op.eta_f), op.denom_exp + l + 1)
         return series.reduce()
 
 

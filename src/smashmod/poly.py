@@ -33,6 +33,11 @@ numerators over the lcm of its denominators, so its pairs cost int
 operations only; smaller triples keep the plain loop.  Each output
 coefficient is divided by the common denominator once, at the end.
 
+``Poly.exact_divide`` is shaped for the localized action's tiny operands:
+it tests divisibility on the packed keys, divides by a monomial in one pass,
+gives up early when the divisor's smallest monomial does not divide the
+dividend's, and divides int coefficients with ``divmod``.
+
 A derivation g1*d1 + ... + gn*dn is a tuple of coefficient polynomials,
 where d<i> denotes the partial derivative in x<i>.  It shares its
 componentwise arithmetic with the other tuples of polynomials (smash
@@ -118,6 +123,14 @@ def _pack(exps: Sequence[int]) -> int:
 
 def _unpack(key: int, dim: int) -> MultiIndex:
     return tuple((key >> (_FIELD * (dim - 1 - i))) & _MASK for i in range(dim))
+
+
+def _coefficient_quotient(c: Coeff, d: Coeff) -> Coeff:
+    """c / d, normalized; a Fraction of two ints only when d leaves a remainder."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    return _norm(c / d)
 
 
 # -- packed-key block surgery ------------------------------------------------------
@@ -326,34 +339,54 @@ class Poly:
         return Poly._raw(self.dim, out)
 
     def exact_divide(self, divisor: "Poly") -> "Poly | None":
-        """Quotient self/divisor when the division is exact, else None."""
+        """Quotient self/divisor when the division is exact, else None.
+
+        Divisibility of monomials is one test on the packed keys.  A monomial
+        divisor takes one pass over the terms.  Otherwise, since min(a*q) =
+        min(a)*min(q) in a monomial order, the divisor's smallest monomial must
+        divide self's; then long division cancels leading terms until one is
+        not divisible.  Two int coefficients divide by divmod, and a Fraction
+        is made only for a remainder."""
         self._check(divisor)
-        if divisor.is_zero():
+        dt, dim = divisor.terms, self.dim
+        if not dt:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Poly.zero(self.dim)
-        dlead = max(divisor.terms)
-        dexp = _unpack(dlead, self.dim)
-        dc = divisor.terms[dlead]
+        if not self.terms:
+            return Poly.zero(dim)
+        # b's monomial divides a's iff a - b borrows across no field boundary:
+        # (a - b) ^ a ^ b then has no bit of ``borrow``, the lowest of each field
+        # above the first
+        borrow = ((1 << (_FIELD * (dim + 1))) - 1) // _MASK - 1
+        dlead = max(dt)
+        dc = dt[dlead]
+        if len(dt) == 1:
+            quot = {}
+            for k, c in self.terms.items():
+                qk = k - dlead
+                if (qk ^ k ^ dlead) & borrow:
+                    return None
+                quot[qk] = _coefficient_quotient(c, dc)
+            return Poly._raw(dim, quot)
+        a, b = min(self.terms), min(dt)
+        if ((a - b) ^ a ^ b) & borrow:
+            return None
+        rest = [(k, c) for k, c in dt.items() if k != dlead]
         rem = dict(self.terms)
-        quot: dict[int, Coeff] = {}
+        quot = {}
         while rem:
             lead = max(rem)
-            lexp = _unpack(lead, self.dim)
-            if any(le < de for le, de in zip(lexp, dexp)):
-                return None
-            c = _norm(Fraction(rem[lead]) / Fraction(dc))
             qk = lead - dlead
-            quot[qk] = c
-            get = rem.get
-            for k, dcf in divisor.terms.items():
+            if (qk ^ lead ^ dlead) & borrow:
+                return None
+            quot[qk] = c = _coefficient_quotient(rem.pop(lead), dc)
+            for k, dcf in rest:
                 kk = qk + k
-                v = get(kk, 0) - c * dcf
+                v = rem.get(kk, 0) - c * dcf
                 if v:
                     rem[kk] = v
                 else:
-                    rem.pop(kk, None)
-        return Poly._raw(self.dim, _clean(quot))
+                    del rem[kk]
+        return Poly._raw(dim, quot)
 
     # -- text form -----------------------------------------------------------------
 

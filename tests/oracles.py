@@ -6,9 +6,10 @@ by applying the action to sampled monomial fields instead of the structure
 equations, quotient-rule calculus on rational one-forms instead of the
 localized series, the localized series one level at a time instead of as
 one smash element, triangular solves from jet prolongations instead of the
-closed binomial tensor, and exact evaluation at a point instead of products
-of terms.  The seeded samplers at the end draw inputs that only the tests
-need.
+closed binomial tensor, long division on unpacked exponents with Fraction
+quotients instead of tests on packed keys, and exact evaluation at a point
+instead of products of terms.  The seeded samplers at the end draw inputs
+that only the tests need.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from smashmod.modules import Matrix, _direction
 from smashmod.poly import (
     Coeff,
     MultiIndex,
+    _clean,
+    _norm,
     _sum_products,
+    _unpack,
     embed_coefficient,
     embed_function,
 )
@@ -282,6 +286,41 @@ def jet_tensor_by_prolongation(dim: int, n: int) -> dict[tuple[int, MultiIndex],
             if any(p.terms for row in mat for p in row):
                 tensor[(i, alpha)] = mat
     return tensor
+
+
+# -- exact division by plain long division ------------------------------------------
+
+def exact_divide_by_long_division(p: Poly, divisor: Poly) -> Poly | None:
+    """Quotient p/divisor when the division is exact, else None: long division
+    on unpacked exponents with Fraction coefficients (the library divides on
+    packed keys with int quotients)."""
+    p._check(divisor)
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Poly.zero(p.dim)
+    dlead = max(divisor.terms)
+    dexp = _unpack(dlead, p.dim)
+    dc = divisor.terms[dlead]
+    rem = dict(p.terms)
+    quot: dict[int, Coeff] = {}
+    while rem:
+        lead = max(rem)
+        lexp = _unpack(lead, p.dim)
+        if any(le < de for le, de in zip(lexp, dexp)):
+            return None
+        c = _norm(Fraction(rem[lead]) / Fraction(dc))
+        qk = lead - dlead
+        quot[qk] = c
+        get = rem.get
+        for k, dcf in divisor.terms.items():
+            kk = qk + k
+            v = get(kk, 0) - c * dcf
+            if v:
+                rem[kk] = v
+            else:
+                rem.pop(kk, None)
+    return Poly._raw(p.dim, _clean(quot))
 
 
 # -- evaluation at a point -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Localized fractions, the series action, and the localized-action laws."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +23,10 @@ from smashmod import (
     trivial_dmodule,
     verify_localized,
 )
-from smashmod.localize import BaseMismatch, _series_operator
-from smashmod.modules import AVModule
+from smashmod.cli import main
+from smashmod.localize import BaseMismatch, LocalizedOperator, _series_operator
+from smashmod.modules import AVModule, ValidationError
+from smashmod.poly import DimensionMismatch
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
 from smashmod.suites import _localized_modules
 
@@ -153,6 +157,71 @@ def test_base_mismatch_rejected():
     b = LocalizedPoly(x + one, one, 1)
     with pytest.raises(BaseMismatch):
         a + b
+
+
+# -- internal results skip the constructor checks --------------------------------------
+
+def _fractions_over(f, forms):
+    return [
+        LocalizedPoly(f, x * f, 2),
+        LocalizedDerivation(f, Derivation((x * f,)), 1),
+        LocalizedModuleElement(f, forms, ModuleElement((x * f,)), 1),
+    ]
+
+
+def test_internal_results_keep_type_base_and_module():
+    f, g, forms = parse_poly("x1 + 1", 1), parse_poly("x1 - 2", 1), differential_forms(1)
+    scalar = LocalizedPoly(f, x, 1)
+    for v in _fractions_over(f, forms):
+        results = [v.reduce(), v + v, v - v, -v, v * 3, v * x, v * scalar, scalar * v]
+        for r in results:
+            assert type(r) is type(v) and r.base == f
+        assert v + v == v * 2 and (v - v).is_zero() and (-v + v).is_zero()
+        assert v * scalar == v * x * LocalizedPoly(f, one, 1)
+        wider = extend_base(v, g)
+        assert type(wider) is type(v) and wider.base == f * g
+        if isinstance(v, LocalizedModuleElement):
+            assert all(r.module is forms for r in results + [wider])
+
+
+def test_public_constructors_keep_every_check():
+    f, f2, forms = parse_poly("x1 + 1", 1), Poly.variable(2, 1), differential_forms(1)
+    unvalidated = AVModule(1, 1, 1, {(1, (1,)): ((one,),)}, name="raw")
+    m = ModuleElement((x,))
+    makers = [
+        (LocalizedPoly, x),
+        (LocalizedDerivation, d),
+        (lambda b, n, k: LocalizedModuleElement(b, forms, n, k), m),
+    ]
+    for make, n in makers:
+        with pytest.raises(ZeroDivisionError):
+            make(Poly.zero(1), n, 1)
+        with pytest.raises(DimensionMismatch):
+            make(f2, n, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(f, n, -1)
+    with pytest.raises(DimensionMismatch, match="module disagree"):
+        LocalizedModuleElement(f2, forms, ModuleElement((f2,)), 0)
+    with pytest.raises(DimensionMismatch, match="rank"):
+        LocalizedModuleElement(f, forms, ModuleElement((x, x)), 0)
+    with pytest.raises(ValidationError):
+        LocalizedModuleElement(f, unvalidated, m, 0)
+
+
+def test_only_the_public_constructor_checks_the_numerator(monkeypatch):
+    f, forms = parse_poly("x1 + 1", 1), differential_forms(1)
+    context = LocalizedModule(forms, f)
+    op = context.operator(LocalizedDerivation(f, d, 1))
+    checked = []
+    real = LocalizedModuleElement._check_numerator
+    monkeypatch.setattr(LocalizedModuleElement, "_check_numerator",
+                        lambda self, base, num: checked.append(num) or real(self, base, num))
+    me = context.include(ModuleElement((x,)))
+    assert len(checked) == 1
+    once = context.act(op, me)  # l = 0: the series alone
+    twice = context.act(op, once)  # l = 2: the series plus the quotient-rule term
+    assert (once.denom_exp, twice.denom_exp) == (2, 4)
+    assert len(checked) == 1
 
 
 # -- the localized action --------------------------------------------------------------
@@ -464,3 +533,25 @@ def test_double_localization_consistency():
             rhs = extend_base(ctx_g.act(LocalizedDerivation(g, g * eta, 1),
                                         ctx_g.include(b)), f)
             assert lhs == rhs
+
+
+# The report of verify --suite localized --dims 1,2 --trials 6 --seed 7 with a planted
+# fault: LocalizedOperator doubles eta(f) when denom_exp > 0, so the quotient-rule
+# term is wrong.  Passing reports print no action result; the failure witnesses print
+# reduced differences, so this hash pins the normal form of the localized fractions.
+MUTANT_REPORT_SHA256 = "9138a6c0ccdcca9a01324722680a12fbc49928b1d61a5cf6f3400ab8b7829a33"
+
+
+def test_failing_localized_report_is_pinned(monkeypatch, capsys):
+    real = LocalizedOperator.__init__
+
+    def doubled(self, module, base, denom_exp, pair, eta_f):
+        real(self, module, base, denom_exp, pair, eta_f * 2 if denom_exp > 0 else eta_f)
+
+    monkeypatch.setattr(LocalizedOperator, "__init__", doubled)
+    code = main(["verify", "--suite", "localized", "--dims", "1,2", "--trials", "6",
+                 "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count('"status": "fail"') == 15
+    assert hashlib.sha256(out.encode()).hexdigest() == MUTANT_REPORT_SHA256

@@ -17,7 +17,7 @@ from smashmod import (
 )
 from smashmod.poly import _SCALE_PAIRS, DegreeOverflow, _sum_products, multi_indices, partial_power
 
-from oracles import evaluate, random_poly_or_zero
+from oracles import evaluate, exact_divide_by_long_division, random_poly_or_zero
 
 
 def P(text, dim=1):
@@ -215,6 +215,88 @@ def test_exact_divide():
     assert P("x1").exact_divide(P("2")) == Poly.constant(1, Fraction(1, 2)) * P("x1")
     with pytest.raises(ZeroDivisionError):
         P("x1").exact_divide(Poly.zero(1))
+    for num, divisor, quotient in [
+        # a monomial divisor whose degree and x1 exponent fit, failing only in x2
+        ("x1^3", "x1*x2", None),
+        ("x1^5*x2^2 + x1^4", "x1^2*x2", None),
+        ("x1^5*x2^2 - 3*x1^4*x2", "x1^2*x2", "x1^3*x2 - 3*x1^2"),
+        # the leading term divides, the trailing term x2 does not
+        ("x1^3 + x2", "x1^2 + x1*x2", None),
+        ("x1^3 + x1^2*x2", "x1^2 + x1*x2", "x1"),
+        ("4*x1^3 + 2*x1*x2", "2/3*x1", "6*x1^2 + 3*x2"),
+        ("x1^2 - x2", "2/3*x1", None),
+        ("3*x1^2 + 6", "3", "x1^2 + 2"),
+        ("x1 + 1", "-2", "-1/2*x1 - 1/2"),
+        ("1/2*x2^2 - x1", "1/4", "2*x2^2 - 4*x1"),
+    ]:
+        num, divisor = P(num, 2), P(divisor, 2)
+        got = num.exact_divide(divisor)
+        assert str(got) == str(exact_divide_by_long_division(num, divisor))
+        if quotient is None:
+            assert got is None
+        else:
+            assert got == P(quotient, 2)
+            assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+    # the operands are checked before a zero numerator returns zero
+    for zero in (Poly.zero(1), P("x1") - P("x1")):
+        with pytest.raises(DimensionMismatch):
+            zero.exact_divide(P("x1 + x2", 2))
+        with pytest.raises(DimensionMismatch):
+            zero.exact_divide(Poly.zero(2))
+        with pytest.raises(ZeroDivisionError):
+            zero.exact_divide(Poly.zero(1))
+        assert zero.exact_divide(P("x1 + 1")) == Poly.zero(1)
+
+
+# the leading coefficients of the localized action's divisors: negative, +-1, rational
+_DIVISOR_COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 7, Fraction(2, 3), Fraction(-5, 2)])
+
+
+@st.composite
+def _divisors(draw, dim):
+    """1-2 terms, none of them constant."""
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(dim)]).filter(any)
+    return Poly(dim, draw(st.dictionaries(exps, _DIVISOR_COEFFS, min_size=1, max_size=2)))
+
+
+def _lowered(p: Poly, data) -> Poly:
+    """p with one exponent of one term lowered by one, when p has such an exponent."""
+    items = p.items()
+    places = [(t, i) for t, (exps, _) in enumerate(items) for i, e in enumerate(exps) if e]
+    if not places:
+        return p
+    t, i = data.draw(st.sampled_from(places))
+    terms = {}
+    for u, (exps, c) in enumerate(items):
+        if u == t:
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        terms[exps] = terms.get(exps, 0) + c
+    return Poly(p.dim, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_divide_matches_long_division(data):
+    dim = data.draw(st.integers(1, 3))
+    divisor = data.draw(_divisors(dim))
+    b = data.draw(polys(dim, max_degree=3, max_terms=4))
+    num = divisor * b
+    shape = data.draw(st.sampled_from(["product", "plus remainder", "lowered"]))
+    if shape == "plus remainder":
+        num = num + data.draw(polys(dim, max_degree=4, max_terms=2, min_terms=1))
+    elif shape == "lowered":
+        num = _lowered(num, data)
+    got = num.exact_divide(divisor)
+    expected = exact_divide_by_long_division(num, divisor)
+    if shape == "product":
+        assert expected == b
+    if expected is None:
+        assert got is None
+        return
+    assert str(got) == str(expected)
+    assert {k: (c, type(c)) for k, c in got.terms.items()} == \
+        {k: (c, type(c)) for k, c in expected.terms.items()}
+    assert all(c and (type(c) is int or c.denominator != 1) for c in got.terms.values())
 
 
 def test_multi_indices():
