@@ -161,18 +161,11 @@ def test_base_mismatch_rejected():
 
 # -- internal results skip the constructor checks --------------------------------------
 
-def _fractions_over(f, forms):
-    return [
-        LocalizedPoly(f, x * f, 2),
-        LocalizedDerivation(f, Derivation((x * f,)), 1),
-        LocalizedModuleElement(f, forms, ModuleElement((x * f,)), 1),
-    ]
-
-
 def test_internal_results_keep_type_base_and_module():
     f, g, forms = parse_poly("x1 + 1", 1), parse_poly("x1 - 2", 1), differential_forms(1)
     scalar = LocalizedPoly(f, x, 1)
-    for v in _fractions_over(f, forms):
+    for v in (LocalizedPoly(f, x * f, 2), LocalizedDerivation(f, Derivation((x * f,)), 1),
+              LocalizedModuleElement(f, forms, ModuleElement((x * f,)), 1)):
         results = [v.reduce(), v + v, v - v, -v, v * 3, v * x, v * scalar, scalar * v]
         for r in results:
             assert type(r) is type(v) and r.base == f
