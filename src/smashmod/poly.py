@@ -1,9 +1,16 @@
 """Exact sparse multivariate polynomials over the rationals, and derivations.
 
-A polynomial in ``dim`` variables x1..x<dim> is a dictionary mapping packed
-exponent keys to nonzero rational coefficients.  Coefficients are Python
-``int`` whenever the value is integral and ``fractions.Fraction`` otherwise,
-so identity checks are exact and the common integer case stays fast.
+A polynomial in ``dim`` variables x1..x<dim> is stored as integer numerators
+over one positive common denominator, as FLINT's ``fmpq_mpoly`` does:
+``terms`` maps packed exponent keys to nonzero ``int`` numerators, and the
+polynomial is ``sum(terms[k] * x^k) / den``.  The pair is kept canonical:
+``gcd(den, *terms.values()) == 1``, and the zero polynomial has ``den == 1``.
+Equal polynomials therefore have equal ``den`` and ``terms``, and an integer
+polynomial has ``den == 1``, so integer work never meets a Fraction.  Only
+the public views (``coefficient``, ``items``, the text form) and the entry
+points that take coefficients (the constructor, ``constant``, the parser)
+convert between numerators and ``int``/``Fraction`` coefficients; a view's
+coefficient is an ``int`` whenever the value is integral.
 
 Exponent packing: a monomial x1^e1 * ... * xn^en is stored as a single
 integer with n+1 fields of 16 bits, the total degree occupying the topmost
@@ -25,13 +32,12 @@ There is one product loop, ``_sum_products``: it adds up c * a * b over
 (scalar, polynomial, polynomial) triples in one dictionary, and it is the
 one place that checks the operands' dimensions and the product degree
 guard.  ``Poly.__mul__`` is its one-triple case; every sum of products in
-the package (derivations, brackets, module actions) is one call.  It keeps
-the sum as integer numerators over one running common denominator, as
-FLINT's ``fmpq_mpoly`` does.  A triple with at least ``_SCALE_PAIRS``
-coefficient pairs and a Fraction in c, a or b is scaled to integer
-numerators over the lcm of its denominators, so its pairs cost int
-operations only; smaller triples keep the plain loop.  Each output
-coefficient is divided by the common denominator once, at the end.
+the package (derivations, brackets, module actions) is one call.  It
+multiplies numerators only: a triple's scale is the product of the
+denominators of c, a and b, folded into the running lcm of the sum's
+denominator, and the sum is reduced by one ``gcd`` at the end.  Sums,
+differences, scalar multiples, derivatives and diagonal restrictions
+likewise rescale to a common denominator and reduce once.
 
 ``Poly.exact_divide`` is shaped for the localized action's tiny operands:
 it tests divisibility on the packed keys, divides by a monomial in one pass,
@@ -47,7 +53,7 @@ elements, module elements) through ``_PolyTuple``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -61,10 +67,6 @@ MultiIndex = tuple[int, ...]
 
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
-# Fewest coefficient pairs for which a triple is scaled to integers: the localized
-# action's many tiny products average under one pair, where scaling costs more than it saves.
-_SCALE_PAIRS = 16
-_denominator = attrgetter("denominator")
 
 
 class PolyError(ValueError):
@@ -87,11 +89,6 @@ class PolyParseError(PolyError):
         self.position = position
 
 
-def _norm(c: Coeff) -> Coeff:
-    """Collapse integral Fractions to int; leave everything else alone."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _exact(c) -> Coeff:
     """Admit only exact coefficients: a float would smuggle in rounding."""
     if not isinstance(c, (int, Fraction)):
@@ -99,17 +96,34 @@ def _exact(c) -> Coeff:
     return c
 
 
-def _clean(terms: dict) -> dict:
-    """Drop zero coefficients and normalize integral Fractions, in place."""
-    dead = []
-    for k, c in terms.items():
-        if not c:
-            dead.append(k)
-        elif type(c) is not int and c.denominator == 1:
-            terms[k] = c.numerator
-    for k in dead:
+def _rational(n: int, d: int) -> Coeff:
+    """n / d as an int when integral, else as a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _reduced(dim: int, terms: dict[int, int], den: int) -> "Poly":
+    """The canonical Poly terms / den: zero numerators dropped (in place) and
+    the common factor of den and the numerators divided out, in one gcd."""
+    for k in [k for k, c in terms.items() if not c]:
         del terms[k]
-    return terms
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: v // g for k, v in terms.items()}
+    return Poly._raw(dim, terms, den)
+
+
+def _from_coefficients(dim: int, coeffs: dict[int, Coeff]) -> "Poly":
+    """The canonical Poly with the given int or Fraction coefficients, zeros dropped.
+
+    Over the lcm of the coefficients' denominators the numerators are
+    already coprime to it: a prime of the lcm divides neither the numerator
+    nor the cofactor of a coefficient whose denominator carries its full power."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return Poly._raw(dim, {k: c.numerator * (den // c.denominator)
+                           for k, c in coeffs.items() if c}, den)
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -123,14 +137,6 @@ def _pack(exps: Sequence[int]) -> int:
 
 def _unpack(key: int, dim: int) -> MultiIndex:
     return tuple((key >> (_FIELD * (dim - 1 - i))) & _MASK for i in range(dim))
-
-
-def _coefficient_quotient(c: Coeff, d: Coeff) -> Coeff:
-    """c / d, normalized; a Fraction of two ints only when d leaves a remainder."""
-    if type(c) is int and type(d) is int:
-        q, r = divmod(c, d)
-        return Fraction(c, d) if r else q
-    return _norm(c / d)
 
 
 # -- packed-key block surgery ------------------------------------------------------
@@ -152,13 +158,13 @@ def _embed_y_key(key: int, d: int) -> int:
 def embed_function(p: Poly) -> Poly:
     """View a d-variable polynomial as f(x) inside the doubled 2d variables."""
     d = p.dim
-    return Poly._raw(2 * d, {_embed_x_key(k, d): c for k, c in p.terms.items()})
+    return Poly._raw(2 * d, {_embed_x_key(k, d): c for k, c in p.terms.items()}, p.den)
 
 
 def embed_coefficient(p: Poly) -> Poly:
     """View a d-variable polynomial as g(y) inside the doubled 2d variables."""
     d = p.dim
-    return Poly._raw(2 * d, {_embed_y_key(k, d): c for k, c in p.terms.items()})
+    return Poly._raw(2 * d, {_embed_y_key(k, d): c for k, c in p.terms.items()}, p.den)
 
 
 def restrict_to_diagonal(p: Poly) -> Poly:
@@ -167,7 +173,7 @@ def restrict_to_diagonal(p: Poly) -> Poly:
         raise DimensionMismatch("diagonal restriction needs a doubled polynomial")
     d = p.dim // 2
     block = (1 << (_FIELD * d)) - 1
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     get = out.get
     for k, c in p.terms.items():
         deg = k >> (_FIELD * 2 * d)
@@ -175,22 +181,23 @@ def restrict_to_diagonal(p: Poly) -> Poly:
         ypart = k & block
         kk = (deg << (_FIELD * d)) | (xpart + ypart)
         out[kk] = get(kk, 0) + c
-    return Poly._raw(d, _clean(out))
+    return _reduced(d, out, p.den)
 
 
 class Poly:
     """An immutable exact polynomial in x1..x<dim> with rational coefficients.
 
-    Values never mutate after construction; every operation returns a new
-    Poly, so instances may be freely shared across threads.
+    ``terms`` holds integer numerators and ``den`` their common denominator,
+    kept canonical (see the module docstring).  Values never mutate after
+    construction; every operation returns a new Poly, so instances may be
+    freely shared across threads.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "den")
 
     def __init__(self, dim: int, terms: dict[MultiIndex, Coeff] | None = None):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
-        self.dim = dim
         packed: dict[int, Coeff] = {}
         if terms:
             for exps, c in terms.items():
@@ -201,25 +208,29 @@ class Poly:
                     raise ValueError(f"exponent out of range in {exps}")
                 key = _pack(exps)
                 packed[key] = packed.get(key, 0) + _exact(c)
-        self.terms = _clean(packed)
+        p = _from_coefficients(dim, packed)
+        self.dim, self.terms, self.den = dim, p.terms, p.den
 
     # -- fast internal constructor -------------------------------------------------
 
     @classmethod
-    def _raw(cls, dim: int, packed: dict[int, Coeff]) -> "Poly":
+    def _raw(cls, dim: int, terms: dict[int, int], den: int) -> "Poly":
+        """A Poly from numerators that are already canonical over ``den``."""
         p = object.__new__(cls)
         p.dim = dim
-        p.terms = packed
+        p.terms = terms
+        p.den = den
         return p
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls._raw(dim, {})
+        return cls._raw(dim, {}, 1)
 
     @classmethod
     def constant(cls, dim: int, c: Coeff) -> "Poly":
-        c = _norm(_exact(c)) if not isinstance(c, int) else c
-        return cls._raw(dim, {0: c} if c else {})
+        if not _exact(c):
+            return cls.zero(dim)
+        return cls._raw(dim, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Poly":
@@ -250,16 +261,17 @@ class Poly:
         return max(self.terms) >> (_FIELD * self.dim)
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
-        return self.terms.get(_pack(tuple(exps)), 0)
+        return _rational(self.terms.get(_pack(tuple(exps)), 0), self.den)
 
     def items(self) -> list[tuple[MultiIndex, Coeff]]:
         """(exponent, coefficient) pairs in descending graded-lex order."""
-        return [(_unpack(k, self.dim), self.terms[k]) for k in sorted(self.terms, reverse=True)]
+        terms, dim, den = self.terms, self.dim, self.den
+        return [(_unpack(k, dim), _rational(terms[k], den)) for k in sorted(terms, reverse=True)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.terms == other.terms
 
     __hash__ = None  # mutable-dict-backed; never used as a key
 
@@ -269,37 +281,39 @@ class Poly:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.dim, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.terms)
+        else:
+            den = lcm(da, db)
+            sa, sign = den // da, sign * (den // db)
+            out = {k: c * sa for k, c in self.terms.items()}
+            da = den
         get = out.get
         for k, c in other.terms.items():
-            out[k] = get(k, 0) + c
-        return Poly._raw(self.dim, _clean(out))
+            out[k] = get(k, 0) + sign * c
+        return _reduced(self.dim, out, da)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.dim, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        get = out.get
-        for k, c in other.terms.items():
-            out[k] = get(k, 0) - c
-        return Poly._raw(self.dim, _clean(out))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._raw(self.dim, {k: -c for k, c in self.terms.items()})
+        return Poly._raw(self.dim, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -307,7 +321,15 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.dim)
-            return Poly._raw(self.dim, _clean({k: c * other for k, c in self.terms.items()}))
+            n, d = other.numerator, other.denominator
+            if d != 1:
+                return _reduced(self.dim, {k: c * n for k, c in self.terms.items()}, self.den * d)
+            # an int scales canonically after cancelling gcd(n, den): what is
+            # left of den is coprime to both n and the numerators
+            g = gcd(n, self.den)
+            if g != 1:
+                n //= g
+            return Poly._raw(self.dim, {k: c * n for k, c in self.terms.items()}, self.den // g)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -331,12 +353,15 @@ class Poly:
             raise ValueError(f"variable index {i} out of range 1..{self.dim}")
         sh = _FIELD * (self.dim - i)
         drop = (1 << sh) + (1 << (_FIELD * self.dim))
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for k, c in self.terms.items():
             e = (k >> sh) & _MASK
             if e:
-                out[k - drop] = _norm(c * e) if type(c) is not int else c * e
-        return Poly._raw(self.dim, out)
+                out[k - drop] = c * e
+        if self.den == 1:
+            return Poly._raw(self.dim, out, 1)
+        # the exponents may cancel part of the denominator: (1/2*x1^2)' = x1
+        return _reduced(self.dim, out, self.den)
 
     def exact_divide(self, divisor: "Poly") -> "Poly | None":
         """Quotient self/divisor when the division is exact, else None.
@@ -345,8 +370,9 @@ class Poly:
         divisor takes one pass over the terms.  Otherwise, since min(a*q) =
         min(a)*min(q) in a monomial order, the divisor's smallest monomial must
         divide self's; then long division cancels leading terms until one is
-        not divisible.  Two int coefficients divide by divmod, and a Fraction
-        is made only for a remainder."""
+        not divisible.  The numerators divide by divmod, and a Fraction is made
+        only for a remainder; the quotient of the numerators is then scaled by
+        the ratio of the denominators."""
         self._check(divisor)
         dt, dim = divisor.terms, self.dim
         if not dt:
@@ -359,34 +385,46 @@ class Poly:
         borrow = ((1 << (_FIELD * (dim + 1))) - 1) // _MASK - 1
         dlead = max(dt)
         dc = dt[dlead]
+        whole = True  # every quotient coefficient so far is an int
+        quot = {}
         if len(dt) == 1:
-            quot = {}
             for k, c in self.terms.items():
                 qk = k - dlead
                 if (qk ^ k ^ dlead) & borrow:
                     return None
-                quot[qk] = _coefficient_quotient(c, dc)
-            return Poly._raw(dim, quot)
-        a, b = min(self.terms), min(dt)
-        if ((a - b) ^ a ^ b) & borrow:
-            return None
-        rest = [(k, c) for k, c in dt.items() if k != dlead]
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            lead = max(rem)
-            qk = lead - dlead
-            if (qk ^ lead ^ dlead) & borrow:
+                q, r = divmod(c, dc)
+                if r:
+                    q, whole = Fraction(c, dc), False
+                quot[qk] = q
+        else:
+            a, b = min(self.terms), min(dt)
+            if ((a - b) ^ a ^ b) & borrow:
                 return None
-            quot[qk] = c = _coefficient_quotient(rem.pop(lead), dc)
-            for k, dcf in rest:
-                kk = qk + k
-                v = rem.get(kk, 0) - c * dcf
-                if v:
-                    rem[kk] = v
-                else:
-                    del rem[kk]
-        return Poly._raw(dim, quot)
+            rest = [(k, c) for k, c in dt.items() if k != dlead]
+            rem = dict(self.terms)
+            while rem:
+                lead = max(rem)
+                qk = lead - dlead
+                if (qk ^ lead ^ dlead) & borrow:
+                    return None
+                c = rem.pop(lead)
+                q, r = divmod(c, dc)
+                if r:
+                    q, whole = Fraction(c, dc), False
+                quot[qk] = q
+                for k, dcf in rest:
+                    kk = qk + k
+                    v = rem.get(kk, 0) - q * dcf
+                    if v:
+                        rem[kk] = v
+                    else:
+                        del rem[kk]
+        if whole and self.den == divisor.den:
+            return Poly._raw(dim, quot, 1)
+        # quot * divisor.den / self.den, over the lcm of quot's denominators
+        den = lcm(*[q.denominator for q in quot.values()])
+        return _reduced(dim, {k: q.numerator * (den // q.denominator) * divisor.den
+                              for k, q in quot.items()}, den * self.den)
 
     # -- text form -----------------------------------------------------------------
 
@@ -397,20 +435,15 @@ class Poly:
         return f"Poly({self.dim}, {str(self)!r})"
 
 
-def _numerators(terms: dict[int, Coeff]) -> tuple[dict[int, int], int]:
-    """The terms as integer numerators over the lcm of their denominators."""
-    d = lcm(*map(_denominator, terms.values()))
-    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
-
-
 def _sum_products(dim: int, triples: Iterable[tuple[Coeff, Poly, Poly]]) -> Poly:
     """sum c * a * b over the (c, a, b) triples, c an int or a Fraction,
-    accumulated in one dictionary and cleaned once.
+    accumulated in one dictionary and reduced once.
 
-    The accumulator holds the sum times ``den``, the lcm of the
-    denominators of the triples taken on the integer path so far."""
+    The accumulator holds integer numerators over ``den``, the lcm of the
+    scales of the triples so far; a triple's scale is the product of the
+    denominators of c, a and b."""
     sh = _FIELD * dim
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     get = out.get
     den = 1
     for c, a, b in triples:
@@ -423,30 +456,23 @@ def _sum_products(dim: int, triples: Iterable[tuple[Coeff, Poly, Poly]]) -> Poly
         # the product's degree <= _MASK no field can carry into the next.
         if (max(ta) >> sh) + (max(tb) >> sh) > _MASK:
             raise DegreeOverflow(f"product degree exceeds the exponent limit {_MASK}")
-        # A sum that meets a Fraction is a Fraction: a C-level test for one.
-        if len(ta) * len(tb) >= _SCALE_PAIRS and (
-                type(c) is not int or type(sum(ta.values())) is not int
-                or type(sum(tb.values())) is not int):
-            ta, da = _numerators(ta)
-            tb, db = _numerators(tb)
-            t = c.denominator * da * db
+        t = a.den * b.den
+        if type(c) is not int:
+            c, t = c.numerator, t * c.denominator
+        if t != den:
             if den % t:
-                step = lcm(den, t) // den
+                step = t // gcd(den, t)
                 den *= step
                 for k, v in out.items():
                     out[k] = v * step
-            c = c.numerator * (den // t)
-        elif den != 1:
-            c *= den
+            c *= den // t
         for ka, ca in ta.items():
             if c != 1:
                 ca = c * ca
             for kb, cb in tb.items():
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-    if den != 1:
-        out = {k: Fraction(v, den) for k, v in out.items() if v}
-    return Poly._raw(dim, _clean(out))
+    return _reduced(dim, out, den)
 
 
 def _x_names(dim: int) -> list[str]:
@@ -463,7 +489,7 @@ def _format_terms(parts: Iterable[tuple[Poly, str | None]], names: Sequence[str]
     out = []
     for p, tail in parts:
         for key in sorted(p.terms, reverse=True):
-            c = p.terms[key]
+            c = _rational(p.terms[key], p.den)
             neg = c < 0
             mag = -c if neg else c
             factors = [f"{names[i]}^{e}" if e > 1 else names[i]
@@ -562,7 +588,7 @@ def _parse_terms(text: str, dim: int, field: bool) -> list[Poly]:
                     den, i = read_int(i + 1, "denominator")
                     if den == 0:
                         raise PolyParseError("zero denominator", slash)
-                    coeff = _norm(Fraction(coeff, den))
+                    coeff = Fraction(coeff, den)
             elif c == "x":
                 var, i = read_index(i, "variable index")
                 e = 1
@@ -588,7 +614,7 @@ def _parse_terms(text: str, dim: int, field: bool) -> list[Poly]:
         key = _pack(exps)
         terms[key] = terms.get(key, 0) + sign * coeff
         if i == n:
-            return [Poly._raw(dim, _clean(t)) for t in comps]
+            return [_from_coefficients(dim, t) for t in comps]
         if text[i] not in _SIGNS:
             raise PolyParseError(f"unexpected character {text[i]!r}", i)
 

@@ -34,10 +34,7 @@ from smashmod.modules import Matrix, _direction
 from smashmod.poly import (
     Coeff,
     MultiIndex,
-    _clean,
-    _norm,
     _sum_products,
-    _unpack,
     embed_coefficient,
     embed_function,
 )
@@ -292,35 +289,42 @@ def jet_tensor_by_prolongation(dim: int, n: int) -> dict[tuple[int, MultiIndex],
 
 def exact_divide_by_long_division(p: Poly, divisor: Poly) -> Poly | None:
     """Quotient p/divisor when the division is exact, else None: long division
-    on unpacked exponents with Fraction coefficients (the library divides on
-    packed keys with int quotients)."""
+    on exponent tuples with the Fraction coefficients of the public view (the
+    library divides integer numerators on packed keys)."""
     p._check(divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return Poly.zero(p.dim)
-    dlead = max(divisor.terms)
-    dexp = _unpack(dlead, p.dim)
-    dc = divisor.terms[dlead]
-    rem = dict(p.terms)
-    quot: dict[int, Coeff] = {}
+    quot = long_divide(dict(p.items()), dict(divisor.items()))
+    return None if quot is None else Poly(p.dim, quot)
+
+
+def long_divide(num: dict[MultiIndex, Coeff],
+                divisor: dict[MultiIndex, Coeff]) -> dict[MultiIndex, Fraction] | None:
+    """{exponent tuple: coefficient} long division in graded-lex order (total
+    degree, then lex): the exact quotient, or None when a leading term of the
+    remainder is not divisible.  ``divisor`` is nonzero; zero terms are absent."""
+    def lead(terms):
+        return max(terms, key=lambda e: (sum(e), e))
+
+    dexp = lead(divisor)
+    dc = divisor[dexp]
+    rem = {e: Fraction(c) for e, c in num.items()}
+    quot: dict[MultiIndex, Fraction] = {}
     while rem:
-        lead = max(rem)
-        lexp = _unpack(lead, p.dim)
+        lexp = lead(rem)
         if any(le < de for le, de in zip(lexp, dexp)):
             return None
-        c = _norm(Fraction(rem[lead]) / Fraction(dc))
-        qk = lead - dlead
-        quot[qk] = c
-        get = rem.get
-        for k, dcf in divisor.terms.items():
-            kk = qk + k
-            v = get(kk, 0) - c * dcf
+        qexp = tuple(le - de for le, de in zip(lexp, dexp))
+        c = rem[lexp] / dc
+        quot[qexp] = c
+        for e, dcf in divisor.items():
+            kk = tuple(q + f for q, f in zip(qexp, e))
+            v = rem.get(kk, 0) - c * dcf
             if v:
                 rem[kk] = v
             else:
                 rem.pop(kk, None)
-    return Poly._raw(p.dim, _clean(quot))
+    return quot
 
 
 # -- evaluation at a point -----------------------------------------------------------

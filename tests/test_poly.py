@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,17 @@ from smashmod import (
     parse_derivation,
     parse_poly,
 )
-from smashmod.poly import _SCALE_PAIRS, DegreeOverflow, _sum_products, multi_indices, partial_power
+from smashmod.poly import (
+    DegreeOverflow,
+    _sum_products,
+    embed_coefficient,
+    embed_function,
+    multi_indices,
+    partial_power,
+    restrict_to_diagonal,
+)
 
-from oracles import evaluate, exact_divide_by_long_division, random_poly_or_zero
+from oracles import evaluate, exact_divide_by_long_division, long_divide, random_poly_or_zero
 
 
 def P(text, dim=1):
@@ -236,7 +245,7 @@ def test_exact_divide():
             assert got is None
         else:
             assert got == P(quotient, 2)
-            assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+            assert all(type(c) is int for _, c in got.items() if c.denominator == 1)
     # the operands are checked before a zero numerator returns zero
     for zero in (Poly.zero(1), P("x1") - P("x1")):
         with pytest.raises(DimensionMismatch):
@@ -294,9 +303,9 @@ def test_exact_divide_matches_long_division(data):
         assert got is None
         return
     assert str(got) == str(expected)
-    assert {k: (c, type(c)) for k, c in got.terms.items()} == \
-        {k: (c, type(c)) for k, c in expected.terms.items()}
-    assert all(c and (type(c) is int or c.denominator != 1) for c in got.terms.values())
+    assert [(e, c, type(c)) for e, c in got.items()] == \
+        [(e, c, type(c)) for e, c in expected.items()]
+    assert all(c and (type(c) is int or c.denominator != 1) for _, c in got.items())
 
 
 def test_multi_indices():
@@ -445,16 +454,15 @@ def _assert_matches_reference(triples, dim):
     got = _sum_products(dim, triples)
     assert got.dim == dim
     assert dict(got.items()) == {e: v for e, v in expect.items() if v}
-    assert all(type(v) is int or v.denominator != 1 for v in got.terms.values())
+    assert all(type(v) is int or v.denominator != 1 for _, v in got.items())
     return got
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_sum_products_on_both_sides_of_the_scaling_cutoff(data):
-    # triples of at least 4 x 4 terms reach _SCALE_PAIRS and, when c, a or b
-    # carries a Fraction, run on integer numerators; the small ones do not
-    assert _SCALE_PAIRS <= 16
+    # wide triples of at least 4 x 4 terms mixed, in any order, with small
+    # ones, so the running denominator grows both across many pairs and few
     dim = data.draw(st.integers(min_value=1, max_value=3))
     wide = polys(dim, max_degree=7, max_terms=8, min_terms=4)
     large = data.draw(st.lists(st.tuples(coeffs, wide, wide), min_size=1, max_size=3))
@@ -472,21 +480,22 @@ def test_sum_products_kernel_edge_cases():
     third = _wide(1, [Fraction(1, 3), 2, -1, 5])
     quarter = _wide(1, [3, Fraction(-1, 4), 1, 7], degree=2)
     ints = _wide(1, [1, -2, 3, 4])
-    # scaled with denominator 3, an integer triple, then 1/4: the running
+    # a triple over 3, an integer triple, then one over 4: the running
     # denominator is raised from 3 to 12 in the middle of the sum
     got = _assert_matches_reference([(1, third, ints), (2, ints, ints), (1, quarter, ints)], 1)
-    assert {3, 4, 12} <= {v.denominator for v in got.terms.values() if type(v) is not int}
-    # a small rational triple after a scaled one
+    assert {3, 4, 12} <= {v.denominator for _, v in got.items() if type(v) is not int}
+    # a small rational triple after a wide rational one
     small = (Fraction(2, 5), P("x1"), P("x1 + 1/7"))
     _assert_matches_reference([(1, third, quarter), small], 1)
     _assert_matches_reference([small, (1, third, quarter), small], 1)
-    # terms that cancel across triples drop their keys, on either path
+    # terms that cancel across triples drop their keys, and the denominator
+    # shrinks with them
     assert _sum_products(1, [(Fraction(1, 2), third, ints), (Fraction(-1, 2), third, ints),
                              (1, P("x1"), P("x1"))]) == P("x1^2")
     assert _sum_products(1, [(1, third, ints), (-1, ints, third)]).is_zero()
     # a Fraction scalar with integer operands
     got = _assert_matches_reference([(Fraction(2, 3), ints, ints)], 1)
-    assert any(type(v) is not int for v in got.terms.values())
+    assert any(type(v) is not int for _, v in got.items())
     # the dimension check and the degree guard on a large rational triple
     other = _wide(2, [Fraction(1, 3), 1, Fraction(2, 7), 5])
     with pytest.raises(DimensionMismatch):
@@ -600,7 +609,7 @@ def test_kernel_agrees_with_sympy(data):
     sympy = pytest.importorskip("sympy")
     dim = data.draw(st.integers(min_value=1, max_value=3))
     gens = sympy.symbols(f"x1:{dim + 1}")
-    # up to 8 terms, so products cross the kernel's scaling cutoff too
+    # up to 8 terms, so a product sums up to 64 coefficient pairs
     a = data.draw(polys(dim, max_terms=8))
     b = data.draw(polys(dim, max_terms=8).filter(bool))
     sa, sb = _sympy_poly(a, gens), _sympy_poly(b, gens)
@@ -620,3 +629,146 @@ def test_kernel_agrees_with_sympy(data):
     if not b.is_constant():
         assert (a * b + 1).exact_divide(b) is None
         assert not sympy.div(_sympy_poly(a * b + 1, gens), sb)[1].is_zero
+
+
+# -- cross-check against a dict-of-tuples Fraction reference -------------------------
+#
+# The reference keeps {exponent tuple: nonzero Fraction} and does each operation
+# term by term; the library keeps integer numerators over one denominator on
+# packed keys.  Every value a random program makes is compared with its
+# reference, in its public view and in its text, and checked to be canonical.
+
+def _assert_canonical(p: Poly):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    assert p.terms or p.den == 1
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_str(terms, dim):
+    """The text form: terms in descending graded-lex order (total degree, then
+    lex with x1 > x2 > ...), each an optional rational magnitude and factors."""
+    out = []
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[e]
+        mag = abs(c)
+        body = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}"
+                        for i, k in enumerate(e, start=1) if k)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        if out:
+            out.append((" - " if c < 0 else " + ") + body)
+        else:
+            out.append(("-" if c < 0 else "") + body)
+    return "".join(out) or "0"
+
+
+def _assert_matches(p: Poly, ref, dim):
+    _assert_canonical(p)
+    assert p.dim == dim
+    assert dict(p.items()) == ref
+    assert all(type(c) is int or c.denominator != 1 for _, c in p.items())
+    assert str(p) == _ref_str(ref, dim)
+
+
+# denominators up to 12, so lcms and the cancelling gcds vary
+_wide_coeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+_scalars = st.one_of(st.integers(min_value=-4, max_value=4),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=6))
+_OPS = ("add", "sub", "mul", "scale", "pow", "diff", "divide", "diagonal")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_operations_agree_with_a_fraction_reference(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    pool = []
+    for _ in range(2):
+        drawn = data.draw(st.dictionaries(exps, _wide_coeffs, max_size=4))
+        pool.append((Poly(dim, drawn), _ref_clean({e: Fraction(c) for e, c in drawn.items()})))
+    for p, ref in pool:
+        _assert_matches(p, ref, dim)
+    for op in data.draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=6)):
+        # operands from the drawn values and from earlier results alike
+        pick = st.integers(0, len(pool) - 1)
+        (x, rx), (y, ry) = pool[data.draw(pick)], pool[data.draw(pick)]
+        if op == "add":
+            new = x + y, _ref_add(rx, ry)
+        elif op == "sub":
+            new = x - y, _ref_add(rx, ry, -1)
+        elif op == "mul":
+            if x.total_degree() + y.total_degree() > 12:
+                continue
+            new = x * y, _ref_mul(rx, ry)
+        elif op == "scale":
+            c = data.draw(_scalars)
+            new = x * c, _ref_clean({e: v * c for e, v in rx.items()})
+            _assert_matches(c * x, new[1], dim)
+        elif op == "pow":
+            n = data.draw(st.integers(0, 3))
+            if x.total_degree() * n > 12:
+                continue
+            ref = {(0,) * dim: Fraction(1)}
+            for _ in range(n):
+                ref = _ref_mul(ref, rx)
+            new = x ** n, ref
+        elif op == "diff":
+            i = data.draw(st.integers(1, dim))
+            new = x.partial_derivative(i), _ref_clean({
+                e[:i - 1] + (e[i - 1] - 1,) + e[i:]: v * e[i - 1] for e, v in rx.items() if e[i - 1]})
+        elif op == "divide":
+            if not ry or x.total_degree() + y.total_degree() > 12:
+                continue
+            quot = x.exact_divide(y)
+            expected = long_divide(rx, ry)
+            if expected is None:
+                assert quot is None
+            else:
+                _assert_matches(quot, expected, dim)
+            product = x * y
+            new = product.exact_divide(y), long_divide(_ref_mul(rx, ry), ry)
+            assert new[0] == x
+        else:  # "diagonal": x(x) * y(y) + y(x), restricted to y := x
+            fx, gy, hx = embed_function(x), embed_coefficient(y), embed_function(y)
+            zero = (0,) * dim
+            rfx = {e + zero: v for e, v in rx.items()}
+            rgy = {zero + e: v for e, v in ry.items()}
+            rhx = {e + zero: v for e, v in ry.items()}
+            for value, ref in ((fx, rfx), (gy, rgy), (hx, rhx)):
+                _assert_matches(value, ref, 2 * dim)
+            doubled = fx * gy + hx
+            rdoubled = _ref_add(_ref_mul(rfx, rgy), rhx)
+            _assert_matches(doubled, rdoubled, 2 * dim)
+            ref = {}
+            for e, v in rdoubled.items():
+                d = tuple(a + b for a, b in zip(e[:dim], e[dim:]))
+                ref[d] = ref.get(d, 0) + v
+            new = restrict_to_diagonal(doubled), _ref_clean(ref)
+        _assert_matches(*new, dim)
+        pool.append(new)
