@@ -23,8 +23,7 @@ from .modules import (
     zoo,
 )
 from .poly import DegreeOverflow, PolyError, parse_derivation, parse_poly
-from .localize import LOCALIZED_CHECK_IDS
-from .suites import LOCALIZED_DIMS, SUITE_CHECKS, SUITE_NAMES, RunConfig, run_suite
+from .suites import RunConfig, plan_suites, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -134,26 +133,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         p_max=args.pmax,
     )
-    suites = [s for s in str(args.suite).split(",") if s]
-    if not suites:
-        raise ValueError("no suite selected")
-    owner = {}  # check id -> the first selected suite that runs it
-    for s in suites:
-        if s not in SUITE_CHECKS:
-            raise ValueError(f"unknown suite {s!r} (known: {', '.join(SUITE_NAMES)})")
-        # an overlap would rerun the same checks and count them twice
-        first = next((owner[c] for c in SUITE_CHECKS[s] if c in owner), None)
-        if first == s:
-            raise ValueError(f"suite {s!r} given twice")
-        if first is not None:
-            raise ValueError(f"suite {s!r} repeats checks of suite {first!r}")
-        # a suite that runs no check would pass vacuously
-        if (set(SUITE_CHECKS[s]) <= set(LOCALIZED_CHECK_IDS)
-                and not set(config.dims) & set(LOCALIZED_DIMS)):
-            raise ValueError(
-                f"suite {s!r} runs no check at dims {','.join(map(str, config.dims))}: "
-                f"the localized checks run at dims {' and '.join(map(str, LOCALIZED_DIMS))} only")
-        owner.update(dict.fromkeys(SUITE_CHECKS[s], s))
+    suites = plan_suites(str(args.suite), config)
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
     try:

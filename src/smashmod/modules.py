@@ -142,22 +142,22 @@ class AVModule:
     """A free module with a differential-operator action tensor.
 
     ``tensor`` maps (i, alpha) to the r x r matrix D[i,alpha]; only nonzero
-    matrices are stored.  An instance is usable only after ``validate()``
-    has passed (the zoo constructors and file loader do this for you).
-    Instances are immutable and safe to share.
+    matrices are stored.  ``order`` is the order N of the Lie map, read off
+    the tensor: the largest |alpha| with D[i,alpha] nonzero (0 when there is
+    none).  An instance is usable only after ``validate()`` has passed (the
+    zoo constructors and file loader do this for you).  Instances are
+    immutable and safe to share.
     """
 
     __slots__ = ("dim", "rank", "order", "tensor", "name", "_validated")
 
-    def __init__(self, dim: int, rank: int, order: int,
+    def __init__(self, dim: int, rank: int,
                  tensor: Mapping[tuple[int, MultiIndex], Matrix],
                  name: str = ""):
         if dim < 1:
             raise ModuleSchemaError("dim must be a positive integer")
         if rank < 1:
             raise ModuleSchemaError("rank must be >= 1")
-        if order < 0:
-            raise ModuleSchemaError("order must be nonnegative")
         clean: dict[tuple[int, MultiIndex], Matrix] = {}
         for (i, alpha), mat in tensor.items():
             alpha = tuple(alpha)
@@ -165,9 +165,6 @@ class AVModule:
                 raise ModuleSchemaError(f"direction index {i} out of range 1..{dim}")
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise ModuleSchemaError(f"bad multi-index {alpha} for dim {dim}")
-            if index_order(alpha) > order:
-                raise ModuleSchemaError(
-                    f"tensor entry at {alpha} exceeds declared order {order}")
             if len(mat) != rank or any(len(row) != rank for row in mat):
                 raise ModuleSchemaError(f"matrix at ({i}, {alpha}) is not {rank}x{rank}")
             mat = tuple(tuple(row) for row in mat)
@@ -178,13 +175,9 @@ class AVModule:
                             f"matrix entries at ({i}, {alpha}) must be {dim}-variable polynomials")
             if not _mat_is_zero(mat):
                 clean[(i, alpha)] = mat
-        actual = max((index_order(a) for (_, a) in clean), default=0)
-        if actual != order:
-            raise ModuleSchemaError(
-                f"declared order {order} is not tight (largest nonzero entry has order {actual})")
         self.dim = dim
         self.rank = rank
-        self.order = order
+        self.order = max((index_order(a) for (_, a) in clean), default=0)
         self.tensor = clean
         self.name = name
         self._validated = False
@@ -208,7 +201,7 @@ class AVModule:
         if not isinstance(other, AVModule):
             return NotImplemented
         return (self.dim == other.dim and self.rank == other.rank
-                and self.order == other.order and self.tensor == other.tensor)
+                and self.tensor == other.tensor)
 
     __hash__ = None
 
@@ -360,13 +353,9 @@ class AVModule:
         return coeffs
 
     def lie_map_order(self) -> int:
-        """Order of the action tensor: max |alpha| with D[i,alpha] nonzero."""
+        """The order N of the Lie map, ``self.order``, once validated."""
         self._require_validated()
-        got = max((index_order(a) for (_, a) in self.tensor), default=0)
-        if got > self.rank ** 2:
-            raise ValidationError(
-                f"order {got} exceeds the rank^2 bound {self.rank ** 2}")
-        return got
+        return self.order
 
 
 # ---------------------------------------------------------------------------------
@@ -476,8 +465,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
         mat_out = tuple(tuple(row) for row in ent)
         if not _mat_is_zero(mat_out):
             tensor[(i, alpha)] = mat_out
-    order = max((index_order(a) for (_, a) in tensor), default=0)
-    return _validated(AVModule(d, nr, order, tensor, name=name))
+    return _validated(AVModule(d, nr, tensor, name=name))
 
 
 def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
@@ -501,9 +489,8 @@ def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
             for j1, j2 in pairs) for i1, i2 in pairs)
         if not _mat_is_zero(mat):
             tensor[key] = mat
-    order = max((index_order(a) for (_, a) in tensor), default=0)
     name = f"({m1.name or 'M'})x({m2.name or 'N'})"
-    return _validated(AVModule(d, m1.rank * m2.rank, order, tensor, name=name))
+    return _validated(AVModule(d, m1.rank * m2.rank, tensor, name=name))
 
 
 def dual_module(module: AVModule) -> AVModule:
@@ -514,7 +501,7 @@ def dual_module(module: AVModule) -> AVModule:
         r = len(mat)
         tensor[(i, alpha)] = tuple(tuple(-mat[b][a] for b in range(r)) for a in range(r))
     name = f"dual({module.name or 'M'})"
-    return _validated(AVModule(module.dim, module.rank, module.order, tensor, name=name))
+    return _validated(AVModule(module.dim, module.rank, tensor, name=name))
 
 
 # ---------------------------------------------------------------------------------
@@ -527,7 +514,7 @@ def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
     if dim < 1 or rank < 1:
         raise ValueError("trivial_dmodule needs dim >= 1 and rank >= 1")
-    return _validated(AVModule(dim, rank, 0, {}, name=f"dmodule({dim},{rank})"))
+    return _validated(AVModule(dim, rank, {}, name=f"dmodule({dim},{rank})"))
 
 
 def _unit_entries(dim: int, c: int, at) -> dict[tuple[int, MultiIndex], Matrix]:
@@ -549,7 +536,7 @@ def differential_forms(dim: int = 1) -> AVModule:
     if dim < 1:
         raise ValueError("differential_forms needs dim >= 1")
     tensor = _unit_entries(dim, 1, lambda i, k: (k, i))
-    return _validated(AVModule(dim, dim, 1, tensor, name=f"forms({dim})"))
+    return _validated(AVModule(dim, dim, tensor, name=f"forms({dim})"))
 
 
 @lru_cache(maxsize=None)
@@ -561,7 +548,7 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
     if dim < 1:
         raise ValueError("tangent_adjoint needs dim >= 1")
     tensor = _unit_entries(dim, -1, lambda i, k: (i, k))
-    return _validated(AVModule(dim, dim, 1, tensor, name=f"adjoint({dim})"))
+    return _validated(AVModule(dim, dim, tensor, name=f"adjoint({dim})"))
 
 
 @lru_cache(maxsize=None)
@@ -597,7 +584,7 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
                 nonzero = True
             if nonzero:
                 tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
-    return _validated(AVModule(dim, r, n, tensor, name=f"jets({dim},{n})"))
+    return _validated(AVModule(dim, r, tensor, name=f"jets({dim},{n})"))
 
 
 @lru_cache(maxsize=None)
@@ -608,48 +595,35 @@ def twist(lam: Coeff = 0) -> AVModule:
     the adjoint action.
     """
     lam = Fraction(lam)
-    if lam == 0:
-        mod = AVModule(1, 1, 0, {}, name="twist(0)")
-    else:
-        mat = ((Poly.constant(1, lam),),)
-        mod = AVModule(1, 1, 1, {(1, (1,)): mat}, name=f"twist({lam})")
-    return _validated(mod)
+    mat = ((Poly.constant(1, lam),),)  # zero at lam = 0, which the constructor drops
+    return _validated(AVModule(1, 1, {(1, (1,)): mat}, name=f"twist({lam})"))
 
 
-_ZOO_ALIASES = {
-    "trivial_dmodule": "trivial_dmodule",
-    "dmodule": "trivial_dmodule",
-    "differential_forms": "differential_forms",
-    "forms": "differential_forms",
-    "tangent_adjoint": "tangent_adjoint",
-    "adjoint": "tangent_adjoint",
-    "jet_module": "jet_module",
-    "jets": "jet_module",
-    "twist": "twist",
+# short name -> (builder, {each parameter after dim: its default}); each
+# builder's own name is an alias, and a given value takes its default's type
+_ZOO = {
+    "dmodule": (trivial_dmodule, {"rank": 1}),
+    "forms": (differential_forms, {}),
+    "adjoint": (tangent_adjoint, {}),
+    "jets": (jet_module, {"n": 0}),
+    "twist": (twist, {"lam": Fraction(0)}),
 }
+_ZOO |= {builder.__name__: (builder, defaults) for builder, defaults in _ZOO.values()}
 
 
 def zoo(name: str, **params) -> AVModule:
     """Construct a named example module; see the builders for parameters."""
-    key = _ZOO_ALIASES.get(name)
-    if key is None:
+    if name not in _ZOO:
         raise ValueError(f"unknown zoo module {name!r}")
+    builder, defaults = _ZOO[name]
     dim = int(params.pop("dim", 1))
-    if key == "trivial_dmodule":
-        mod = trivial_dmodule(dim, int(params.pop("rank", 1)))
-    elif key == "differential_forms":
-        mod = differential_forms(dim)
-    elif key == "tangent_adjoint":
-        mod = tangent_adjoint(dim)
-    elif key == "jet_module":
-        mod = jet_module(dim, int(params.pop("n", 0)))
-    else:
+    args = [type(v)(params.pop(k, v)) for k, v in defaults.items()]
+    if builder is twist:
         if dim != 1:
             raise ValueError("twist is defined on the line (dim must be 1)")
-        lam = params.pop("lam", 0)
-        if isinstance(lam, str):
-            lam = Fraction(lam)
-        mod = twist(lam)
+        mod = twist(*args)
+    else:
+        mod = builder(dim, *args)
     if params:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
     return mod
@@ -660,7 +634,11 @@ def zoo(name: str, **params) -> AVModule:
 # ---------------------------------------------------------------------------------
 
 def module_to_dict(module: AVModule) -> dict:
-    """Serialize to the module-definition schema; omitted entries are zero."""
+    """Serialize to the module-definition schema; omitted entries are zero.
+    ModuleSchemaError for the rank-0 module: the schema needs rank >= 1."""
+    if module.rank < 1:
+        raise ModuleSchemaError(
+            f"module {module.name or '<anonymous>'} has rank 0; module files need rank >= 1")
     terms = []
     for (i, alpha) in sorted(module.tensor):
         mat = module.tensor[(i, alpha)]
@@ -686,6 +664,8 @@ def _is_int(value) -> bool:
 def module_from_dict(data: Mapping) -> AVModule:
     """Parse and validate a module-definition mapping.
 
+    The declared ``order`` must equal the order the tensor gives (the largest
+    |alpha| of a nonzero entry), and no term's |alpha| may exceed it.
     Raises ModuleSchemaError for structural problems, PolyParseError for bad
     polynomial text, and ValidationError when the bracket check fails.
     """
@@ -728,4 +708,13 @@ def module_from_dict(data: Mapping) -> AVModule:
             raise ModuleSchemaError(f"matrix at {key} is not a list of rows")
         mat = tuple(tuple(parse_poly(str(cell), dim) for cell in row) for row in rows)
         tensor[key] = mat
-    return _validated(AVModule(dim, rank, order, tensor, name=name))
+    module = AVModule(dim, rank, tensor, name=name)
+    if order < 0:
+        raise ModuleSchemaError("order must be nonnegative")
+    for _, alpha in tensor:  # zero entries too: the constructor drops them
+        if index_order(alpha) > order:
+            raise ModuleSchemaError(f"tensor entry at {alpha} exceeds declared order {order}")
+    if module.order != order:
+        raise ModuleSchemaError(f"declared order {order} is not tight "
+                                f"(largest nonzero entry has order {module.order})")
+    return _validated(module)

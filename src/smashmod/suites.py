@@ -215,13 +215,42 @@ SUITE_CHECKS = {
 SUITE_NAMES = tuple(SUITE_CHECKS)
 
 
-def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
-    """Run one named suite; 'all' runs every check family that must pass."""
+def _checks_of(name: str) -> tuple[str, ...]:
+    """The ids of the checks suite ``name`` runs; ValueError if it is unknown."""
     if name not in SUITE_CHECKS:
         raise ValueError(f"unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
+    return SUITE_CHECKS[name]
+
+
+def plan_suites(selection: str, config: RunConfig) -> list[str]:
+    """The suites of a comma-separated selection, in order.  ValueError when
+    it names none, or a suite that is unknown, given twice, repeats checks of
+    an earlier one (they would count twice) or runs no check at config.dims
+    (it would pass vacuously)."""
+    suites = [s for s in selection.split(",") if s]
+    if not suites:
+        raise ValueError("no suite selected")
+    owner = {}  # check id -> the first selected suite that runs it
+    for s in suites:
+        checks = _checks_of(s)
+        first = next((owner[c] for c in checks if c in owner), None)
+        if first == s:
+            raise ValueError(f"suite {s!r} given twice")
+        if first is not None:
+            raise ValueError(f"suite {s!r} repeats checks of suite {first!r}")
+        if set(checks) <= set(LOCALIZED_CHECK_IDS) and not set(config.dims) & set(LOCALIZED_DIMS):
+            raise ValueError(
+                f"suite {s!r} runs no check at dims {','.join(map(str, config.dims))}: "
+                f"the localized checks run at dims {' and '.join(map(str, LOCALIZED_DIMS))} only")
+        owner.update(dict.fromkeys(checks, s))
+    return suites
+
+
+def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
+    """Run one named suite; 'all' runs every check family that must pass."""
+    checks = _checks_of(name)
     if name == "negative-control":
         return run_negative_control(config)
-    checks = SUITE_CHECKS[name]
     reports = []
     identities = [c for c in checks if c in IDENTITY_IDS]
     if identities:

@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import smashmod
-from smashmod import IDENTITY_IDS, differential_forms, module_to_dict, zoo
+import smashmod.cli as cli
+from smashmod import (
+    IDENTITY_IDS,
+    AVModule,
+    ModuleSchemaError,
+    Poly,
+    differential_forms,
+    exterior_power,
+    module_to_dict,
+    zoo,
+)
 from smashmod.cli import build_parser, load_module_spec, main, save_module_spec
 from smashmod.suites import RunConfig, iter_identity_samples
 
@@ -201,6 +211,21 @@ def test_order_search_bound_below_the_order_fails(tmp_path):
     assert r["oracle_order"] == 1 and r["status"] == "fail"
 
 
+def test_order_reports_a_rank_squared_breach_as_a_failed_check(tmp_path, monkeypatch):
+    # a rank-1 module of order 2 breaks the paper's bound N <= rank^2, so
+    # validate() refuses it; marked valid by hand, it must fail the report,
+    # not stop the command with a usage error
+    breach = AVModule(1, 1, {(1, (2,)): ((Poly.constant(1, 1),),)}, name="breach")
+    assert not breach.validate().passed
+    breach._validated = True
+    monkeypatch.setattr(cli, "_resolve_module", lambda args: breach)
+    code, data = run_json(tmp_path, ["order", "--module", "zoo:dmodule"])
+    assert code == 1
+    (r,) = data["results"]
+    assert (r["lie_map_order"], r["rank_squared_bound"], r["status"]) == (2, 1, "fail")
+    assert data["summary"] == {"total": 1, "passed": 0, "failed": 1}
+
+
 def test_order_bad_module_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     data = module_to_dict(differential_forms(1))
@@ -322,6 +347,15 @@ def test_zoo_export_import_round_trip(tmp_path):
         assert again == mod
         assert main(["order", "--module", str(path),
                      "--out", str(tmp_path / f"rep{k}.json")]) == 0
+
+
+def test_save_refuses_the_rank_zero_module(tmp_path):
+    # a module file needs rank >= 1, so the loader could not read it back
+    path = tmp_path / "zero.json"
+    zero = exterior_power(differential_forms(1), 2)
+    with pytest.raises(ModuleSchemaError, match="rank 0"):
+        save_module_spec(zero, str(path))
+    assert not path.exists()
 
 
 def test_console_script_entry():

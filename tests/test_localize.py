@@ -179,7 +179,7 @@ def test_internal_results_keep_type_base_and_module():
 
 def test_public_constructors_keep_every_check():
     f, f2, forms = parse_poly("x1 + 1", 1), Poly.variable(2, 1), differential_forms(1)
-    unvalidated = AVModule(1, 1, 1, {(1, (1,)): ((one,),)}, name="raw")
+    unvalidated = AVModule(1, 1, {(1, (1,)): ((one,),)}, name="raw")
     m = ModuleElement((x,))
     makers = [
         (LocalizedPoly, x),

@@ -112,6 +112,26 @@ def test_zoo_dispatch_and_aliases():
         zoo("twist", dim=2, lam=1)
 
 
+@pytest.mark.parametrize("names, params, direct", [
+    (("dmodule", "trivial_dmodule"), {"dim": 2, "rank": 3}, lambda: trivial_dmodule(2, 3)),
+    (("dmodule", "trivial_dmodule"), {}, lambda: trivial_dmodule(1, 1)),
+    (("forms", "differential_forms"), {"dim": 2}, lambda: differential_forms(2)),
+    (("adjoint", "tangent_adjoint"), {}, lambda: tangent_adjoint(1)),
+    (("jets", "jet_module"), {"dim": 2, "n": 1}, lambda: jet_module(2, 1)),
+    (("jets", "jet_module"), {"dim": 1}, lambda: jet_module(1, 0)),
+    (("twist",), {"lam": "-3/2"}, lambda: twist(Fraction(-3, 2))),
+    (("twist",), {"dim": 1}, lambda: twist(Fraction(0))),
+], ids=["dmodule", "dmodule-defaults", "forms", "adjoint", "jets", "jets-default-n",
+        "twist", "twist-default"])
+def test_zoo_names_return_the_builders_modules(names, params, direct):
+    # the short name and the builder's own name reach the cached module itself;
+    # zoo passes every parameter, a twist weight as a Fraction
+    for name in names:
+        assert zoo(name, **params) is direct(), name
+    with pytest.raises(ValueError, match=f"unexpected parameters for {names[-1]!r}"):
+        zoo(names[-1], **params, degree=2)
+
+
 def test_twist_family_points():
     assert twist(0) == trivial_dmodule(1, 1)
     assert twist(1) == differential_forms(1)
@@ -234,7 +254,7 @@ def test_validate_trivial_and_jets():
 
 def _tampered() -> AVModule:
     # a non-flat, incompatible single entry in dim 2
-    return AVModule(2, 2, 1, {(1, (1, 0)): (
+    return AVModule(2, 2, {(1, (1, 0)): (
         (Poly.variable(2, 1), Poly.zero(2)),
         (Poly.zero(2), Poly.zero(2)),
     )}, name="tampered")
@@ -247,7 +267,7 @@ def _corrupted(module: AVModule) -> AVModule:
     rows = [list(row) for row in tensor[key]]
     rows[0][-1] = rows[0][-1] + parse_poly("x2^2", module.dim)
     tensor[key] = tuple(tuple(row) for row in rows)
-    return AVModule(module.dim, module.rank, module.order, tensor, name=module.name)
+    return AVModule(module.dim, module.rank, tensor, name=module.name)
 
 
 def test_validate_detects_tampered_tensor():
@@ -303,8 +323,8 @@ def _verdicts(module: AVModule) -> tuple[bool, bool]:
 
 def _rank_one_order_zero(*entries: str) -> AVModule:
     """The rank-one module on the plane with D[i,0] = entries[i-1]."""
-    return AVModule(2, 1, 0, {(i, (0, 0)): ((parse_poly(t, 2),),)
-                              for i, t in enumerate(entries, start=1)}, name="order0")
+    return AVModule(2, 1, {(i, (0, 0)): ((parse_poly(t, 2),),)
+                           for i, t in enumerate(entries, start=1)}, name="order0")
 
 
 def test_validate_agrees_with_the_sampling_oracle_on_the_zoo():
@@ -347,7 +367,7 @@ _CORRUPTIBLE = {
 @given(st.data())
 def test_validate_agrees_with_the_sampling_oracle_on_perturbed_tensors(data):
     # add a small polynomial to one entry of D[i,alpha], |alpha| <= order;
-    # the declared order follows the perturbed tensor
+    # the module's order follows the perturbed tensor
     module = _CORRUPTIBLE[data.draw(st.sampled_from(sorted(_CORRUPTIBLE)))]()
     d, r = module.dim, module.rank
     key = data.draw(st.sampled_from(
@@ -361,11 +381,13 @@ def test_validate_agrees_with_the_sampling_oracle_on_perturbed_tensors(data):
     tensor[key] = tuple(map(tuple, rows))
     order = max((sum(alpha) for (_, alpha), mat in tensor.items()
                  if any(p.terms for line in mat for p in line)), default=0)
-    library, oracle = _verdicts(AVModule(d, r, order, tensor, name=module.name))
+    perturbed = AVModule(d, r, tensor, name=module.name)
+    assert perturbed.order == order
+    library, oracle = _verdicts(perturbed)
     event("pass" if oracle else "fail")
     assert library == oracle
 def test_unvalidated_module_refuses_to_act():
-    raw = AVModule(1, 1, 1, {(1, (1,)): ((one,),)}, name="raw")
+    raw = AVModule(1, 1, {(1, (1,)): ((one,),)}, name="raw")
     with pytest.raises(ValidationError):
         raw.act_derivation(d, ModuleElement((one,)))
     with pytest.raises(ValidationError):
@@ -376,15 +398,11 @@ def test_unvalidated_module_refuses_to_act():
 
 def test_schema_errors():
     with pytest.raises(ModuleSchemaError):
-        AVModule(1, 0, 0, {})  # rank 0 rejected; only exterior_power builds it
+        AVModule(1, 0, {})  # rank 0 rejected; only exterior_power builds it
     with pytest.raises(ModuleSchemaError):
-        AVModule(1, 1, 0, {(1, (1,)): ((one,),)})  # entry above declared order
+        AVModule(1, 2, {(1, (1,)): ((one,),)})  # wrong matrix shape
     with pytest.raises(ModuleSchemaError):
-        AVModule(1, 1, 2, {(1, (1,)): ((one,),)})  # declared order not tight
-    with pytest.raises(ModuleSchemaError):
-        AVModule(1, 2, 1, {(1, (1,)): ((one,),)})  # wrong matrix shape
-    with pytest.raises(ModuleSchemaError):
-        AVModule(2, 1, 1, {(3, (1, 0)): ((parse_poly("x1", 2),),)})  # bad direction
+        AVModule(2, 1, {(3, (1, 0)): ((parse_poly("x1", 2),),)})  # bad direction
 
 
 # -- annihilation --------------------------------------------------------------------
@@ -565,10 +583,19 @@ def test_round_trip_every_zoo_module():
 
 def test_from_dict_schema_errors():
     good = module_to_dict(differential_forms(1))
-    bad = dict(good)
-    bad["order"] = 0  # now the alpha=(1,) entry exceeds the declared order
-    with pytest.raises(ModuleSchemaError, match="exceeds declared order"):
-        module_from_dict(bad)
+    # the declared order is checked against the order the tensor gives
+    for order, message in [(0, "exceeds declared order 0"), (-1, "order must be nonnegative"),
+                           (2, r"declared order 2 is not tight \(largest nonzero entry has "
+                               r"order 1\)")]:
+        with pytest.raises(ModuleSchemaError, match=message):
+            module_from_dict(dict(good, order=order))
+    # an all-zero entry is refused above the declared order, and it does not
+    # make an order tight
+    zero_term = {"i": 1, "alpha": [2], "matrix": [["0"]]}
+    for order, message in [(1, r"entry at \(2,\) exceeds declared order 1"),
+                           (2, "declared order 2 is not tight")]:
+        with pytest.raises(ModuleSchemaError, match=message):
+            module_from_dict(dict(good, order=order, terms=good["terms"] + [zero_term]))
     bad2 = dict(good)
     bad2["rank"] = 2  # matrices no longer match the declared rank
     with pytest.raises(ModuleSchemaError):

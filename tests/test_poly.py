@@ -460,7 +460,7 @@ def _assert_matches_reference(triples, dim):
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_sum_products_on_both_sides_of_the_scaling_cutoff(data):
+def test_sum_products_of_wide_and_small_rational_triples_matches_the_reference(data):
     # wide triples of at least 4 x 4 terms mixed, in any order, with small
     # ones, so the running denominator grows both across many pairs and few
     dim = data.draw(st.integers(min_value=1, max_value=3))
