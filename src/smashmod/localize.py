@@ -18,14 +18,17 @@ denominator f^{k(N+1)} the levels are one smash element S # eta, with
 S = sum_p f(x)^{k(N-p)} (f(x)^k - f(y)^k)^p: a function of x only scales
 the action.  At k = 0, S = 1 and the series is eta itself.  The operator
 pair of S # eta depends on (f, k, eta) only, so ``LocalizedModule.operator``
-builds it once as a ``LocalizedOperator`` and ``act`` applies it to each
-element.  Elements with denominators act through the quotient rule
-(eta/f^k)(m/f^l) = -l eta(f)/f^{k+l+1} m + f^{-l} (eta/f^k)(m).
+builds it once as a ``LocalizedOperator`` with the power of f under it, and
+``act`` applies it to each element.  Elements with denominators act through
+the quotient rule (eta/f^k)(m/f^l) = -l eta(f)/f^{k+l+1} m + f^{-l} (eta/f^k)(m).
+The inverse checks build eta/f^k a second way, re-expanded in powers of f as
+sum_p C(p+k-1, k-1) omega(p, f, eta) / f^{p+k}, and apply both through ``act``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import attrgetter
 from typing import Mapping
 
@@ -227,17 +230,16 @@ class LocalizedModuleElement(_LocalizedFraction):
         return self._reduce()
 
 
-def _series_operator(module: AVModule, g: Poly, eta: Derivation, weights=None) -> Operator:
-    """The operator pair of sum_{u=0}^{N} w(u) * omega(u, g, eta) * g^{N-u},
-    N the module order; ``module._apply((1, pair, m))`` applies it to m.
+def _series_operator(module: AVModule, g: Poly, eta: Derivation,
+                     j: int = 1) -> tuple[Operator, int]:
+    """eta/g^j on integral elements: the operator pair of
+    sum_{u=0}^{N} C(u+j-1, j-1) * omega(u, g, eta) * g^{N-u}, N the module
+    order, and the power N + j of g under it.
 
     The levels are the one element S # eta, with the doubled polynomial
-    S = sum_u w(u) * g(x)^{N-u} * (g(x) - g(y))^u.  This holds because a
-    function of x only scales the action, act_smash(a(x) * v, m) =
+    S = sum_u C(u+j-1, j-1) * g(x)^{N-u} * (g(x) - g(y))^u.  This holds
+    because a function of x only scales the action, act_smash(a(x) * v, m) =
     a * act_smash(v, m), so the weighted levels sum to one smash element.
-    w is ``weights`` or, when None, 1.  The localized action passes g = f^k
-    without weights; the check of its 1/f^k re-expansion passes g = f with
-    binomial weights.
     """
     N, d = module.order, module.dim
     gx = embed_function(g)
@@ -246,24 +248,26 @@ def _series_operator(module: AVModule, g: Poly, eta: Derivation, weights=None) -
     for _ in range(N):
         gx_pow.append(gx_pow[-1] * gx)
         G_pow.append(G_pow[-1] * G)
-    S = _sum_products(2 * d, [(1 if weights is None else weights(u), gx_pow[N - u], G_pow[u])
+    S = _sum_products(2 * d, [(comb(u + j - 1, j - 1), gx_pow[N - u], G_pow[u])
                               for u in range(N + 1)])
-    return module._smash_operator(SmashElement(d, (S * embed_coefficient(c) for c in eta.coeffs)))
+    pair = module._smash_operator(SmashElement(d, (S * embed_coefficient(c) for c in eta.coeffs)))
+    return pair, N + j
 
 
 class LocalizedOperator:
     """eta/f^k as an operator of one localized module, built once and applied
-    to any number of elements: the pair of S # eta over f^{k(N+1)}, and eta(f)
-    for the quotient-rule term."""
+    to any number of elements: a pair over f^pair_exp, and eta(f) for the
+    quotient-rule term."""
 
-    __slots__ = ("module", "base", "denom_exp", "pair", "eta_f")
+    __slots__ = ("module", "base", "denom_exp", "pair", "pair_exp", "eta_f")
 
     def __init__(self, module: AVModule, base: Poly, denom_exp: int, pair: Operator,
-                 eta_f: Poly):
+                 pair_exp: int, eta_f: Poly):
         self.module = module
         self.base = base
         self.denom_exp = denom_exp
         self.pair = pair
+        self.pair_exp = pair_exp
         self.eta_f = eta_f
 
 
@@ -293,9 +297,8 @@ class LocalizedModule:
         if ed.base != self.base:
             raise BaseMismatch("operands do not belong to this localized context")
         k, eta = ed.denom_exp, ed.numerator
-        return LocalizedOperator(self.module, self.base, k,
-                                 _series_operator(self.module, self.base ** k, eta),
-                                 eta.apply(self.base))
+        pair, exp = _series_operator(self.module, self.base ** k, eta)  # over (f^k)^exp
+        return LocalizedOperator(self.module, self.base, k, pair, k * exp, eta.apply(self.base))
 
     def act(self, op: LocalizedOperator | LocalizedDerivation,
             me: LocalizedModuleElement) -> LocalizedModuleElement:
@@ -310,9 +313,8 @@ class LocalizedModule:
             raise BaseMismatch("operator does not belong to this module")
         if me.module is not self.module:
             raise BaseMismatch("element does not belong to this module")
-        module, f = self.module, self.base
-        l, m = me.denom_exp, me.numerator
-        series = me._new(f, module._apply((1, op.pair, m)), op.denom_exp * (module.order + 1) + l)
+        f, l, m = self.base, me.denom_exp, me.numerator
+        series = me._new(f, self.module._apply(op.pair, m), op.pair_exp + l)
         if l:  # + reduces its sum; l = 0 skips adding a zero term
             return series + me._new(f, m * (-l * op.eta_f), op.denom_exp + l + 1)
         return series.reduce()
@@ -354,25 +356,16 @@ LOCALIZED_CHECK_IDS = (
 )
 
 
-def _series_by_coefficients(context: LocalizedModule, series: Operator, m: ModuleElement,
-                            extra_exp: int) -> LocalizedModuleElement:
-    """sum_u weights(u) * omega(u, f, eta) m / f^{u + extra_exp}, u = 0..N,
-    with ``series = _series_operator(module, f, eta, weights)``."""
-    module, f = context.module, context.base
-    return LocalizedModuleElement(f, module, module._apply((1, series, m)),
-                                  module.order + extra_exp).reduce()
-
-
 def verify_localized(name: str, module: AVModule, f: Poly,
                      inputs: Mapping) -> VerificationReport:
     """Check one localized-action law exactly on a basis and x_k-multiples.
 
     Check ids: welldefined (representation independence of eta f^j / f^j),
     leibniz (against a localized scalar), bracket (the [eta/f, mu/f]
-    expansion), inverse-square / inverse-cube (the 1/f^2 and 1/f^3 series
-    re-expanded in powers of f, with weights u+1 and (u+1)(u+2)/2), and
-    restriction (actions of equal representatives over two bases agree in
-    the common refinement).
+    expansion), inverse-square / inverse-cube (eta/f^2 and eta/f^3 as the
+    series in f^k against its re-expansion in powers of f, with weights u+1
+    and (u+1)(u+2)/2, both applied by ``act``), and restriction (actions of
+    equal representatives over two bases agree in the common refinement).
     """
     if name not in LOCALIZED_CHECK_IDS:
         raise ValueError(f"unknown localized check id {name!r}")
@@ -438,16 +431,15 @@ def verify_localized(name: str, module: AVModule, f: Poly,
 
     elif name in ("inverse-square", "inverse-cube"):
         (eta,) = require("eta")
-        if name == "inverse-square":
-            k, weights = 2, (lambda u: u + 1)
-        else:
-            k, weights = 3, (lambda u: (u + 1) * (u + 2) // 2)
-        ed = context.operator(LocalizedDerivation(f, eta, k))
-        series = _series_operator(module, f, eta, weights)
+        k = 2 if name == "inverse-square" else 3
+        # eta/f^k built twice: as the series in f^k, and re-expanded in powers of f
+        in_f_k = context.operator(LocalizedDerivation(f, eta, k))
+        pair, exp = _series_operator(module, f, eta, k)
+        in_f = LocalizedOperator(module, f, k, pair, exp, in_f_k.eta_f)
 
         def sides(v):
-            return (context.act(ed, context.include(v)),
-                    _series_by_coefficients(context, series, v, k))
+            me = context.include(v)
+            return context.act(in_f_k, me), context.act(in_f, me)
 
     else:  # restriction
         eta, mu, g = require("eta", "mu", "g")

@@ -21,8 +21,8 @@ M = sum_{(i,alpha)} c_{i,alpha} * D[i,alpha], acting as
 For a vector field g_1 d_1 + ... + g_d d_d the symbol is (g_i) and
 c_{i,alpha} = d^alpha(g_i).  For a smash element with canonical components
 P_i(x, y) the symbol is P_i|_{y=x} and c_{i,alpha} = (d_y^alpha P_i)|_{y=x}.
-M is summed once per operator; applying a signed sum of operators takes
-one product sum (``poly._sum_products``) per entry of the result.
+M is summed once per operator; applying an operator takes one product sum
+(``poly._sum_products``) per entry of the result.
 
 The annihilation test for a smash element is exact: the element kills the
 whole module iff its symbol and its matrix are both zero (a first-order
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, product, repeat
+from functools import lru_cache, wraps
+from inspect import signature
+from itertools import combinations, combinations_with_replacement, islice, product
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -246,17 +247,17 @@ class AVModule:
             [restrict_to_diagonal(partial_power(P[i - 1], (0,) * self.dim + alpha))
              for i, alpha in self.tensor])
 
-    def _apply(self, *parts: tuple[int, Operator, ModuleElement]) -> ModuleElement:
-        """sum sign * op(m) over the (sign, op, m) parts: one product sum
-        per entry, out_j = sum_i s_i * d_i(m_j) + sum_k matrix[j][k] * m_k."""
+    def _apply(self, op: Operator, m: ModuleElement) -> ModuleElement:
+        """op(m), with one product sum per entry:
+        out_j = sum_i s_i * d_i(m_j) + sum_k matrix[j][k] * m_k."""
+        symbol, matrix = op
+        entries = m.entries
+        ones = (1,) * len(entries)
         out = []
-        for j in range(self.rank):
-            triples = []
-            for sign, (symbol, matrix), m in parts:
-                entry = m.entries[j]
-                triples.extend((sign, s, entry.partial_derivative(i))
-                               for i, s in enumerate(symbol, start=1) if s.terms)
-                triples.extend(zip(repeat(sign), matrix[j], m.entries))
+        for row, entry in zip(matrix, entries):
+            triples = [(1, s, entry.partial_derivative(i))
+                       for i, s in enumerate(symbol, start=1) if s.terms]
+            triples.extend(zip(ones, row, entries))
             out.append(_sum_products(self.dim, triples))
         return ModuleElement(out)
 
@@ -270,7 +271,7 @@ class AVModule:
     def act_derivation(self, e: Derivation, m: ModuleElement) -> ModuleElement:
         """Apply the vector field e to m through the action tensor."""
         self._check_operands(e, m)
-        return self._apply((1, self._field_operator(e), m))
+        return self._apply(self._field_operator(e), m)
 
     def act_smash(self, u: SmashElement, m: ModuleElement) -> ModuleElement:
         """Apply a function#vector-field element to m.
@@ -279,7 +280,7 @@ class AVModule:
         u into terms f # eta; agrees with summing f * rho(eta)m over those.
         """
         self._check_operands(u, m)
-        return self._apply((1, self._smash_operator(u), m))
+        return self._apply(self._smash_operator(u), m)
 
     def annihilates(self, u: SmashElement) -> bool:
         """Exact decision: does u act as zero on the whole module?"""
@@ -462,9 +463,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
                         newT = tuple(sorted(T[:pos] + T[pos + 1:] + (s,)))
                         val = -c if between & 1 else c
                         ent[index[newT]][col] = ent[index[newT]][col] + val
-        mat_out = tuple(tuple(row) for row in ent)
-        if not _mat_is_zero(mat_out):
-            tensor[(i, alpha)] = mat_out
+        tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
     return _validated(AVModule(d, nr, tensor, name=name))
 
 
@@ -484,11 +483,9 @@ def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
     for key in set(m1.tensor) | set(m2.tensor):
         a = m1.tensor.get(key, zero1)
         b = m2.tensor.get(key, zero2)
-        mat = tuple(tuple(
+        tensor[key] = tuple(tuple(
             (a[i1][j1] if i2 == j2 else zero) + (b[i2][j2] if i1 == j1 else zero)
             for j1, j2 in pairs) for i1, i2 in pairs)
-        if not _mat_is_zero(mat):
-            tensor[key] = mat
     name = f"({m1.name or 'M'})x({m2.name or 'N'})"
     return _validated(AVModule(d, m1.rank * m2.rank, tensor, name=name))
 
@@ -508,8 +505,22 @@ def dual_module(module: AVModule) -> AVModule:
 # the zoo
 # ---------------------------------------------------------------------------------
 
+def _one_per_value(builder):
+    """Cache a zoo builder on the module a call names, not on the call's form:
+    the arguments with their defaults filled in, one whose default is a
+    Fraction taken as a Fraction (so twist(1) is twist(Fraction(1)))."""
+    sig, cached = signature(builder), lru_cache(maxsize=None)(builder)
 
-@lru_cache(maxsize=None)
+    @wraps(builder)
+    def build(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*(Fraction(v) if type(sig.parameters[k].default) is Fraction else v
+                        for k, v in bound.arguments.items()))
+    return build
+
+
+@_one_per_value
 def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
     if dim < 1 or rank < 1:
@@ -526,7 +537,7 @@ def _unit_entries(dim: int, c: int, at) -> dict[tuple[int, MultiIndex], Matrix]:
             for i in span for k in span}
 
 
-@lru_cache(maxsize=None)
+@_one_per_value
 def differential_forms(dim: int = 1) -> AVModule:
     """One-forms with the Lie-derivative action; basis dx_1..dx_d.
 
@@ -539,7 +550,7 @@ def differential_forms(dim: int = 1) -> AVModule:
     return _validated(AVModule(dim, dim, tensor, name=f"forms({dim})"))
 
 
-@lru_cache(maxsize=None)
+@_one_per_value
 def tangent_adjoint(dim: int = 1) -> AVModule:
     """Vector fields acting on themselves by the bracket; basis d_1..d_d.
 
@@ -551,7 +562,7 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
     return _validated(AVModule(dim, dim, tensor, name=f"adjoint({dim})"))
 
 
-@lru_cache(maxsize=None)
+@_one_per_value
 def jet_module(dim: int = 1, n: int = 0) -> AVModule:
     """Jets of order n: slots e_beta for the partials d^beta(h), |beta| <= n.
 
@@ -571,30 +582,24 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
     tensor = {}
     for i in range(1, dim + 1):
         ei = unit_index(dim, i)
-        for alpha in betas:
-            if index_order(alpha) == 0:
-                continue
+        for alpha in betas[1:]:  # graded order: betas[0] is the zero index
             ent = [[zero] * r for _ in range(r)]
-            nonzero = False
-            for beta in betas:
+            for beta in betas:  # beta = alpha qualifies, so ent is nonzero
                 if any(b < a for b, a in zip(beta, alpha)):
                     continue
                 target = tuple(b - a + e for b, a, e in zip(beta, alpha, ei))
                 ent[index[beta]][index[target]] = Poly.constant(dim, multi_binomial(beta, alpha))
-                nonzero = True
-            if nonzero:
-                tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
+            tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
     return _validated(AVModule(dim, r, tensor, name=f"jets({dim},{n})"))
 
 
-@lru_cache(maxsize=None)
-def twist(lam: Coeff = 0) -> AVModule:
+@_one_per_value
+def twist(lam: Coeff = Fraction(0)) -> AVModule:
     """The rank-one family on the line: rho(g d)(m) = g m' + lam g' m.
 
     lam = 0 is the trivial D-module point, lam = 1 the one-forms, lam = -1
     the adjoint action.
     """
-    lam = Fraction(lam)
     mat = ((Poly.constant(1, lam),),)  # zero at lam = 0, which the constructor drops
     return _validated(AVModule(1, 1, {(1, (1,)): mat}, name=f"twist({lam})"))
 

@@ -24,6 +24,7 @@ from .sampling import random_derivation, random_poly, seeded_rng
 from .smash import (
     IDENTITY_IDS,
     VerificationReport,
+    _lemma3_rhs,
     _report,
     _smash_witness,
     omega,
@@ -183,9 +184,8 @@ def run_negative_control(config: RunConfig) -> list[VerificationReport]:
     dd = Derivation.partial(1, 1)
     eta, mu, p, q = dd, x * dd, 1, 1
     lhs = smash_bracket(omega(p, x, eta), omega(q, x, mu))
-    rhs = omega(p + q, x, eta.bracket(mu))
-    rhs = rhs - p * omega(p + q - 1, x, mu.apply(x) * eta)  # corrupted: wrong sign
-    rhs = rhs - q * omega(p + q - 1, x, eta.apply(x) * mu)
+    # the planted fault: the p-term of lemma 3's right-hand side with its sign flipped
+    rhs = _lemma3_rhs(x, eta, mu, p, q) - 2 * p * omega(p + q - 1, x, mu.apply(x) * eta)
     return [_report(
         "negative-control-lemma3",
         {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1", "dim": "1"},

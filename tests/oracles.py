@@ -119,7 +119,7 @@ def validate_by_sampling(module: AVModule) -> VerificationReport:
         if got is None:
             eta = _direction(d, idx, monos[gidx])
             op = module._field_operator(eta)
-            got = cache[(idx, gidx)] = (eta, op, [module._apply((1, op, v)) for v in vectors])
+            got = cache[(idx, gidx)] = (eta, op, [module._apply(op, v) for v in vectors])
         return got
 
     for i in range(1, d + 1):
@@ -132,8 +132,8 @@ def validate_by_sampling(module: AVModule) -> VerificationReport:
                     mu, mu_op, mu_v = field(j, hj)
                     lie_op = module._field_operator(eta.bracket(mu))
                     for t, v in enumerate(vectors):
-                        defect = module._apply((1, eta_op, mu_v[t]), (-1, mu_op, eta_v[t]),
-                                               (-1, lie_op, v))
+                        defect = (module._apply(eta_op, mu_v[t]) - module._apply(mu_op, eta_v[t])
+                                  - module._apply(lie_op, v))
                         if not defect.is_zero():
                             witness = {
                                 "i": str(i), "j": str(j), "g": str(g), "h": str(h),

@@ -257,11 +257,13 @@ def test_series_is_one_smash_element(dim):
         f = random_poly(rng, dim, 2, nonconstant=True)
         eta = random_derivation(rng, dim, 2)
         m = _random_element(rng, mod)
-        cases = [(f ** k, None) for k in range(4)]
-        cases += [(f, lambda u: u + 1), (f, lambda u: (u + 1) * (u + 2) // 2)]
-        for g, weights in cases:
-            assert (mod._apply((1, _series_operator(mod, g, eta, weights), m))
-                    == series_by_levels(mod, g, eta, m, weights)), (mod.name, str(g))
+        cases = [(f ** k, 1, None) for k in range(4)]
+        cases += [(f, 2, lambda u: u + 1), (f, 3, lambda u: (u + 1) * (u + 2) // 2)]
+        for g, j, weights in cases:
+            pair, exp = _series_operator(mod, g, eta, j)
+            assert exp == mod.order + j
+            assert mod._apply(pair, m) == series_by_levels(mod, g, eta, m, weights), \
+                (mod.name, str(g), j)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -288,6 +290,26 @@ def test_one_operator_serves_every_vector_in_either_order(dim):
                 for i, l in order:
                     got = ctx.act(op, LocalizedModuleElement(f, mod, vectors[i], l))
                     assert got == expected[i, l], (mod.name, k, i, l)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_series_and_its_reexpansion_in_f_agree(dim):
+    # eta/f^k as the series in g = f^k and as the series in g = f with
+    # j = k, both applied through act to m/f^l, the quotient-rule term included
+    rng = seeded_rng(73, "reexpansion", dim)
+    for mod in _localized_modules(dim):
+        f = random_poly(rng, dim, 2, nonconstant=True)
+        eta = random_derivation(rng, dim, 2)
+        ctx = LocalizedModule(mod, f)
+        vectors = mod.basis() + [_random_element(rng, mod)]
+        for k in range(1, 4):
+            in_f_k = ctx.operator(ctx.derivation(eta, k))
+            pair, exp = _series_operator(mod, f, eta, k)
+            in_f = LocalizedOperator(mod, f, k, pair, exp, eta.apply(f))
+            for m in vectors:
+                for l in range(3):
+                    me = LocalizedModuleElement(f, mod, m, l)
+                    assert ctx.act(in_f_k, me) == ctx.act(in_f, me), (mod.name, k, l)
 
 
 def test_operator_and_act_refuse_another_base_or_module():
@@ -457,8 +479,8 @@ _LAW_COSTS = {
     "welldefined": (2, 2),
     "leibniz": (1, 2),
     "bracket": (5, 7),
-    "inverse-square": (2, 1),  # eta / f^2 and the weighted series in f
-    "inverse-cube": (2, 1),
+    "inverse-square": (2, 2),  # eta / f^2 as the series in f^2 and in f
+    "inverse-cube": (2, 2),
     "restriction": (2, 2),  # one per base
 }
 
@@ -538,8 +560,9 @@ MUTANT_REPORT_SHA256 = "9138a6c0ccdcca9a01324722680a12fbc49928b1d61a5cf6f3400ab8
 def test_failing_localized_report_is_pinned(monkeypatch, capsys):
     real = LocalizedOperator.__init__
 
-    def doubled(self, module, base, denom_exp, pair, eta_f):
-        real(self, module, base, denom_exp, pair, eta_f * 2 if denom_exp > 0 else eta_f)
+    def doubled(self, module, base, denom_exp, pair, pair_exp, eta_f):
+        real(self, module, base, denom_exp, pair, pair_exp,
+             eta_f * 2 if denom_exp > 0 else eta_f)
 
     monkeypatch.setattr(LocalizedOperator, "__init__", doubled)
     code = main(["verify", "--suite", "localized", "--dims", "1,2", "--trials", "6",

@@ -8,6 +8,8 @@ from hypothesis import event, given, settings, strategies as st
 from smashmod import (
     AVModule,
     Derivation,
+    LocalizedModule,
+    LocalizedModuleElement,
     ModuleElement,
     ModuleSchemaError,
     Poly,
@@ -130,6 +132,32 @@ def test_zoo_names_return_the_builders_modules(names, params, direct):
         assert zoo(name, **params) is direct(), name
     with pytest.raises(ValueError, match=f"unexpected parameters for {names[-1]!r}"):
         zoo(names[-1], **params, degree=2)
+
+
+@pytest.mark.parametrize("call, same", [
+    (lambda: differential_forms(), lambda: differential_forms(1)),
+    (lambda: tangent_adjoint(dim=1), lambda: tangent_adjoint(1)),
+    (lambda: jet_module(1), lambda: jet_module(1, 0)),
+    (lambda: jet_module(n=1), lambda: jet_module(1, n=1)),
+    (lambda: trivial_dmodule(2), lambda: trivial_dmodule(2, 1)),
+    (lambda: twist(), lambda: twist(0)),
+    (lambda: twist(1), lambda: twist(Fraction(1))),
+    (lambda: twist("-1/2"), lambda: twist(lam=Fraction(-1, 2))),
+], ids=["forms", "adjoint", "jets", "jets-keyword", "dmodule", "twist-default", "twist",
+        "twist-text"])
+def test_each_zoo_module_is_one_object_whatever_the_call(call, same):
+    # the builders cache on the module a call names, not on the call's form
+    assert call() is same()
+
+
+def test_a_default_call_and_an_explicit_one_share_a_localized_module():
+    # localized values compare modules by identity
+    f, m = parse_poly("x1 + 1", 1), ModuleElement((parse_poly("x1", 1),))
+    context = LocalizedModule(differential_forms(), f)
+    me = LocalizedModuleElement(f, differential_forms(1), m, 0)
+    got = context.act(context.derivation(Derivation.partial(1, 1), 1), me)
+    assert got == LocalizedModuleElement(f, differential_forms(), got.numerator, got.denom_exp)
+    assert me == context.include(m)
 
 
 def test_twist_family_points():
