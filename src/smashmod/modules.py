@@ -145,9 +145,10 @@ class AVModule:
     ``tensor`` maps (i, alpha) to the r x r matrix D[i,alpha]; only nonzero
     matrices are stored.  ``order`` is the order N of the Lie map, read off
     the tensor: the largest |alpha| with D[i,alpha] nonzero (0 when there is
-    none).  An instance is usable only after ``validate()`` has passed (the
-    zoo constructors and file loader do this for you).  Instances are
-    immutable and safe to share.
+    none).  The rank may be 0: that zero module is an ordinary module, with
+    an empty tensor, on which every element acts as zero.  An instance is
+    usable only after ``validate()`` has passed (the zoo constructors and
+    file loader do this for you).  Instances are immutable and safe to share.
     """
 
     __slots__ = ("dim", "rank", "order", "tensor", "name", "_validated")
@@ -157,8 +158,8 @@ class AVModule:
                  name: str = ""):
         if dim < 1:
             raise ModuleSchemaError("dim must be a positive integer")
-        if rank < 1:
-            raise ModuleSchemaError("rank must be >= 1")
+        if rank < 0:
+            raise ModuleSchemaError("rank must be >= 0")
         clean: dict[tuple[int, MultiIndex], Matrix] = {}
         for (i, alpha), mat in tensor.items():
             alpha = tuple(alpha)
@@ -283,10 +284,13 @@ class AVModule:
         return self._apply(self._smash_operator(u), m)
 
     def annihilates(self, u: SmashElement) -> bool:
-        """Exact decision: does u act as zero on the whole module?"""
+        """Exact decision: does u act as zero on the whole module?  Always
+        true on the zero module, whose only element is 0."""
         self._require_validated()
         if u.dim != self.dim:
             raise DimensionMismatch("dimension mismatch with the module")
+        if self.rank == 0:
+            return True
         symbol, matrix = self._smash_operator(u)
         return not any(s.terms for s in symbol) and _mat_is_zero(matrix)
 
@@ -417,29 +421,17 @@ def _validated(module: AVModule) -> AVModule:
 # functors
 # ---------------------------------------------------------------------------------
 
-def _zero_module(dim: int, name: str) -> AVModule:
-    """The rank-0 module, which the constructor rejects: validated, since
-    there is nothing for the action to violate."""
-    out = object.__new__(AVModule)
-    out.dim, out.rank, out.order, out.tensor, out.name = dim, 0, 0, {}, name
-    out._validated = True
-    return out
-
-
 def exterior_power(module: AVModule, k: int) -> AVModule:
     """k-th exterior power, with the action extended as a derivation on wedges.
 
-    For k > rank the result is the rank-0 zero module (the only place a
-    rank-0 module is produced); for k = rank it is the rank-1 module whose
-    tensor entries are the traces.
+    For k = rank it is the rank-1 module whose tensor entries are the traces;
+    for k > rank there is no k-subset of the basis, and it is the zero module
+    of rank 0, built and validated like any other.
     """
     module._require_validated()
     if k < 1:
         raise ValueError("exterior power needs k >= 1")
     r = module.rank
-    name = f"wedge^{k}({module.name or 'M'})"
-    if k > r:
-        return _zero_module(module.dim, name)
     subsets = list(combinations(range(r), k))
     index = {S: a for a, S in enumerate(subsets)}
     nr = len(subsets)
@@ -464,7 +456,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
                         val = -c if between & 1 else c
                         ent[index[newT]][col] = ent[index[newT]][col] + val
         tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
-    return _validated(AVModule(d, nr, tensor, name=name))
+    return _validated(AVModule(d, nr, tensor, name=f"wedge^{k}({module.name or 'M'})"))
 
 
 def tensor_product(m1: AVModule, m2: AVModule) -> AVModule:
@@ -604,34 +596,26 @@ def twist(lam: Coeff = Fraction(0)) -> AVModule:
     return _validated(AVModule(1, 1, {(1, (1,)): mat}, name=f"twist({lam})"))
 
 
-# short name -> (builder, {each parameter after dim: its default}); each
-# builder's own name is an alias, and a given value takes its default's type
-_ZOO = {
-    "dmodule": (trivial_dmodule, {"rank": 1}),
-    "forms": (differential_forms, {}),
-    "adjoint": (tangent_adjoint, {}),
-    "jets": (jet_module, {"n": 0}),
-    "twist": (twist, {"lam": Fraction(0)}),
-}
-_ZOO |= {builder.__name__: (builder, defaults) for builder, defaults in _ZOO.values()}
+# short name -> builder; each builder's own name is an alias
+_ZOO = {"dmodule": trivial_dmodule, "forms": differential_forms, "adjoint": tangent_adjoint,
+        "jets": jet_module, "twist": twist}
+_ZOO |= {builder.__name__: builder for builder in _ZOO.values()}
 
 
 def zoo(name: str, **params) -> AVModule:
-    """Construct a named example module; see the builders for parameters."""
+    """Construct a named example module; see the builders for parameters.
+    A given value takes the type of its parameter's default, and unknown
+    parameters are refused before anything is built."""
     if name not in _ZOO:
         raise ValueError(f"unknown zoo module {name!r}")
-    builder, defaults = _ZOO[name]
-    dim = int(params.pop("dim", 1))
-    args = [type(v)(params.pop(k, v)) for k, v in defaults.items()]
-    if builder is twist:
-        if dim != 1:
-            raise ValueError("twist is defined on the line (dim must be 1)")
-        mod = twist(*args)
-    else:
-        mod = builder(dim, *args)
-    if params:
-        raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-    return mod
+    builder = _ZOO[name]
+    if builder is twist and int(params.pop("dim", 1)) != 1:
+        raise ValueError("twist is defined on the line (dim must be 1)")
+    defaults = {k: v.default for k, v in signature(builder).parameters.items()}
+    unknown = sorted(params.keys() - defaults)
+    if unknown:
+        raise ValueError(f"unexpected parameters for {name!r}: {unknown}")
+    return builder(**{k: type(defaults[k])(v) for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------------
@@ -686,6 +670,8 @@ def module_from_dict(data: Mapping) -> AVModule:
     order = data["order"]
     if dim < 1:
         raise ModuleSchemaError("dim must be >= 1")
+    if rank < 1:  # the zero module has no file form
+        raise ModuleSchemaError("rank must be >= 1")
     name = str(data.get("name", ""))
     terms = data.get("terms", [])
     if not isinstance(terms, (list, tuple)):

@@ -1,9 +1,12 @@
 """Deterministic verification suites over seeded random instances.
 
-A suite sweeps one family of exact checks (bracket identities, closed-form
-coherence, localized-action laws) over exhaustive small levels (p, q) and
-seeded random polynomial data.  Identical (seed, config) reproduce the exact
-same reports.
+A suite runs the checks of one or more families (bracket identities,
+closed-form coherence, localized-action laws, the negative control) over
+exhaustive small levels (p, q) and seeded random polynomial data.  Each
+family is a generator of (dim, trial, report) over its own seeded sample
+stream; ``run_suite`` is the one loop that walks the family table, tags each
+report with its dim and trial and collects them.  Identical (seed, config)
+reproduce the exact same reports.
 """
 
 from __future__ import annotations
@@ -67,12 +70,6 @@ class RunConfig:
         return {**dataclasses.asdict(self), "dims": list(self.dims)}
 
 
-def _tagged(report: VerificationReport, **extra) -> VerificationReport:
-    inputs = dict(report.inputs)
-    inputs.update({k: str(v) for k, v in extra.items()})
-    return dataclasses.replace(report, inputs=inputs)
-
-
 def iter_identity_samples(config: RunConfig):
     """The seeded sample stream behind the identity suites.
 
@@ -92,42 +89,36 @@ def iter_identity_samples(config: RunConfig):
             yield dim, t, {"f": f, "g": g, "h": h, "eta": eta, "mu": mu, "p": p + 1, "q": q + 1}
 
 
-def run_identity_suite(ids, config: RunConfig) -> list[VerificationReport]:
-    """Sweep the named bracket identities: every (p, q) in 1..p_max is hit,
+def _identity_reports(ids, config: RunConfig):
+    """The named bracket identities: every (p, q) in 1..p_max is hit,
     trials seeded samples per dimension, all identities sharing each sample."""
-    reports = []
     for dim, t, bound in iter_identity_samples(config):
         for name in ids:
-            reports.append(_tagged(verify_identity(name, bound), dim=dim, trial=t))
-    return reports
+            yield dim, t, verify_identity(name, bound)
 
 
-def run_coherence_suite(config: RunConfig) -> list[VerificationReport]:
+def _coherence_reports(ids, config: RunConfig):
     """Closed forms against the definitional constructions: the alternating
     binomial sum for omega, the iterated tensor action for the multi-function
     product, and the collapse of the product form onto equal functions."""
-    reports = []
     for dim in config.dims:
         rng = seeded_rng(config.seed, "coherence", dim)
         for t in range(config.trials):
             f = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
             p = t % (config.p_max + 1)
-            reports.append(_report(
-                "omega-coherence",
-                {"f": str(f), "eta": str(eta), "p": str(p),
-                 "dim": str(dim), "trial": str(t)},
-                _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta))))
+            yield dim, t, _report(
+                "omega-coherence", {"f": str(f), "eta": str(eta), "p": str(p)},
+                _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta)))
             fs = tuple(random_poly(rng, dim, config.max_degree)
                        for _ in range(1 + t % 3))
             diff = omega_multi(fs, eta) - omega_multi_definitional(fs, eta)
             collapse = omega_multi((f,) * max(p, 1), eta) - omega(max(p, 1), f, eta)
-            reports.append(_report(
+            yield dim, t, _report(
                 "omega-multi-coherence",
                 {"fs": "; ".join(str(x) for x in fs), "f": str(f), "eta": str(eta),
-                 "p": str(max(p, 1)), "dim": str(dim), "trial": str(t)},
-                _smash_witness(diff) or _smash_witness(collapse)))
-    return reports
+                 "p": str(max(p, 1))},
+                _smash_witness(diff) or _smash_witness(collapse))
 
 
 def _localized_modules(dim: int) -> list[AVModule]:
@@ -144,10 +135,9 @@ def _localized_modules(dim: int) -> list[AVModule]:
 LOCALIZED_DIMS = (1, 2)
 
 
-def run_localized_suite(ids, config: RunConfig) -> list[VerificationReport]:
-    """Sweep the localized-action checks over small zoo modules, cycling the
+def _localized_reports(ids, config: RunConfig):
+    """The localized-action checks over small zoo modules, cycling the
     module per trial; dimensions outside LOCALIZED_DIMS are skipped."""
-    reports = []
     for dim in [d for d in config.dims if d in LOCALIZED_DIMS]:
         mods = _localized_modules(dim)
         rng = seeded_rng(config.seed, "localized", dim)
@@ -168,13 +158,12 @@ def run_localized_suite(ids, config: RunConfig) -> list[VerificationReport]:
                                 "mu": g * mu, "mu_exp": 1, "g": g},
             }
             for name in ids:
-                rep = verify_localized(name, mod, f, bindings[name])
-                reports.append(_tagged(rep, dim=dim, trial=t))
-    return reports
+                yield dim, t, verify_localized(name, mod, f, bindings[name])
 
 
-def run_negative_control(config: RunConfig) -> list[VerificationReport]:
-    """A deliberately corrupted commutator identity on a fixed instance.
+def _negative_control(ids, config: RunConfig):
+    """A deliberately corrupted commutator identity on a fixed instance in
+    dimension 1, with no trial.
 
     The sign of the level-p correction term is flipped, so the check must
     fail with a nonzero witness; a passing run here means the harness has
@@ -186,10 +175,20 @@ def run_negative_control(config: RunConfig) -> list[VerificationReport]:
     lhs = smash_bracket(omega(p, x, eta), omega(q, x, mu))
     # the planted fault: the p-term of lemma 3's right-hand side with its sign flipped
     rhs = _lemma3_rhs(x, eta, mu, p, q) - 2 * p * omega(p + q - 1, x, mu.apply(x) * eta)
-    return [_report(
+    yield 1, None, _report(
         "negative-control-lemma3",
-        {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1", "dim": "1"},
-        _smash_witness(lhs - rhs))]
+        {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1"},
+        _smash_witness(lhs - rhs))
+
+
+# check family: its check ids -> the generator of its (dim, trial, report),
+# called with the ids a suite selects from the family and the config
+_FAMILIES = {
+    IDENTITY_IDS: _identity_reports,
+    ("omega-coherence",): _coherence_reports,
+    LOCALIZED_CHECK_IDS: _localized_reports,
+    ("negative-control",): _negative_control,
+}
 
 
 # suite name -> the ids of the checks it runs
@@ -247,17 +246,16 @@ def plan_suites(selection: str, config: RunConfig) -> list[str]:
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
-    """Run one named suite; 'all' runs every check family that must pass."""
+    """Run one named suite: each check family it selects, in table order,
+    every report tagged with its dim and, unless it has none, its trial."""
     checks = _checks_of(name)
-    if name == "negative-control":
-        return run_negative_control(config)
     reports = []
-    identities = [c for c in checks if c in IDENTITY_IDS]
-    if identities:
-        reports += run_identity_suite(identities, config)
-    if "omega-coherence" in checks:
-        reports += run_coherence_suite(config)
-    localized = [c for c in checks if c in LOCALIZED_CHECK_IDS]
-    if localized:
-        reports += run_localized_suite(localized, config)
+    for ids, family in _FAMILIES.items():
+        selected = [c for c in checks if c in ids]
+        if selected:
+            for dim, trial, report in family(selected, config):
+                inputs = {**report.inputs, "dim": str(dim)}
+                if trial is not None:  # the negative control has none
+                    inputs["trial"] = str(trial)
+                reports.append(dataclasses.replace(report, inputs=inputs))
     return reports

@@ -34,16 +34,9 @@ from smashmod import (
     twist,
 )
 from smashmod.cli import main
-from smashmod.localize import LOCALIZED_CHECK_IDS
 from smashmod.modules import ValidationError
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
-from smashmod.suites import (
-    RunConfig,
-    iter_identity_samples,
-    run_identity_suite,
-    run_localized_suite,
-    run_negative_control,
-)
+from smashmod.suites import RunConfig, iter_identity_samples, run_suite
 
 from oracles import distinct_random_polys, lie_derivative_one_form, random_poly_or_zero
 
@@ -82,7 +75,7 @@ def test_criterion_1_identity_suites():
     with criterion(1, "all bracket identities exact: p,q in 1..4 exhaustive, "
                       "dims 1..3, 100 seeded samples each, degree <= 4, < 60 s"):
         start = time.monotonic()
-        reports = run_identity_suite(IDENTITY_IDS, config)
+        reports = run_suite("identities", config)
         elapsed = time.monotonic() - start
         assert all(r.passed for r in reports), [
             r.to_dict() for r in reports if not r.passed][:3]
@@ -169,7 +162,7 @@ def test_criterion_6_localization():
     config = RunConfig(dims=(1, 2), max_degree=3, trials=30, seed=SEED, p_max=4)
     with criterion(6, "localized action: well-definedness, Leibniz, bracket "
                       "display, 1/f^2 and 1/f^3 series, 60 samples per law"):
-        reports = run_localized_suite(LOCALIZED_CHECK_IDS, config)
+        reports = run_suite("localized", config)
         assert all(r.passed for r in reports), [
             r.to_dict() for r in reports if not r.passed][:3]
         per = {}
@@ -233,7 +226,7 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
     with criterion(9, "corrupted identity and incompatible tensor are caught "
                       "(verify exit 1, validation failure, load exit 2)"):
         # corrupted identity: the fixed fixture must FAIL with a witness
-        (rep,) = run_negative_control(RunConfig())
+        (rep,) = run_suite("negative-control", RunConfig())
         assert rep.status == "fail" and rep.witness is not None
         out = tmp_path / "neg.json"
         assert main(["verify", "--suite", "negative-control",

@@ -18,6 +18,7 @@ from smashmod import (
     differential_forms,
     dual_module,
     exterior_power,
+    from_term,
     jet_module,
     min_annihilating_order,
     module_from_dict,
@@ -110,6 +111,8 @@ def test_zoo_dispatch_and_aliases():
         zoo("dmodule", dim=0)
     with pytest.raises(ValueError, match="unexpected"):
         zoo("forms", dim=1, n=2)
+    with pytest.raises(ValueError, match="unexpected"):  # refused before forms(0) is built
+        zoo("forms", dim=0, rank=3)
     with pytest.raises(ValueError, match="dim must be 1"):
         zoo("twist", dim=2, lam=1)
 
@@ -426,7 +429,7 @@ def test_unvalidated_module_refuses_to_act():
 
 def test_schema_errors():
     with pytest.raises(ModuleSchemaError):
-        AVModule(1, 0, {})  # rank 0 rejected; only exterior_power builds it
+        AVModule(1, -1, {})  # negative rank
     with pytest.raises(ModuleSchemaError):
         AVModule(1, 2, {(1, (1,)): ((one,),)})  # wrong matrix shape
     with pytest.raises(ModuleSchemaError):
@@ -530,6 +533,20 @@ def test_exterior_power_examples():
     assert exterior_power(f2, 1) == f2
     with pytest.raises(ValueError):
         exterior_power(f2, 0)
+
+
+def test_the_zero_module_is_an_ordinary_module():
+    # the wedge above the rank is built and validated like any other module
+    forms = differential_forms(1)
+    zero = exterior_power(forms, 2)
+    assert zero.is_zero_module and zero.validated and zero.tensor == {}
+    assert zero == AVModule(1, 0, {})
+    assert tensor_product(zero, forms) == zero == tensor_product(forms, zero)
+    assert dual_module(zero) == zero == exterior_power(zero, 1)
+    # every element acts as zero on it, one with a nonzero symbol too
+    assert zero.annihilates(from_term(one, d)) and not forms.annihilates(from_term(one, d))
+    assert zero.lie_map_order() == oracle_order(zero, 0) == 0
+    assert min_annihilating_order(zero, x, d) == 1
 
 
 def test_exterior_power_of_jets():
