@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,7 @@ class ReportEnvelope:
     results: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        results = sorted(self.results, key=_result_key)
+        results = sorted(self.results, key=lambda r: json.dumps(r, sort_keys=True))
         failed = sum(1 for r in results if r.get("status") == "fail")
         return {
             "tool": {"name": "smashmod", "version": __version__},
@@ -51,10 +52,6 @@ class ReportEnvelope:
             },
             "exit_status": EXIT_FAILURES if failed else EXIT_OK,
         }
-
-
-def _result_key(r: dict) -> str:
-    return json.dumps(r, sort_keys=True)
 
 
 def render_json(envelope: dict) -> str:
@@ -125,7 +122,17 @@ def _resolve_module(args) -> AVModule:
 # subcommands
 # ---------------------------------------------------------------------------------
 
+def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list:
+    """The report records of share ``share`` (see ``run_suite``) of the suites."""
+    return [{**report.to_dict(), "suite": s}
+            for s in suites for report in run_suite(s, config, share)]
+
+
 def cmd_verify(args) -> int:
+    """Run share 0 of n = min(CPUs in the affinity mask, trials) here and fork a
+    child for each other share, which pipes back its pickled records or error.
+    The sorted report is the same for every n (``taskset -c 0`` gives n = 1);
+    a failure raises the error of the lowest-numbered failing share."""
     config = RunConfig(
         dims=tuple(int(d) for d in str(args.dims).split(",") if d != ""),
         max_degree=args.degree,
@@ -136,15 +143,43 @@ def cmd_verify(args) -> int:
     suites = plan_suites(str(args.suite), config)
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
+    n = (min(len(os.sched_getaffinity(0)), config.trials)
+         if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+    import pickle  # here, so that order and annihilator import neither
+    import signal
+    children = []  # (pid, read end of its pipe) of shares 1 .. n-1
     try:
-        for s in suites:
-            for report in run_suite(s, config):
-                record = report.to_dict()
-                record["suite"] = s
-                envelope.results.append(record)
+        for k in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: send the outcome of share k, never return
+                try:
+                    try:
+                        outcome = _share_records(suites, config, (k, n))
+                    except Exception as e:
+                        outcome = e
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(outcome))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        envelope.results = _share_records(suites, config, (0, n))
+        for k, (_, fh) in enumerate(children, start=1):
+            data = fh.read()
+            outcome = pickle.loads(data) if data else ChildProcessError(
+                f"share {k} of {n} ended without a result")
+            if isinstance(outcome, Exception):
+                raise outcome
+            envelope.results.extend(outcome)
     except DegreeOverflow as e:  # the suites' products grow with both options
         raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
                         f"({config.p_max})") from e
+    finally:  # no child outlives the command, whatever happened
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return _emit(envelope, args)
 
 

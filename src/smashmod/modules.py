@@ -109,16 +109,16 @@ def _direction(d: int, i: int, g: Poly) -> Derivation:
 
 
 class ModuleElement(_PolyTuple):
-    """An element of A^r: a tuple of r polynomials in the base variables."""
+    """An element of A^r: r polynomials in ``dim`` variables (given when r = 0)."""
 
     __slots__ = ()
     entries = property(attrgetter("_polys"))
 
-    def __init__(self, entries: Iterable[Poly]):
+    def __init__(self, entries: Iterable[Poly], dim: Optional[int] = None):
         entries = tuple(entries)
-        if not entries:
-            raise ValueError("a module element needs at least one entry")
-        dim = entries[0].dim
+        dim = entries[0].dim if dim is None and entries else dim
+        if dim is None:
+            raise ValueError("a module element with no entry needs its dim")
         if any(p.dim != dim for p in entries):
             raise DimensionMismatch("entries disagree on dim")
         self.dim = dim
@@ -126,7 +126,7 @@ class ModuleElement(_PolyTuple):
 
     @classmethod
     def zero(cls, dim: int, rank: int) -> "ModuleElement":
-        return cls(tuple(Poly.zero(dim) for _ in range(rank)))
+        return cls((Poly.zero(dim) for _ in range(rank)), dim)
 
     @property
     def rank(self) -> int:
@@ -260,7 +260,7 @@ class AVModule:
                        for i, s in enumerate(symbol, start=1) if s.terms]
             triples.extend(zip(ones, row, entries))
             out.append(_sum_products(self.dim, triples))
-        return ModuleElement(out)
+        return ModuleElement(out, self.dim)
 
     def _check_operands(self, x, m: ModuleElement):
         self._require_validated()

@@ -6,7 +6,7 @@ exhaustive small levels (p, q) and seeded random polynomial data.  Each
 family is a generator of (dim, trial, report) over its own seeded sample
 stream; ``run_suite`` is the one loop that walks the family table, tags each
 report with its dim and trial and collects them.  Identical (seed, config)
-reproduce the exact same reports.
+reproduce the exact same reports, in one run or split into shares of trials.
 """
 
 from __future__ import annotations
@@ -70,48 +70,53 @@ class RunConfig:
         return {**dataclasses.asdict(self), "dims": list(self.dims)}
 
 
-def iter_identity_samples(config: RunConfig):
+def iter_identity_samples(config: RunConfig, trials: range | None = None):
     """The seeded sample stream behind the identity suites.
 
     Yields (dim, trial, bindings) with bindings holding f, g, h, eta, mu and
     the levels p, q; the (p, q) grid 1..p_max x 1..p_max is cycled so that
-    trials >= p_max^2 covers it exhaustively in every dimension.
+    trials >= p_max^2 covers it exhaustively in every dimension.  Given a
+    range of ``trials``, it yields theirs only, drawing all samples up to them.
     """
+    trials = range(config.trials) if trials is None else trials
     for dim in config.dims:
         rng = seeded_rng(config.seed, "identities", dim)
-        for t in range(config.trials):
+        for t in range(trials.stop):
             f = random_poly(rng, dim, config.max_degree)
             g = random_poly(rng, dim, config.max_degree)
             h = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
             mu = random_derivation(rng, dim, config.max_degree)
-            p, q = divmod(t % config.p_max ** 2, config.p_max)  # row-major, from 0
-            yield dim, t, {"f": f, "g": g, "h": h, "eta": eta, "mu": mu, "p": p + 1, "q": q + 1}
+            if t in trials:
+                p, q = divmod(t % config.p_max ** 2, config.p_max)  # row-major, from 0
+                yield dim, t, dict(f=f, g=g, h=h, eta=eta, mu=mu, p=p + 1, q=q + 1)
 
 
-def _identity_reports(ids, config: RunConfig):
+def _identity_reports(ids, config: RunConfig, trials: range):
     """The named bracket identities: every (p, q) in 1..p_max is hit,
     trials seeded samples per dimension, all identities sharing each sample."""
-    for dim, t, bound in iter_identity_samples(config):
+    for dim, t, bound in iter_identity_samples(config, trials):
         for name in ids:
             yield dim, t, verify_identity(name, bound)
 
 
-def _coherence_reports(ids, config: RunConfig):
+def _coherence_reports(ids, config: RunConfig, trials: range):
     """Closed forms against the definitional constructions: the alternating
     binomial sum for omega, the iterated tensor action for the multi-function
     product, and the collapse of the product form onto equal functions."""
     for dim in config.dims:
         rng = seeded_rng(config.seed, "coherence", dim)
-        for t in range(config.trials):
+        for t in range(trials.stop):
             f = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
+            fs = tuple(random_poly(rng, dim, config.max_degree)
+                       for _ in range(1 + t % 3))
+            if t not in trials:
+                continue
             p = t % (config.p_max + 1)
             yield dim, t, _report(
                 "omega-coherence", {"f": str(f), "eta": str(eta), "p": str(p)},
                 _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta)))
-            fs = tuple(random_poly(rng, dim, config.max_degree)
-                       for _ in range(1 + t % 3))
             diff = omega_multi(fs, eta) - omega_multi_definitional(fs, eta)
             collapse = omega_multi((f,) * max(p, 1), eta) - omega(max(p, 1), f, eta)
             yield dim, t, _report(
@@ -135,19 +140,21 @@ def _localized_modules(dim: int) -> list[AVModule]:
 LOCALIZED_DIMS = (1, 2)
 
 
-def _localized_reports(ids, config: RunConfig):
+def _localized_reports(ids, config: RunConfig, trials: range):
     """The localized-action checks over small zoo modules, cycling the
     module per trial; dimensions outside LOCALIZED_DIMS are skipped."""
     for dim in [d for d in config.dims if d in LOCALIZED_DIMS]:
         mods = _localized_modules(dim)
         rng = seeded_rng(config.seed, "localized", dim)
-        for t in range(config.trials):
-            mod = mods[t % len(mods)]
+        for t in range(trials.stop):
             f = random_poly(rng, dim, max(config.max_degree - 1, 1),
                             nonconstant=True, rational_share=0.0)
             g = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
             eta = random_derivation(rng, dim, 2)
             mu = random_derivation(rng, dim, 2)
+            if t not in trials:
+                continue
+            mod = mods[t % len(mods)]
             bindings = {
                 "welldefined": {"eta": eta, "j": 1 + t % 3},
                 "leibniz": {"eta": eta, "k": 1 + t % 2, "a_num": g, "a_exp": t % 3},
@@ -161,14 +168,16 @@ def _localized_reports(ids, config: RunConfig):
                 yield dim, t, verify_localized(name, mod, f, bindings[name])
 
 
-def _negative_control(ids, config: RunConfig):
+def _negative_control(ids, config: RunConfig, trials: range):
     """A deliberately corrupted commutator identity on a fixed instance in
-    dimension 1, with no trial.
+    dimension 1, with no trial; it runs in the share that holds trial 0.
 
     The sign of the level-p correction term is flipped, so the check must
     fail with a nonzero witness; a passing run here means the harness has
     gone vacuous.
     """
+    if 0 not in trials:
+        return
     x = Poly.variable(1, 1)
     dd = Derivation.partial(1, 1)
     eta, mu, p, q = dd, x * dd, 1, 1
@@ -182,7 +191,7 @@ def _negative_control(ids, config: RunConfig):
 
 
 # check family: its check ids -> the generator of its (dim, trial, report),
-# called with the ids a suite selects from the family and the config
+# called with the ids a suite selects from the family, the config and the trials
 _FAMILIES = {
     IDENTITY_IDS: _identity_reports,
     ("omega-coherence",): _coherence_reports,
@@ -245,15 +254,21 @@ def plan_suites(selection: str, config: RunConfig) -> list[str]:
     return suites
 
 
-def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
+def run_suite(name: str, config: RunConfig, share=(0, 1)) -> list[VerificationReport]:
     """Run one named suite: each check family it selects, in table order,
-    every report tagged with its dim and, unless it has none, its trial."""
+    every report tagged with its dim and, unless it has none, its trial.
+    ``share`` (k, n) runs trials k*T//n <= t < (k+1)*T//n, T = config.trials,
+    in every dim: the n shares make between them the reports of the run (0, 1)."""
+    k, n = share
+    if not 0 <= k < n:
+        raise ValueError(f"there is no share {k} of {n}")
+    trials = range(k * config.trials // n, (k + 1) * config.trials // n)
     checks = _checks_of(name)
     reports = []
     for ids, family in _FAMILIES.items():
         selected = [c for c in checks if c in ids]
         if selected:
-            for dim, trial, report in family(selected, config):
+            for dim, trial, report in family(selected, config, trials):
                 inputs = {**report.inputs, "dim": str(dim)}
                 if trial is not None:  # the negative control has none
                     inputs["trial"] = str(trial)

@@ -11,6 +11,7 @@ import pytest
 
 import smashmod
 import smashmod.cli as cli
+import smashmod.suites as suites
 from smashmod import (
     IDENTITY_IDS,
     AVModule,
@@ -22,6 +23,7 @@ from smashmod import (
     zoo,
 )
 from smashmod.cli import build_parser, load_module_spec, main, save_module_spec
+from smashmod.poly import DegreeOverflow
 from smashmod.suites import RunConfig, iter_identity_samples
 
 
@@ -140,6 +142,70 @@ def test_verify_degree_outside_the_exponent_limit_exits_two(capsys, degree):
                  "--degree", degree]) == 2
     err = capsys.readouterr().err
     assert "max degree" in err and "65535" in err and degree in err
+
+
+# verify runs one share of the trials per CPU of its affinity mask
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                                reason="verify splits its trials only where it can fork")
+
+
+def _cpus(monkeypatch, count):
+    """Make verify see ``count`` CPUs; returns the list its forks are counted in."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@needs_fork
+def test_verify_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, capsys):
+    args = ["verify", "--suite", "all", "--dims", "1,2", "--trials", "6", "--pmax", "2",
+            "--seed", "7"]
+    outs = []
+    for cpus, children in ((1, 0), (3, 2)):
+        forks = _cpus(monkeypatch, cpus)
+        assert main(args) == 0
+        assert len(forks) == children
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("level", [(2, 1), (1, 1)], ids=["in-a-child", "in-this-process"])
+def test_verify_error_in_a_share_is_the_serial_error(monkeypatch, capsys, level):
+    # with 6 trials in 3 shares, level (2, 1) is hit in share 1 only, level
+    # (1, 1) in shares 0 and 2: this process raises, and kills its children
+    real = suites.verify_identity
+
+    def verify_identity(name, bound):
+        if (bound["p"], bound["q"]) == level:
+            raise DegreeOverflow(f"planted at level {level}")
+        return real(name, bound)
+
+    monkeypatch.setattr(suites, "verify_identity", verify_identity)
+    args = ["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6", "--pmax", "2"]
+    errs = []
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        assert main(args) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert f"planted at level {level}" in errs[0] and "--pmax" in errs[0]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_order_imports_no_process_machinery():
+    # the split lives in verify alone: order and annihilator pay no import for it
+    parent = str(Path(smashmod.__file__).resolve().parent.parent)
+    code = ("import sys, smashmod, smashmod.cli as cli\n"
+            "cli.main(['order', '--module', 'zoo:forms', '--dim', '1'])\n"
+            "print(sorted({'multiprocessing', 'pickle', 'signal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=parent), check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_level_grid_is_computed_per_trial():

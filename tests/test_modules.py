@@ -8,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 from smashmod import (
     AVModule,
     Derivation,
+    DimensionMismatch,
     LocalizedModule,
     LocalizedModuleElement,
     ModuleElement,
@@ -198,8 +199,6 @@ def test_act_zero_derivation():
 
 
 def test_elements_of_different_rank_do_not_combine():
-    from smashmod import DimensionMismatch
-
     a, b = ModuleElement((x, x)), ModuleElement((x,))
     with pytest.raises(DimensionMismatch):
         a + b
@@ -547,6 +546,23 @@ def test_the_zero_module_is_an_ordinary_module():
     assert zero.annihilates(from_term(one, d)) and not forms.annihilates(from_term(one, d))
     assert zero.lie_map_order() == oracle_order(zero, 0) == 0
     assert min_annihilating_order(zero, x, d) == 1
+
+
+def test_the_zero_module_has_an_element_to_act_on():
+    # an element with no entry raised "needs at least one entry", so nothing
+    # could act on the zero module
+    zero = exterior_power(differential_forms(2), 3)
+    empty = ModuleElement.zero(2, 0)
+    assert empty.dim == 2 and empty.rank == 0 and empty.is_zero() and str(empty) == "()"
+    assert empty == ModuleElement((), 2) != ModuleElement.zero(1, 0)
+    x1 = Poly.variable(2, 1)
+    eta = Derivation((x1, Poly.constant(2, 1)))
+    assert zero.act_derivation(eta, empty) == empty
+    assert zero.act_smash(omega(2, x1, eta), empty) == empty
+    with pytest.raises(ValueError, match="needs its dim"):
+        ModuleElement(())
+    with pytest.raises(DimensionMismatch):
+        ModuleElement((x1,), 1)
 
 
 def test_exterior_power_of_jets():

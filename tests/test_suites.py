@@ -1,4 +1,7 @@
-"""Each named suite runs exactly the checks that SUITE_CHECKS gives it."""
+"""Each named suite runs exactly the checks that SUITE_CHECKS gives it, and
+its shares of the trials run them all between them."""
+
+import json
 
 import pytest
 
@@ -25,3 +28,27 @@ def test_each_suite_runs_exactly_its_own_checks(name):
     # control its trial
     assert all("dim" in r.inputs for r in reports)
     assert all("trial" in r.inputs for r in reports if r.identity != "negative-control-lemma3")
+
+
+def _multiset(reports) -> list[str]:
+    return sorted(json.dumps(r.to_dict(), sort_keys=True) for r in reports)
+
+
+@pytest.mark.parametrize("trials", [5, 1])
+def test_shares_make_exactly_the_reports_of_the_serial_run(trials):
+    # every family, the negative control too; with one trial, n > trials
+    # leaves some shares empty
+    config = RunConfig(dims=(1, 2), trials=trials, p_max=2)
+    for name in ("all", "negative-control"):
+        serial = _multiset(run_suite(name, config))
+        for n in (1, 2, 3):
+            shares = [r for k in range(n) for r in run_suite(name, config, (k, n))]
+            assert _multiset(shares) == serial, (name, n)
+
+
+def test_a_share_is_a_contiguous_block_of_trials():
+    config = RunConfig(dims=(1, 2), trials=5, p_max=2)
+    trials = {(r.inputs["dim"], r.inputs["trial"]) for r in run_suite("lemma2", config, (1, 3))}
+    assert trials == {(d, t) for d in ("1", "2") for t in ("1", "2")}
+    with pytest.raises(ValueError, match="no share 3 of 3"):
+        run_suite("lemma2", config, (3, 3))
