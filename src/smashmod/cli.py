@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -24,19 +23,31 @@ from .modules import (
     zoo,
 )
 from .poly import DegreeOverflow, PolyError, parse_derivation, parse_poly
-from .suites import RunConfig, plan_suites, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 
+# verify's names from ``suites``, which order and annihilator never load:
+# verify imports them when it runs, and ``cli.<name>`` reads them from suites
+_SUITES_NAMES = ("RunConfig", "plan_suites", "run_suite")
 
-@dataclass
+
+def __getattr__(name: str):
+    if name in _SUITES_NAMES:
+        from . import suites
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class ReportEnvelope:
     """Top-level machine-readable report: config echo, results, summary."""
 
-    config: dict
-    results: list = field(default_factory=list)
+    __slots__ = ("config", "results")
+
+    def __init__(self, config: dict):
+        self.config = config
+        self.results = []
 
     def to_dict(self) -> dict:
         results = sorted(self.results, key=lambda r: json.dumps(r, sort_keys=True))
@@ -124,6 +135,7 @@ def _resolve_module(args) -> AVModule:
 
 def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list:
     """The report records of share ``share`` (see ``run_suite``) of the suites."""
+    from .suites import run_suite  # read when called, so a rebound run_suite is the one run
     return [{**report.to_dict(), "suite": s}
             for s in suites for report in run_suite(s, config, share)]
 
@@ -133,20 +145,21 @@ def cmd_verify(args) -> int:
     child for each other share, which pipes back its pickled records or error.
     The sorted report is the same for every n (``taskset -c 0`` gives n = 1);
     a failure raises the error of the lowest-numbered failing share."""
-    config = RunConfig(
-        dims=tuple(int(d) for d in str(args.dims).split(",") if d != ""),
-        max_degree=args.degree,
-        trials=args.trials,
-        seed=args.seed,
-        p_max=args.pmax,
-    )
-    suites = plan_suites(str(args.suite), config)
+    import pickle  # here, so that order and annihilator import none of these
+    import signal
+
+    from .suites import RunConfig, max_shares, plan_suites
+
+    given = {"max_degree": args.degree, "trials": args.trials, "seed": args.seed,
+             "p_max": args.pmax}
+    if args.dims is not None:
+        given["dims"] = tuple(int(d) for d in args.dims.split(",") if d != "")
+    config = RunConfig(**{k: v for k, v in given.items() if v is not None})
+    suites = plan_suites(args.suite, config)
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
                                       **config.to_dict()})
-    n = (min(len(os.sched_getaffinity(0)), config.trials)
+    n = (min(len(os.sched_getaffinity(0)), max_shares(suites, config))
          if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
-    import pickle  # here, so that order and annihilator import neither
-    import signal
     children = []  # (pid, read end of its pipe) of shares 1 .. n-1
     try:
         for k in range(1, n):
@@ -262,14 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run exact identity suites")
     v.add_argument("--suite", default="all",
                    help="comma-separated suite names (default all); see docs for the list")
-    cfg = RunConfig()  # RunConfig's field defaults are the option defaults
-    v.add_argument("--dims", default=",".join(map(str, cfg.dims)),
-                   help="comma-separated dimensions")
-    v.add_argument("--degree", type=int, default=cfg.max_degree,
-                   help="max degree of sampled polynomials")
-    v.add_argument("--trials", type=int, default=cfg.trials, help="seeded samples per dimension")
-    v.add_argument("--seed", type=int, default=cfg.seed, help="PRNG seed (echoed in reports)")
-    v.add_argument("--pmax", type=int, default=cfg.p_max, help="exhaustive level range 1..pmax")
+    # no defaults here: cmd_verify passes RunConfig only the options given
+    v.add_argument("--dims", help="comma-separated dimensions")
+    v.add_argument("--degree", type=int, help="max degree of sampled polynomials")
+    v.add_argument("--trials", type=int, help="seeded samples per dimension")
+    v.add_argument("--seed", type=int, help="PRNG seed (echoed in reports)")
+    v.add_argument("--pmax", type=int, help="exhaustive level range 1..pmax")
     _add_output_flags(v)
     v.set_defaults(func=cmd_verify)
 

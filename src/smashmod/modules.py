@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, wraps
-from inspect import signature
 from itertools import combinations, combinations_with_replacement, islice, product
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -497,18 +496,28 @@ def dual_module(module: AVModule) -> AVModule:
 # the zoo
 # ---------------------------------------------------------------------------------
 
+def _defaults(builder) -> dict:
+    """A zoo builder's parameters, in order, with their defaults (every zoo
+    parameter has one), read off the function object itself."""
+    builder = getattr(builder, "__wrapped__", builder)
+    code = builder.__code__
+    return dict(zip(code.co_varnames[:code.co_argcount], builder.__defaults__, strict=True))
+
+
 def _one_per_value(builder):
     """Cache a zoo builder on the module a call names, not on the call's form:
     the arguments with their defaults filled in, one whose default is a
     Fraction taken as a Fraction (so twist(1) is twist(Fraction(1)))."""
-    sig, cached = signature(builder), lru_cache(maxsize=None)(builder)
+    defaults, cached = _defaults(builder), lru_cache(maxsize=None)(builder)
+    names = list(defaults)
 
     @wraps(builder)
     def build(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*(Fraction(v) if type(sig.parameters[k].default) is Fraction else v
-                        for k, v in bound.arguments.items()))
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            return builder(*args, **kwargs)  # a call Python refuses: raise its TypeError
+        return cached(*(Fraction(v) if type(defaults[k]) is Fraction else v
+                        for k, v in values.items()))
     return build
 
 
@@ -611,7 +620,7 @@ def zoo(name: str, **params) -> AVModule:
     builder = _ZOO[name]
     if builder is twist and int(params.pop("dim", 1)) != 1:
         raise ValueError("twist is defined on the line (dim must be 1)")
-    defaults = {k: v.default for k, v in signature(builder).parameters.items()}
+    defaults = _defaults(builder)
     unknown = sorted(params.keys() - defaults)
     if unknown:
         raise ValueError(f"unexpected parameters for {name!r}: {unknown}")

@@ -20,10 +20,9 @@ doubled polynomials (derived by expanding [f#eta, g#mu] = fg#[eta,mu]
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .poly import (
     Derivation,
@@ -223,8 +222,7 @@ def function_commutator(u: SmashElement, g: Poly) -> Poly:
 # identity verification
 # ---------------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one exact identity check.
 
     ``witness`` holds the serialized nonzero difference when the check fails

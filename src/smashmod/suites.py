@@ -254,6 +254,15 @@ def plan_suites(selection: str, config: RunConfig) -> list[str]:
     return suites
 
 
+def max_shares(suites: list[str], config: RunConfig) -> int:
+    """The most shares (see ``run_suite``) that can each hold a check of the
+    suites: one per trial, or 1 when the negative control, which has no
+    trial, is all they run."""
+    if all(_checks_of(s) == ("negative-control",) for s in suites):
+        return 1
+    return config.trials
+
+
 def run_suite(name: str, config: RunConfig, share=(0, 1)) -> list[VerificationReport]:
     """Run one named suite: each check family it selects, in table order,
     every report tagged with its dim and, unless it has none, its trial.
@@ -272,5 +281,5 @@ def run_suite(name: str, config: RunConfig, share=(0, 1)) -> list[VerificationRe
                 inputs = {**report.inputs, "dim": str(dim)}
                 if trial is not None:  # the negative control has none
                     inputs["trial"] = str(trial)
-                reports.append(dataclasses.replace(report, inputs=inputs))
+                reports.append(report._replace(inputs=inputs))
     return reports

@@ -9,7 +9,8 @@ one smash element, triangular solves from jet prolongations instead of the
 closed binomial tensor, long division on unpacked exponents with Fraction
 quotients instead of tests on packed keys, and exact evaluation at a point
 instead of products of terms.  The seeded samplers at the end draw inputs
-that only the tests need.
+that only the tests need, among them gauge-equivalent copies of a module:
+its tensor conjugated by a unipotent polynomial matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from smashmod.poly import (
     embed_coefficient,
     embed_function,
 )
-from smashmod.sampling import random_coefficient, random_exponents
+from smashmod.sampling import random_coefficient, random_exponents, random_poly
 from smashmod.smash import VerificationReport
 
 
@@ -374,3 +375,63 @@ def distinct_random_polys(rng: random.Random, dim: int, max_degree: int,
         seen.add(key)
         out.append(Poly(dim, {exps: c}) + Poly.constant(dim, b))
     return out
+
+
+# -- gauge-equivalent modules --------------------------------------------------------
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    r = range(len(a))
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in r), Poly.zero(a[i][j].dim))
+                       for j in r) for i in r)
+
+
+def _mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_apply(a: Matrix, m: ModuleElement) -> ModuleElement:
+    """The matrix a times the column m."""
+    return ModuleElement((sum((p * e for p, e in zip(row, m.entries)), Poly.zero(m.dim))
+                          for row in a), m.dim)
+
+
+def unipotent_inverse(u: Matrix) -> Matrix:
+    """U^-1 = sum_k N^k with N = 1 - U, which is nilpotent (N^rank = 0)."""
+    r = range(len(u))
+    eye = tuple(tuple(Poly.constant(u[a][b].dim, int(a == b)) for b in r) for a in r)
+    n = tuple(tuple(e - p for e, p in zip(re, ru)) for re, ru in zip(eye, u))
+    total, power = eye, eye
+    for _ in r:
+        power = _mat_mul(power, n)
+        total = _mat_add(total, power)
+    return total
+
+
+def gauge(module: AVModule, u: Matrix, connection: bool = True) -> AVModule:
+    """The module M^U, unvalidated, for an invertible polynomial matrix U:
+
+        D'[i,alpha] = U^-1 D[i,alpha] U             for alpha != 0,
+        D'[i,0]     = U^-1 D[i,0] U + U^-1 d_i(U),
+
+    so that m -> U m maps M^U isomorphically onto M.  ``connection=False``
+    drops the U^-1 d_i(U) term, which leaves a module that fails to validate
+    whenever the tensor is nonzero and U is not constant.
+    """
+    inv = unipotent_inverse(u)
+    tensor = {key: _mat_mul(_mat_mul(inv, mat), u) for key, mat in module.tensor.items()}
+    if connection:
+        zero_index = (0,) * module.dim
+        for i in range(1, module.dim + 1):
+            term = _mat_mul(inv, tuple(tuple(p.partial_derivative(i) for p in row) for row in u))
+            old = tensor.get((i, zero_index))
+            tensor[(i, zero_index)] = term if old is None else _mat_add(old, term)
+    return AVModule(module.dim, module.rank, tensor, name=f"gauge({module.name})")
+
+
+def random_unipotent(rng: random.Random, dim: int, rank: int, max_degree: int) -> Matrix:
+    """Ones on the diagonal, seeded nonconstant polynomials of degree at most
+    ``max_degree`` above it, zeros below."""
+    one, zero = Poly.constant(dim, 1), Poly.zero(dim)
+    return tuple(tuple(one if a == b else zero if a > b
+                       else random_poly(rng, dim, max_degree, nonconstant=True)
+                       for b in range(rank)) for a in range(rank))

@@ -115,11 +115,14 @@ def test_verify_suite_that_runs_no_check_exits_two(tmp_path, capsys):
     assert code == 0 and data["summary"]["total"] == len(IDENTITY_IDS) + 2
 
 
-def test_verify_defaults_are_the_run_config_defaults():
+def test_verify_defaults_are_the_run_config_defaults(tmp_path):
+    # the parser holds no default of its own: an option left out is RunConfig's
     args = build_parser().parse_args(["verify"])
-    config = RunConfig(dims=tuple(map(int, args.dims.split(","))), max_degree=args.degree,
-                       trials=args.trials, seed=args.seed, p_max=args.pmax)
-    assert config == RunConfig()
+    assert [args.dims, args.degree, args.trials, args.seed, args.pmax] == [None] * 5
+    code, data = run_json(tmp_path, ["verify", "--suite", "negative-control"])
+    assert code == 1
+    config = {k: v for k, v in data["config"].items() if k not in ("command", "suites")}
+    assert config == RunConfig().to_dict()
 
 
 def test_verify_invalid_config_exits_two(capsys):
@@ -197,15 +200,68 @@ def test_verify_error_in_a_share_is_the_serial_error(monkeypatch, capsys, level)
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_order_imports_no_process_machinery():
-    # the split lives in verify alone: order and annihilator pay no import for it
+@needs_fork
+@pytest.mark.parametrize("args, children", [
+    (["--suite", "negative-control"], 0),  # forked 2 children that ran nothing
+    (["--suite", "lemma2", "--trials", "6"], 2),
+], ids=["negative-control", "lemma2"])
+def test_verify_forks_only_for_shares_that_hold_checks(monkeypatch, capsys, args, children):
+    outs = []
+    for cpus, forks_made in ((1, 0), (3, children)):
+        forks = _cpus(monkeypatch, cpus)
+        main(["verify", *args])
+        assert len(forks) == forks_made
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _imports_after(code: str) -> str:
+    """The last line ``code`` prints, run in a fresh interpreter on this checkout."""
     parent = str(Path(smashmod.__file__).resolve().parent.parent)
-    code = ("import sys, smashmod, smashmod.cli as cli\n"
-            "cli.main(['order', '--module', 'zoo:forms', '--dim', '1'])\n"
-            "print(sorted({'multiprocessing', 'pickle', 'signal'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=parent), check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_order_imports_no_process_machinery(tmp_path):
+    # order and annihilator load only poly, smash, modules and cli: not verify's
+    # layers, its process machinery, nor dataclasses or inspect
+    path = str(tmp_path / "forms2.json")
+    save_module_spec(differential_forms(2), path)
+    unwanted = ["smashmod.suites", "smashmod.localize", "smashmod.sampling", "dataclasses",
+                "inspect", "pickle", "signal", "multiprocessing"]
+    for argv in (["order", "--module", "zoo:forms", "--dim", "1"],
+                 ["order", "--module", path],
+                 ["annihilator", "--module", "zoo:jets", "--dim", "1", "--n", "2",
+                  "--f", "x1^2", "--eta", "x1*d1"],
+                 ["annihilator", "--module", path, "--f", "x1^2 - x2", "--eta", "x1*d2"]):
+        argv += ["--out", str(tmp_path / "report.json")]
+        assert _imports_after(f"import smashmod.cli as cli\n"
+                              f"assert cli.main({argv!r}) == 0\n"
+                              f"print(sorted(set({unwanted!r}) & set(sys.modules)))"
+                              ) == "[]", argv
+
+
+def test_import_smashmod_loads_no_layer():
+    assert _imports_after("import smashmod\n"
+                          "print(sorted(m for m in sys.modules if m.startswith('smashmod.')))"
+                          ) == "[]"
+
+
+def test_dir_lists_every_public_name():
+    from test_api import PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(smashmod))
+
+
+def test_cli_reads_verify_names_from_suites():
+    assert cli.run_suite is suites.run_suite
+    assert cli.plan_suites is suites.plan_suites
+    assert cli.RunConfig is suites.RunConfig
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 def test_level_grid_is_computed_per_trial():

@@ -42,8 +42,12 @@ from smashmod.sampling import random_derivation, random_poly, seeded_rng
 from oracles import (
     act_smash_by_terms,
     annihilates_by_sampling,
+    gauge,
     jet_tensor_by_prolongation,
+    mat_apply,
     random_poly_or_zero,
+    random_unipotent,
+    spanning_vectors,
     validate_by_sampling,
 )
 from test_acceptance import small_zoo
@@ -152,6 +156,16 @@ def test_zoo_names_return_the_builders_modules(names, params, direct):
 def test_each_zoo_module_is_one_object_whatever_the_call(call, same):
     # the builders cache on the module a call names, not on the call's form
     assert call() is same()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: differential_forms(1, 2),  # too many arguments
+    lambda: jet_module(m=1),  # an unknown parameter
+    lambda: jet_module(1, dim=1),  # dim given twice
+], ids=["too-many", "unknown", "twice"])
+def test_a_zoo_call_python_refuses_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_a_default_call_and_an_explicit_one_share_a_localized_module():
@@ -433,6 +447,36 @@ def test_schema_errors():
         AVModule(1, 2, {(1, (1,)): ((one,),)})  # wrong matrix shape
     with pytest.raises(ModuleSchemaError):
         AVModule(2, 1, {(3, (1, 0)): ((parse_poly("x1", 2),),)})  # bad direction
+
+
+# -- gauge-equivalent modules --------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: jet_module(1, 2),
+    lambda: differential_forms(2),
+    lambda: tangent_adjoint(2),
+    lambda: jet_module(2, 1),
+    lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
+], ids=["jets(1,2)", "forms(2)", "adjoint(2)", "jets(2,1)", "forms(2)xadjoint(2)"])
+def test_gauge_equivalent_module_keeps_every_invariant(build):
+    # every zoo tensor is constant, so validate's d_i D[j,alpha] term is zero on
+    # them; a gauged module has polynomial entries and a nonzero D'[i,0]
+    module = build()
+    rng = seeded_rng(5, "gauge", module.name)
+    # degree 1: a degree-2 U doubles validate_by_sampling's time on the rank-4 module
+    u = random_unipotent(rng, module.dim, module.rank, 1)
+    gauged = gauge(module, u)
+    assert _verdicts(gauged) == (True, True)
+    assert gauged.lie_map_order() == module.lie_map_order()
+    n_max = module.rank ** 2
+    assert oracle_order(gauged, n_max) == oracle_order(module, n_max)
+    eta = random_derivation(rng, module.dim, 2)
+    for m in spanning_vectors(gauged):  # U rho'(eta) m == rho(eta) (U m)
+        assert mat_apply(u, gauged.act_derivation(eta, m)) == module.act_derivation(
+            eta, mat_apply(u, m))
+    f = random_poly(rng, module.dim, 2, nonconstant=True)
+    assert min_annihilating_order(gauged, f, eta) == min_annihilating_order(module, f, eta)
+    assert _verdicts(gauge(module, u, connection=False)) == (False, False)
 
 
 # -- annihilation --------------------------------------------------------------------
