@@ -143,7 +143,8 @@ class _LocalizedFraction:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        _check_base(self, other)
+        if not self._same_space(other):
+            raise BaseMismatch("localized values have different bases or modules")
         k = max(self.denom_exp, other.denom_exp)
         return self._new(self.base, self._over(k) + other._over(k), k).reduce()
 
@@ -224,7 +225,7 @@ class LocalizedModuleElement(_LocalizedFraction):
         return out
 
     def _same_space(self, other) -> bool:
-        return self.base == other.base and self.module is other.module
+        return self.base == other.base and self.module == other.module
 
     def reduce(self) -> "LocalizedModuleElement":
         return self._reduce()
@@ -309,9 +310,9 @@ class LocalizedModule:
             op = self.operator(op)
         if op.base != self.base or me.base != self.base:
             raise BaseMismatch("operands do not belong to this localized context")
-        if op.module is not self.module:
+        if op.module != self.module:
             raise BaseMismatch("operator does not belong to this module")
-        if me.module is not self.module:
+        if me.module != self.module:
             raise BaseMismatch("element does not belong to this module")
         f, l, m = self.base, me.denom_exp, me.numerator
         series = me._new(f, self.module._apply(op.pair, m), op.pair_exp + l)

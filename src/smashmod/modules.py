@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache, wraps
 from itertools import combinations, combinations_with_replacement, islice, product
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -148,6 +147,9 @@ class AVModule:
     an empty tensor, on which every element acts as zero.  An instance is
     usable only after ``validate()`` has passed (the zoo constructors and
     file loader do this for you).  Instances are immutable and safe to share.
+    A module is its value: two instances with equal ``dim``, ``rank`` and
+    tensor are the same module (``==``), however they were built; the name
+    is only a label.
     """
 
     __slots__ = ("dim", "rank", "order", "tensor", "name", "_validated")
@@ -496,32 +498,6 @@ def dual_module(module: AVModule) -> AVModule:
 # the zoo
 # ---------------------------------------------------------------------------------
 
-def _defaults(builder) -> dict:
-    """A zoo builder's parameters, in order, with their defaults (every zoo
-    parameter has one), read off the function object itself."""
-    builder = getattr(builder, "__wrapped__", builder)
-    code = builder.__code__
-    return dict(zip(code.co_varnames[:code.co_argcount], builder.__defaults__, strict=True))
-
-
-def _one_per_value(builder):
-    """Cache a zoo builder on the module a call names, not on the call's form:
-    the arguments with their defaults filled in, one whose default is a
-    Fraction taken as a Fraction (so twist(1) is twist(Fraction(1)))."""
-    defaults, cached = _defaults(builder), lru_cache(maxsize=None)(builder)
-    names = list(defaults)
-
-    @wraps(builder)
-    def build(*args, **kwargs):
-        values = {**defaults, **dict(zip(names, args)), **kwargs}
-        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
-            return builder(*args, **kwargs)  # a call Python refuses: raise its TypeError
-        return cached(*(Fraction(v) if type(defaults[k]) is Fraction else v
-                        for k, v in values.items()))
-    return build
-
-
-@_one_per_value
 def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
     if dim < 1 or rank < 1:
@@ -538,7 +514,6 @@ def _unit_entries(dim: int, c: int, at) -> dict[tuple[int, MultiIndex], Matrix]:
             for i in span for k in span}
 
 
-@_one_per_value
 def differential_forms(dim: int = 1) -> AVModule:
     """One-forms with the Lie-derivative action; basis dx_1..dx_d.
 
@@ -551,7 +526,6 @@ def differential_forms(dim: int = 1) -> AVModule:
     return _validated(AVModule(dim, dim, tensor, name=f"forms({dim})"))
 
 
-@_one_per_value
 def tangent_adjoint(dim: int = 1) -> AVModule:
     """Vector fields acting on themselves by the bracket; basis d_1..d_d.
 
@@ -563,7 +537,6 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
     return _validated(AVModule(dim, dim, tensor, name=f"adjoint({dim})"))
 
 
-@_one_per_value
 def jet_module(dim: int = 1, n: int = 0) -> AVModule:
     """Jets of order n: slots e_beta for the partials d^beta(h), |beta| <= n.
 
@@ -594,13 +567,15 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
     return _validated(AVModule(dim, r, tensor, name=f"jets({dim},{n})"))
 
 
-@_one_per_value
-def twist(lam: Coeff = Fraction(0)) -> AVModule:
+def twist(lam: Coeff | str = 0) -> AVModule:
     """The rank-one family on the line: rho(g d)(m) = g m' + lam g' m.
 
+    lam is any value ``Fraction`` accepts: an int, a Fraction or a text such
+    as "-3/2"; twist(1), twist(Fraction(1)) and twist("1") are one module.
     lam = 0 is the trivial D-module point, lam = 1 the one-forms, lam = -1
     the adjoint action.
     """
+    lam = Fraction(lam)
     mat = ((Poly.constant(1, lam),),)  # zero at lam = 0, which the constructor drops
     return _validated(AVModule(1, 1, {(1, (1,)): mat}, name=f"twist({lam})"))
 
@@ -613,18 +588,17 @@ _ZOO |= {builder.__name__: builder for builder in _ZOO.values()}
 
 def zoo(name: str, **params) -> AVModule:
     """Construct a named example module; see the builders for parameters.
-    A given value takes the type of its parameter's default, and unknown
-    parameters are refused before anything is built."""
+    Unknown parameters are refused before anything is built."""
     if name not in _ZOO:
         raise ValueError(f"unknown zoo module {name!r}")
     builder = _ZOO[name]
     if builder is twist and int(params.pop("dim", 1)) != 1:
         raise ValueError("twist is defined on the line (dim must be 1)")
-    defaults = _defaults(builder)
-    unknown = sorted(params.keys() - defaults)
+    code = builder.__code__
+    unknown = sorted(params.keys() - set(code.co_varnames[:code.co_argcount]))
     if unknown:
         raise ValueError(f"unexpected parameters for {name!r}: {unknown}")
-    return builder(**{k: type(defaults[k])(v) for k, v in params.items()})
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------------

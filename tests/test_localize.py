@@ -159,6 +159,20 @@ def test_base_mismatch_rejected():
         a + b
 
 
+def test_sum_refuses_elements_of_different_modules():
+    f = parse_poly("x1 + x2", 2)
+    forms, adjoint = differential_forms(2), tangent_adjoint(2)
+    a = LocalizedModuleElement(f, forms, forms.basis_element(0), 1)
+    b = LocalizedModuleElement(f, adjoint, adjoint.basis_element(1), 0)
+    for combine in (lambda: a + b, lambda: a - b, lambda: b + a):
+        with pytest.raises(BaseMismatch, match="different bases or modules"):
+            combine()
+    assert a != b
+    # an element over an equal module, built again, adds
+    twin = LocalizedModuleElement(f, differential_forms(2), forms.basis_element(0), 1)
+    assert a + twin == a * 2 and (a - twin).is_zero()
+
+
 # -- internal results skip the constructor checks --------------------------------------
 
 def test_internal_results_keep_type_base_and_module():

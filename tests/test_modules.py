@@ -7,6 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from smashmod import (
     AVModule,
+    LOCALIZED_CHECK_IDS,
     Derivation,
     DimensionMismatch,
     LocalizedModule,
@@ -35,6 +36,7 @@ from smashmod import (
     tensor_product,
     trivial_dmodule,
     twist,
+    verify_localized,
     zoo,
 )
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
@@ -134,10 +136,10 @@ def test_zoo_dispatch_and_aliases():
 ], ids=["dmodule", "dmodule-defaults", "forms", "adjoint", "jets", "jets-default-n",
         "twist", "twist-default"])
 def test_zoo_names_return_the_builders_modules(names, params, direct):
-    # the short name and the builder's own name reach the cached module itself;
-    # zoo passes every parameter, a twist weight as a Fraction
+    # the short name and the builder's own name build the builder's module;
+    # zoo passes every parameter, and twist takes its weight as a Fraction
     for name in names:
-        assert zoo(name, **params) is direct(), name
+        assert zoo(name, **params) == direct(), name
     with pytest.raises(ValueError, match=f"unexpected parameters for {names[-1]!r}"):
         zoo(names[-1], **params, degree=2)
 
@@ -153,9 +155,9 @@ def test_zoo_names_return_the_builders_modules(names, params, direct):
     (lambda: twist("-1/2"), lambda: twist(lam=Fraction(-1, 2))),
 ], ids=["forms", "adjoint", "jets", "jets-keyword", "dmodule", "twist-default", "twist",
         "twist-text"])
-def test_each_zoo_module_is_one_object_whatever_the_call(call, same):
-    # the builders cache on the module a call names, not on the call's form
-    assert call() is same()
+def test_each_zoo_module_builds_one_module_whatever_the_call(call, same):
+    # the module a call names does not depend on the call's form
+    assert call() == same()
 
 
 @pytest.mark.parametrize("call", [
@@ -169,13 +171,31 @@ def test_a_zoo_call_python_refuses_raises_type_error(call):
 
 
 def test_a_default_call_and_an_explicit_one_share_a_localized_module():
-    # localized values compare modules by identity
+    # localized values compare modules with ==
     f, m = parse_poly("x1 + 1", 1), ModuleElement((parse_poly("x1", 1),))
     context = LocalizedModule(differential_forms(), f)
     me = LocalizedModuleElement(f, differential_forms(1), m, 0)
     got = context.act(context.derivation(Derivation.partial(1, 1), 1), me)
     assert got == LocalizedModuleElement(f, differential_forms(), got.numerator, got.denom_exp)
     assert me == context.include(m)
+
+
+@pytest.mark.parametrize("build, again", [
+    (lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
+     lambda: tensor_product(differential_forms(2), tangent_adjoint(2))),
+    (lambda: module_from_dict(module_to_dict(differential_forms(2))),
+     lambda: differential_forms(2)),
+], ids=["functor", "file"])
+def test_equal_modules_built_twice_share_a_localized_space(build, again):
+    module, twin = build(), again()
+    assert module is not twin and module == twin
+    f = parse_poly("x1 * x2 + 1", 2)
+    here, there = LocalizedModule(module, f), LocalizedModule(twin, f)
+    ed = here.derivation(Derivation((parse_poly("x2", 2), parse_poly("x1 + 1", 2))), 1)
+    for m in module.basis():
+        # an operator and an element over one module act in the other's space
+        got = there.act(here.operator(ed), LocalizedModuleElement(f, module, m, 1))
+        assert got == here.act(ed, LocalizedModuleElement(f, twin, m, 1))
 
 
 def test_twist_family_points():
@@ -477,6 +497,40 @@ def test_gauge_equivalent_module_keeps_every_invariant(build):
     f = random_poly(rng, module.dim, 2, nonconstant=True)
     assert min_annihilating_order(gauged, f, eta) == min_annihilating_order(module, f, eta)
     assert _verdicts(gauge(module, u, connection=False)) == (False, False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: jet_module(1, 2),
+    lambda: differential_forms(2),
+    lambda: tangent_adjoint(2),
+    lambda: jet_module(2, 1),
+    lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
+], ids=["jets(1,2)", "forms(2)", "adjoint(2)", "jets(2,1)", "forms(2)xadjoint(2)"])
+def test_gauge_equivalent_module_keeps_the_smash_action_and_the_localized_laws(build):
+    # a gauged module is built outside the zoo, with polynomial entries
+    module = build()
+    dim = module.dim
+    rng = seeded_rng(5, "gauge-localized", module.name)
+    u = random_unipotent(rng, dim, module.rank, 1)
+    gauged = gauge(module, u)
+    assert gauged.validate().passed
+    f = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
+    s = omega(2, f, random_derivation(rng, dim, 2))
+    for m in spanning_vectors(gauged):  # U (s m) == s (U m)
+        assert mat_apply(u, gauged.act_smash(s, m)) == module.act_smash(s, mat_apply(u, m))
+    # bindings shaped like those of suites._localized_reports
+    g = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
+    eta, mu = random_derivation(rng, dim, 2), random_derivation(rng, dim, 2)
+    bindings = {
+        "welldefined": {"eta": eta, "j": 2},
+        "leibniz": {"eta": eta, "k": 2, "a_num": g, "a_exp": 1},
+        "bracket": {"eta": eta, "mu": mu},
+        "inverse-square": {"eta": eta},
+        "inverse-cube": {"eta": eta},
+        "restriction": {"eta": (f ** 2) * mu, "eta_exp": 2, "mu": g * mu, "mu_exp": 1, "g": g},
+    }
+    for name in LOCALIZED_CHECK_IDS:
+        assert verify_localized(name, gauged, f, bindings[name]).passed, name
 
 
 # -- annihilation --------------------------------------------------------------------
