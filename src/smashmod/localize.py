@@ -129,7 +129,8 @@ class _LocalizedFraction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._same_space(other) and (self - other).is_zero()
+        k = max(self.denom_exp, other.denom_exp)
+        return self._same_space(other) and self._over(k) == other._over(k)
 
     __hash__ = None
 
@@ -347,14 +348,78 @@ def extend_base(value, extra: Poly):
 # exact checks of the localized-action laws
 # ---------------------------------------------------------------------------------
 
-LOCALIZED_CHECK_IDS = (
-    "welldefined",
-    "leibniz",
-    "bracket",
-    "inverse-square",
-    "inverse-cube",
-    "restriction",
-)
+# Each law takes the localized context, f and the bindings its signature names
+# (with the defaults of the optional ones), builds its operators once and
+# returns sides(me): the two sides of the law on the integral element me.
+
+def _welldefined(context: LocalizedModule, f: Poly, eta: Derivation, j=1):
+    j = int(j)
+    if j < 1:
+        raise ValueError("welldefined needs j >= 1")
+    # eta f^j / f^j, unreduced on purpose
+    scaled = context.operator(LocalizedDerivation(f, (f ** j) * eta, j))
+    plain = context.operator(LocalizedDerivation(f, eta, 0))
+    return lambda me: (context.act(scaled, me), context.act(plain, me))
+
+
+def _leibniz(context: LocalizedModule, f: Poly, eta: Derivation, a_num: Poly, k=1, a_exp=1):
+    k = int(k)
+    a = LocalizedPoly(f, a_num, int(a_exp))
+    ed = LocalizedDerivation(f, eta, k)
+    da = apply_localized_derivation(ed, a)
+    op = context.operator(ed)
+    return lambda me: (context.act(op, a * me), da * me + a * context.act(op, me))
+
+
+def _bracket(context: LocalizedModule, f: Poly, eta: Derivation, mu: Derivation):
+    ed = context.operator(LocalizedDerivation(f, eta, 1))
+    md = context.operator(LocalizedDerivation(f, mu, 1))
+    rhs_parts = [context.operator(LocalizedDerivation(f, num, exp)) for num, exp in (
+        (-eta.apply(f) * mu, 3), (mu.apply(f) * eta, 3), (eta.bracket(mu), 2))]
+
+    def sides(me):
+        lhs = context.act(ed, context.act(md, me)) - context.act(md, context.act(ed, me))
+        a, b, c = (context.act(op, me) for op in rhs_parts)
+        return lhs, a + b + c
+    return sides
+
+
+def _inverse(k: int):
+    """The law that eta/f^k, built as the series in f^k and re-expanded in
+    powers of f, acts the same both ways."""
+    def law(context: LocalizedModule, f: Poly, eta: Derivation):
+        in_f_k = context.operator(LocalizedDerivation(f, eta, k))
+        pair, exp = _series_operator(context.module, f, eta, k)
+        in_f = LocalizedOperator(context.module, f, k, pair, exp, in_f_k.eta_f)
+        return lambda me: (context.act(in_f_k, me), context.act(in_f, me))
+    return law
+
+
+def _restriction(context: LocalizedModule, f: Poly, eta: Derivation, mu: Derivation, g: Poly,
+                 eta_exp=0, mu_exp=0):
+    if g.is_zero():
+        raise ZeroDivisionError("second localizing polynomial must be nonzero")
+    a, b = int(eta_exp), int(mu_exp)
+    if eta * (g ** b) != mu * (f ** a):
+        raise ValueError("representatives are not equal in the common localization")
+    context_g = LocalizedModule(context.module, g)
+    ed_f = context.operator(LocalizedDerivation(f, eta, a))
+    ed_g = context_g.operator(LocalizedDerivation(g, mu, b))
+    # f*g == g*f structurally, so both sides live over the same base
+    return lambda me: (extend_base(context.act(ed_f, me), g),
+                       extend_base(context_g.act(ed_g, context_g.include(me.numerator)), f))
+
+
+_LAWS = {
+    "welldefined": _welldefined,
+    "leibniz": _leibniz,
+    "bracket": _bracket,
+    "inverse-square": _inverse(2),
+    "inverse-cube": _inverse(3),
+    "restriction": _restriction,
+}
+
+LOCALIZED_CHECK_IDS = tuple(_LAWS)
 
 
 def verify_localized(name: str, module: AVModule, f: Poly,
@@ -367,100 +432,26 @@ def verify_localized(name: str, module: AVModule, f: Poly,
     series in f^k against its re-expansion in powers of f, with weights u+1
     and (u+1)(u+2)/2, both applied by ``act``), and restriction (actions of
     equal representatives over two bases agree in the common refinement).
+    ``inputs`` binds the parameters of the law's function in ``_LAWS``
+    after (context, f); the report echoes the ones given.
     """
-    if name not in LOCALIZED_CHECK_IDS:
+    if name not in _LAWS:
         raise ValueError(f"unknown localized check id {name!r}")
+    law = _LAWS[name]
     context = LocalizedModule(module, f)
+    code = law.__code__
+    params = code.co_varnames[2:code.co_argcount]
+    for p in params[:len(params) - len(law.__defaults__ or ())]:
+        if p not in inputs:
+            raise ValueError(f"missing binding {p!r} for check {name!r}")
+    bound = {p: inputs[p] for p in params if p in inputs}
+    sides = law(context, f, **bound)
     echoed = {"module": module.name or "<anonymous>", "f": str(f)}
-    for key in ("eta", "mu", "g", "j", "k", "a_num", "a_exp", "eta_exp", "mu_exp"):
-        if key in inputs:
-            echoed[key] = str(inputs[key])
-
-    def require(*keys):
-        missing = [k for k in keys if k not in inputs]
-        if missing:
-            raise ValueError(f"missing binding {missing[0]!r} for check {name!r}")
-        return [inputs[k] for k in keys]
-
+    echoed |= {p: str(v) for p, v in bound.items()}
     basis = module.basis()  # each law is tested on the basis and on x_k * basis
-    vectors = basis + [Poly.variable(module.dim, k) * b for k in range(1, module.dim + 1)
-                       for b in basis]
-
-    # each branch builds its operators once and defines sides(v): the two
-    # sides of the law on the vector v
-    if name == "welldefined":
-        (eta,) = require("eta")
-        j = int(inputs.get("j", 1))
-        if j < 1:
-            raise ValueError("welldefined needs j >= 1")
-        # eta f^j / f^j, unreduced on purpose
-        scaled = context.operator(LocalizedDerivation(f, (f ** j) * eta, j))
-        plain = context.operator(LocalizedDerivation(f, eta, 0))
-
-        def sides(v):
-            me = context.include(v)
-            return context.act(scaled, me), context.act(plain, me)
-
-    elif name == "leibniz":
-        eta, a_num = require("eta", "a_num")
-        k = int(inputs.get("k", 1))
-        a = LocalizedPoly(f, a_num, int(inputs.get("a_exp", 1)))
-        ed = LocalizedDerivation(f, eta, k)
-        da = apply_localized_derivation(ed, a)
-        op = context.operator(ed)
-
-        def sides(v):
-            me = context.include(v)
-            return context.act(op, a * me), da * me + a * context.act(op, me)
-
-    elif name == "bracket":
-        eta, mu = require("eta", "mu")
-        ed = context.operator(LocalizedDerivation(f, eta, 1))
-        md = context.operator(LocalizedDerivation(f, mu, 1))
-        rhs_parts = tuple(map(context.operator, (
-            LocalizedDerivation(f, -eta.apply(f) * mu, 3),
-            LocalizedDerivation(f, mu.apply(f) * eta, 3),
-            LocalizedDerivation(f, eta.bracket(mu), 2),
-        )))
-
-        def sides(v):
-            me = context.include(v)
-            lhs = context.act(ed, context.act(md, me)) - context.act(md, context.act(ed, me))
-            rhs = context.act(rhs_parts[0], me) + context.act(rhs_parts[1], me) \
-                + context.act(rhs_parts[2], me)
-            return lhs, rhs
-
-    elif name in ("inverse-square", "inverse-cube"):
-        (eta,) = require("eta")
-        k = 2 if name == "inverse-square" else 3
-        # eta/f^k built twice: as the series in f^k, and re-expanded in powers of f
-        in_f_k = context.operator(LocalizedDerivation(f, eta, k))
-        pair, exp = _series_operator(module, f, eta, k)
-        in_f = LocalizedOperator(module, f, k, pair, exp, in_f_k.eta_f)
-
-        def sides(v):
-            me = context.include(v)
-            return context.act(in_f_k, me), context.act(in_f, me)
-
-    else:  # restriction
-        eta, mu, g = require("eta", "mu", "g")
-        if g.is_zero():
-            raise ZeroDivisionError("second localizing polynomial must be nonzero")
-        a = int(inputs.get("eta_exp", 0))
-        b = int(inputs.get("mu_exp", 0))
-        if eta * (g ** b) != mu * (f ** a):
-            raise ValueError("representatives are not equal in the common localization")
-        context_g = LocalizedModule(module, g)
-        ed_f = context.operator(LocalizedDerivation(f, eta, a))
-        ed_g = context_g.operator(LocalizedDerivation(g, mu, b))
-
-        def sides(v):
-            # f*g == g*f structurally, so both sides live over the same base
-            return (extend_base(context.act(ed_f, context.include(v)), g),
-                    extend_base(context_g.act(ed_g, context_g.include(v)), f))
-
-    for v in vectors:
-        lhs, rhs = sides(v)
+    for v in basis + [Poly.variable(module.dim, k) * b for k in range(1, module.dim + 1)
+                      for b in basis]:
+        lhs, rhs = sides(context.include(v))
         if lhs != rhs:
             return _report(f"localized-{name}", echoed,
                            {"vector": str(v), "difference": str(lhs - rhs)})

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity through a different route than the library
 uses: term-by-term expansion instead of closed forms, bracket compatibility
 by applying the action to sampled monomial fields instead of the structure
-equations, quotient-rule calculus on rational one-forms instead of the
-localized series, the localized series one level at a time instead of as
+equations, quotient-rule calculus instead of the localized series (on
+rational one-forms, and on any module through its action tensor applied to
+fractions), the localized series one level at a time instead of as
 one smash element, triangular solves from jet prolongations instead of the
 closed binomial tensor, long division on unpacked exponents with Fraction
 quotients instead of tests on packed keys, and exact evaluation at a point
@@ -24,6 +25,7 @@ from typing import Sequence
 from smashmod import (
     AVModule,
     Derivation,
+    LocalizedModuleElement,
     LocalizedPoly,
     ModuleElement,
     Poly,
@@ -145,19 +147,46 @@ def validate_by_sampling(module: AVModule) -> VerificationReport:
     return VerificationReport("module-bracket-compatibility", inputs, "pass")
 
 
-# -- rational one-forms on the line -------------------------------------------------
+# -- the localized action by quotient-rule calculus ---------------------------------
 
-def localized_derivative(a: LocalizedPoly) -> LocalizedPoly:
-    """d/dx of numerator/f^k by the quotient rule (dim 1)."""
-    f, num, k = a.base, a.numerator, a.denom_exp
+def localized_derivative(a: LocalizedPoly, j: int = 1) -> LocalizedPoly:
+    """d_j of numerator/f^e by the quotient rule:
+    (d_j(numerator) f - e numerator d_j(f)) / f^(e+1)."""
+    f, num, e = a.base, a.numerator, a.denom_exp
     return LocalizedPoly(
-        f, num.partial_derivative(1) * f - (k * num) * f.partial_derivative(1),
-        k + 1).reduce()
+        f, num.partial_derivative(j) * f - (e * num) * f.partial_derivative(j),
+        e + 1).reduce()
 
 
 def lie_derivative_one_form(g: LocalizedPoly, a: LocalizedPoly) -> LocalizedPoly:
-    """L_{g d}(a dx) = (g a' + a g') dx for rational g, a over the same base."""
+    """L_{g d}(a dx) = (g a' + a g') dx for rational g, a over the same base
+    (dim 1); it does not read a module's tensor."""
     return g * localized_derivative(a) + a * localized_derivative(g)
+
+
+def act_by_tensor(module: AVModule, f: Poly, eta: Derivation, k: int, m: ModuleElement,
+                  l: int) -> LocalizedModuleElement:
+    """(eta/f^k)(m/f^l) from the defining formula of the action on fractions,
+
+        rho(g d_i) n = g d_i(n) + sum_alpha d^alpha(g) D[i,alpha] n,
+
+    summed over i with g = eta_i/f^k and n = m/f^l, every derivative taken by
+    the quotient rule: no doubled variables, no omega and no series (the
+    library applies an annihilator series cut at the module order)."""
+    n = [LocalizedPoly(f, p, l) for p in m.entries]
+    out = [LocalizedPoly(f, Poly.zero(f.dim), 0)] * module.rank
+    for i, c in enumerate(eta.coeffs, start=1):
+        g = LocalizedPoly(f, c, k)
+        out = [o + g * localized_derivative(e, i) for o, e in zip(out, n)]
+    for (i, alpha), mat in module.tensor.items():
+        dg = LocalizedPoly(f, eta.coeffs[i - 1], k)
+        for j, times in enumerate(alpha, start=1):
+            for _ in range(times):
+                dg = localized_derivative(dg, j)
+        out = [o + dg * LocalizedPoly(f, e, l) for o, e in zip(out, mat_apply(mat, m).entries)]
+    top = max(o.denom_exp for o in out)
+    return LocalizedModuleElement(f, module, ModuleElement(
+        (o.numerator * f ** (top - o.denom_exp) for o in out), f.dim), top)
 
 
 # -- the localized series level by level ---------------------------------------------

@@ -24,13 +24,24 @@ from smashmod import (
     verify_localized,
 )
 from smashmod.cli import main
-from smashmod.localize import BaseMismatch, LocalizedOperator, _series_operator
+from smashmod.localize import (
+    LOCALIZED_CHECK_IDS,
+    BaseMismatch,
+    LocalizedOperator,
+    _LAWS,
+    _series_operator,
+)
 from smashmod.modules import AVModule, ValidationError
 from smashmod.poly import DimensionMismatch
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
 from smashmod.suites import _localized_modules
 
-from oracles import lie_derivative_one_form, random_poly_or_zero, series_by_levels
+from oracles import (
+    act_by_tensor,
+    lie_derivative_one_form,
+    random_poly_or_zero,
+    series_by_levels,
+)
 from test_poly import polys
 
 x = Poly.variable(1, 1)
@@ -100,6 +111,32 @@ def test_equality_is_equality_of_fractions(data):
             assert make(f, n, k) != make(f, n, k + 1)
     m = ModuleElement(entries)
     assert LocalizedModuleElement(f, forms, m, k) != LocalizedModuleElement(f, adjoint, m, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equality_agrees_with_a_zero_difference(data):
+    # == compares the numerators over the larger power of f; the difference,
+    # which + reduces, is the oracle.  m f^j / f^(l+j) is m / f^l unreduced.
+    dim = data.draw(st.sampled_from((1, 2)), label="dim")
+    f = data.draw(polys(dim, max_degree=2).filter(lambda p: not p.is_constant()), label="f")
+    l = data.draw(st.integers(0, 2), label="l")
+    j = data.draw(st.integers(1, 2), label="j")
+    forms = differential_forms(dim)
+    n, other = ([data.draw(polys(dim, max_degree=2)) for _ in range(dim)] for _ in range(2))
+    cases = [
+        (LocalizedPoly, n[0], other[0]),
+        (lambda b, m, e: LocalizedModuleElement(b, forms, m, e),
+         ModuleElement(n), ModuleElement(other)),
+    ]
+    for make, m, m2 in cases:
+        plain, unreduced = make(f, m, l), make(f, m * f ** j, l + j)
+        values = [plain, unreduced, make(f, m2, l + j), make(f, m * f ** j + m2, l + j)]
+        for a in values:
+            for b in values:
+                assert (a == b) == (a - b).is_zero()
+                assert (a != b) == (not (a - b).is_zero())
+        assert plain == unreduced and unreduced == plain
 
 
 def test_text_forms():
@@ -377,6 +414,25 @@ def test_action_agrees_with_rational_lie_derivative():
             assert LocalizedPoly(base, got.numerator.entries[0], got.denom_exp) == oracle
 
 
+def test_action_agrees_with_the_action_tensor_on_fractions():
+    # the series cut at the module order against rho(g d_i) n = g d_i(n) +
+    # sum_alpha d^alpha(g) D[i,alpha] n with g = eta_i/f^k, n = m/f^l
+    for dim in (1, 2):
+        rng = seeded_rng(79, "action-tensor", dim)
+        for mod in _localized_modules(dim):
+            vectors = mod.basis() + [Poly.variable(dim, 1) * b for b in mod.basis()]
+            for _ in range(2):
+                f = random_poly(rng, dim, 2, nonconstant=True)
+                eta = random_derivation(rng, dim, 2)
+                ctx = LocalizedModule(mod, f)
+                for k in range(3):
+                    op = ctx.operator(ctx.derivation(eta, k))
+                    for m in vectors:
+                        for l in range(3):
+                            got = ctx.act(op, LocalizedModuleElement(f, mod, m, l))
+                            assert got == act_by_tensor(mod, f, eta, k, m, l), (mod.name, k, l)
+
+
 def test_action_is_representation_independent():
     # (f eta / f) m = (eta / 1) m, fed through the series unreduced
     j = jet_module(1, 2)
@@ -455,6 +511,44 @@ def test_restriction_rejects_unequal_representatives():
 def test_unknown_check_id():
     with pytest.raises(ValueError, match="unknown localized check"):
         verify_localized("gluing", differential_forms(1), x, {})
+
+
+def test_check_ids_are_the_law_table_in_order():
+    assert LOCALIZED_CHECK_IDS == tuple(_LAWS) == (
+        "welldefined", "leibniz", "bracket", "inverse-square", "inverse-cube", "restriction")
+
+
+def test_missing_binding_is_named():
+    with pytest.raises(ValueError, match="missing binding 'a_num' for check 'leibniz'"):
+        verify_localized("leibniz", differential_forms(1), x, {"eta": d})
+    with pytest.raises(ValueError, match="missing binding 'g' for check 'restriction'"):
+        verify_localized("restriction", differential_forms(1), x, {"eta": d, "mu": d})
+
+
+def test_optional_bindings_take_their_defaults_and_are_not_echoed(monkeypatch):
+    exps = []
+    real = LocalizedModule.operator
+    monkeypatch.setattr(LocalizedModule, "operator",
+                        lambda self, ed: exps.append(ed.denom_exp) or real(self, ed))
+    f, jets = parse_poly("x1 + 1", 1), jet_module(1, 2)
+    eta = parse_derivation("x1*d1", 1)
+    cases = [
+        ("welldefined", {"eta": eta}, [1, 0]),  # j = 1
+        ("leibniz", {"eta": eta, "a_num": x}, [1]),  # k = 1; a_exp = 1
+        ("restriction", {"eta": eta, "mu": eta, "g": x}, [0, 0]),  # eta_exp = mu_exp = 0
+    ]
+    for name, inputs, built in cases:
+        exps.clear()
+        rep = verify_localized(name, jets, f, inputs)
+        assert rep.passed and exps == built, name
+        assert set(rep.inputs) == {"module", "f"} | set(inputs), name
+
+
+def test_an_input_the_law_does_not_take_is_not_echoed():
+    rep = verify_localized("bracket", differential_forms(1), x,
+                           {"eta": d, "mu": x * d, "g": x + one, "j": 2})
+    assert rep.passed
+    assert rep.inputs == {"module": "forms(1)", "f": "x1", "eta": "d1", "mu": "x1*d1"}
 
 
 def test_zero_denominators_rejected():

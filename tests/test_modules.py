@@ -42,6 +42,7 @@ from smashmod import (
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
 
 from oracles import (
+    act_by_tensor,
     act_smash_by_terms,
     annihilates_by_sampling,
     gauge,
@@ -471,13 +472,19 @@ def test_schema_errors():
 
 # -- gauge-equivalent modules --------------------------------------------------------
 
-@pytest.mark.parametrize("build", [
+# dmodule(2,3) has an empty tensor: its gauged copy has D'[i,0] = U^-1 d_i(U) alone
+_GAUGED = pytest.mark.parametrize("build", [
     lambda: jet_module(1, 2),
     lambda: differential_forms(2),
     lambda: tangent_adjoint(2),
     lambda: jet_module(2, 1),
     lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
-], ids=["jets(1,2)", "forms(2)", "adjoint(2)", "jets(2,1)", "forms(2)xadjoint(2)"])
+    lambda: trivial_dmodule(2, 3),
+], ids=["jets(1,2)", "forms(2)", "adjoint(2)", "jets(2,1)", "forms(2)xadjoint(2)",
+        "dmodule(2,3)"])
+
+
+@_GAUGED
 def test_gauge_equivalent_module_keeps_every_invariant(build):
     # every zoo tensor is constant, so validate's d_i D[j,alpha] term is zero on
     # them; a gauged module has polynomial entries and a nonzero D'[i,0]
@@ -496,16 +503,12 @@ def test_gauge_equivalent_module_keeps_every_invariant(build):
             eta, mat_apply(u, m))
     f = random_poly(rng, module.dim, 2, nonconstant=True)
     assert min_annihilating_order(gauged, f, eta) == min_annihilating_order(module, f, eta)
-    assert _verdicts(gauge(module, u, connection=False)) == (False, False)
+    # without a tensor, dropping U^-1 d_i(U) leaves the plain action, a valid module
+    valid = not module.tensor
+    assert _verdicts(gauge(module, u, connection=False)) == (valid, valid)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: jet_module(1, 2),
-    lambda: differential_forms(2),
-    lambda: tangent_adjoint(2),
-    lambda: jet_module(2, 1),
-    lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
-], ids=["jets(1,2)", "forms(2)", "adjoint(2)", "jets(2,1)", "forms(2)xadjoint(2)"])
+@_GAUGED
 def test_gauge_equivalent_module_keeps_the_smash_action_and_the_localized_laws(build):
     # a gauged module is built outside the zoo, with polynomial entries
     module = build()
@@ -531,6 +534,15 @@ def test_gauge_equivalent_module_keeps_the_smash_action_and_the_localized_laws(b
     }
     for name in LOCALIZED_CHECK_IDS:
         assert verify_localized(name, gauged, f, bindings[name]).passed, name
+    # the series against the action tensor on fractions, with polynomial entries
+    ctx = LocalizedModule(gauged, f)
+    vectors = gauged.basis() + [Poly.variable(dim, 1) * b for b in gauged.basis()]
+    for k in range(3):
+        op = ctx.operator(ctx.derivation(eta, k))
+        for m in vectors:
+            for l in range(3):
+                got = ctx.act(op, LocalizedModuleElement(f, gauged, m, l))
+                assert got == act_by_tensor(gauged, f, eta, k, m, l), (k, l)
 
 
 # -- annihilation --------------------------------------------------------------------
