@@ -136,15 +136,21 @@ def _resolve_module(args) -> AVModule:
 def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list:
     """The report records of share ``share`` (see ``run_suite``) of the suites."""
     from .suites import run_suite  # read when called, so a rebound run_suite is the one run
-    return [{**report.to_dict(), "suite": s}
-            for s in suites for report in run_suite(s, config, share)]
+    try:
+        return [{**report.to_dict(), "suite": s}
+                for s in suites for report in run_suite(s, config, share)]
+    except DegreeOverflow as e:  # the suites' products grow with both options
+        raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
+                        f"({config.p_max})") from e
 
 
 def cmd_verify(args) -> int:
     """Run share 0 of n = min(CPUs in the affinity mask, trials) here and fork a
-    child for each other share, which pipes back its pickled records or error.
-    The sorted report is the same for every n (``taskset -c 0`` gives n = 1);
-    a failure raises the error of the lowest-numbered failing share."""
+    child for each other share, which pipes back its pickled records, or nothing
+    if its share fails.  The sorted report is the same for every n (``taskset
+    -c 0`` gives n = 1).  If any share fails, the children are reaped and the
+    plan runs again here as the one share (0, 1), which raises the error that a
+    serial run meets first."""
     import pickle  # here, so that order and annihilator import none of these
     import signal
 
@@ -165,34 +171,28 @@ def cmd_verify(args) -> int:
         for k in range(1, n):
             r, w = os.pipe()
             pid = os.fork()
-            if pid == 0:  # the child: send the outcome of share k, never return
+            if pid == 0:  # the child: send the records of share k, never return
                 try:
-                    try:
-                        outcome = _share_records(suites, config, (k, n))
-                    except Exception as e:
-                        outcome = e
+                    data = pickle.dumps(_share_records(suites, config, (k, n)))
                     with os.fdopen(w, "wb") as fh:
-                        fh.write(pickle.dumps(outcome))
+                        fh.write(data)
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
-        envelope.results = _share_records(suites, config, (0, n))
-        for k, (_, fh) in enumerate(children, start=1):
-            data = fh.read()
-            outcome = pickle.loads(data) if data else ChildProcessError(
-                f"share {k} of {n} ended without a result")
-            if isinstance(outcome, Exception):
-                raise outcome
-            envelope.results.extend(outcome)
-    except DegreeOverflow as e:  # the suites' products grow with both options
-        raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
-                        f"({config.p_max})") from e
+        results = _share_records(suites, config, (0, n))
+        for _, fh in children:  # the empty pipe of a failed share raises EOFError
+            results.extend(pickle.loads(fh.read()))
+    except Exception:  # any error of any share: the serial run below raises it again
+        if n == 1:
+            raise
+        results = None  # run the plan again once every child is reaped
     finally:  # no child outlives the command, whatever happened
         for pid, fh in children:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    envelope.results = _share_records(suites, config, (0, 1)) if results is None else results
     return _emit(envelope, args)
 
 

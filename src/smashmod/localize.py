@@ -43,7 +43,7 @@ from .poly import (
     embed_function,
 )
 from .modules import AVModule, ModuleElement, Operator
-from .smash import SmashElement, VerificationReport, _report
+from .smash import SmashElement, VerificationReport, _bind, _report
 
 __all__ = [
     "LocalizedPoly",
@@ -439,12 +439,7 @@ def verify_localized(name: str, module: AVModule, f: Poly,
         raise ValueError(f"unknown localized check id {name!r}")
     law = _LAWS[name]
     context = LocalizedModule(module, f)
-    code = law.__code__
-    params = code.co_varnames[2:code.co_argcount]
-    for p in params[:len(params) - len(law.__defaults__ or ())]:
-        if p not in inputs:
-            raise ValueError(f"missing binding {p!r} for check {name!r}")
-    bound = {p: inputs[p] for p in params if p in inputs}
+    bound = _bind(law, inputs, 2, f"check {name!r}")
     sides = law(context, f, **bound)
     echoed = {"module": module.name or "<anonymous>", "f": str(f)}
     echoed |= {p: str(v) for p, v in bound.items()}

@@ -442,20 +442,14 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
         ent = [[Poly.zero(d) for _ in range(nr)] for _ in range(nr)]
         for col, T in enumerate(subsets):
             for pos, t in enumerate(T):
+                rest = T[:pos] + T[pos + 1:]
                 for s in range(r):
                     c = mat[s][t]
-                    if not c.terms:
-                        continue
-                    if s == t:
-                        ent[col][col] = ent[col][col] + c
-                    elif s in T:
-                        continue  # repeated factor: wedge is zero
-                    else:
-                        lo, hi = (s, t) if s < t else (t, s)
-                        between = sum(1 for u in T if u != t and lo < u < hi)
-                        newT = tuple(sorted(T[:pos] + T[pos + 1:] + (s,)))
-                        val = -c if between & 1 else c
-                        ent[index[newT]][col] = ent[index[newT]][col] + val
+                    if c.terms and s not in rest:  # a repeated factor makes the wedge zero
+                        # e_s moves from slot pos to its place in the sorted subset S
+                        S = tuple(sorted(rest + (s,)))
+                        row = index[S]
+                        ent[row][col] = ent[row][col] + (-c if (pos + S.index(s)) & 1 else c)
         tensor[(i, alpha)] = tuple(tuple(row) for row in ent)
     return _validated(AVModule(d, nr, tensor, name=f"wedge^{k}({module.name or 'M'})"))
 

@@ -256,7 +256,7 @@ def _smash_witness(diff: SmashElement) -> Optional[dict]:
     return {"difference": str(diff)}
 
 
-def _check_lemma2(f, g, eta, p):
+def _lemma2(f, g, eta, p):
     if p < 1:
         raise ValueError("lemma2-commute-A needs p >= 1")
     w = function_commutator(omega(p, f, eta), g)
@@ -275,49 +275,49 @@ def _require_pq(name, p, q):
         raise ValueError(f"{name} needs p, q >= 1")
 
 
-def _check_lemma3(f, eta, mu, p, q):
+def _lemma3(f, eta, mu, p, q):
     _require_pq("lemma3-commutator", p, q)
     lhs = smash_bracket(omega(p, f, eta), omega(q, f, mu))
     return _smash_witness(lhs - _lemma3_rhs(f, eta, mu, p, q))
 
 
-def _two_brackets(name, terms):
-    """Checker of [omega_p(f,a), omega_q(f,b)] - [omega_p(f,c), omega_q(f,e)]
-    = k * omega_{p+q}(f, r), where terms(**bindings) gives (a, b, c, e, k, r).
+def _two_brackets(name, f, p, q, a, b, c, e, k, r):
+    """The witness of [omega_p(f,a), omega_q(f,b)] - [omega_p(f,c), omega_q(f,e)]
+    = k * omega_{p+q}(f, r), the form of the four two-bracket lemmas.
 
     omega and smash_bracket are looked up as module globals when the check
     runs, so a profiler that rebinds them sees every call.
     """
-    def check(f, p, q, **bindings):
-        _require_pq(name, p, q)
-        a, b, c, e, k, r = terms(**bindings)
-        lhs = smash_bracket(omega(p, f, a), omega(q, f, b)) \
-            - smash_bracket(omega(p, f, c), omega(q, f, e))
-        rhs = omega(p + q, f, r)
-        return _smash_witness(lhs - (rhs if k == 1 else k * rhs))
-    return check
+    _require_pq(name, p, q)
+    lhs = smash_bracket(omega(p, f, a), omega(q, f, b)) \
+        - smash_bracket(omega(p, f, c), omega(q, f, e))
+    rhs = omega(p + q, f, r)
+    return _smash_witness(lhs - (rhs if k == 1 else k * rhs))
 
 
-def _lemma4_1(g, eta, mu):
-    return eta, g * mu, g * eta, mu, 1, eta.apply(g) * mu + mu.apply(g) * eta
+def _lemma4_1(f, g, eta, mu, p, q):
+    return _two_brackets("lemma4-1", f, p, q, eta, g * mu, g * eta, mu, 1,
+                         eta.apply(g) * mu + mu.apply(g) * eta)
 
 
-def _lemma4_2(g, h, eta):
+def _lemma4_2(f, g, h, eta, p, q):
     # Stated with the two brackets in the orientation the proof establishes:
     # [omega_p(f,eta), omega_q(f,gh eta)] - [omega_p(f,g eta), omega_q(f,h eta)].
-    return eta, (g * h) * eta, g * eta, h * eta, 2, (h * eta.apply(g)) * eta
+    return _two_brackets("lemma4-2", f, p, q, eta, (g * h) * eta, g * eta, h * eta, 2,
+                         (h * eta.apply(g)) * eta)
 
 
-def _lemma4_3(g, eta):
-    return eta, g * eta, g * eta, eta, 2, eta.apply(g) * eta
+def _lemma4_3(f, g, eta, p, q):
+    return _two_brackets("lemma4-3", f, p, q, eta, g * eta, g * eta, eta, 2, eta.apply(g) * eta)
 
 
-def _lemma4_4(g, h, eta):
+def _lemma4_4(f, g, h, eta, p, q):
     eh = eta.apply(h)
-    return eta, (g * eh) * eta, g * eta, eh * eta, 2, (eta.apply(g) * eh) * eta
+    return _two_brackets("lemma4-4", f, p, q, eta, (g * eh) * eta, g * eta, eh * eta, 2,
+                         (eta.apply(g) * eh) * eta)
 
 
-def _check_lemma4_5(f, g, h, eta, p, q):
+def _lemma4_5(f, g, h, eta, p, q):
     if p + q < 1:
         raise ValueError("lemma4-5 needs p + q >= 1")
     eh = eta.apply(h)
@@ -327,7 +327,7 @@ def _check_lemma4_5(f, g, h, eta, p, q):
     return _smash_witness(lhs - rhs)
 
 
-def _check_lemma5(f, eta, mu, p):
+def _lemma5(f, eta, mu, p):
     if p < 1:
         raise ValueError("lemma5-deriv-bracket needs p >= 1")
     one = Poly.constant(f.dim, 1)
@@ -339,7 +339,7 @@ def _check_lemma5(f, eta, mu, p):
     return _smash_witness(lhs - rhs)
 
 
-def _check_lemma4p1(f, eta, p):
+def _lemma4p1(f, eta, p):
     if p < 0:
         raise ValueError("lemma4.1-recurrence needs p >= 0")
     one = Poly.constant(f.dim, 1)
@@ -348,35 +348,44 @@ def _check_lemma4p1(f, eta, p):
     return _smash_witness(lhs - rhs)
 
 
+# identity id -> its check, whose parameters are the symbols the identity binds;
+# it checks their levels and returns the witness of a failure, or None
 _IDENTITIES = {
-    "lemma2-commute-A": (("f", "g", "eta", "p"), _check_lemma2),
-    "lemma3-commutator": (("f", "eta", "mu", "p", "q"), _check_lemma3),
-    "lemma4-1": (("f", "g", "eta", "mu", "p", "q"), _two_brackets("lemma4-1", _lemma4_1)),
-    "lemma4-2": (("f", "g", "h", "eta", "p", "q"), _two_brackets("lemma4-2", _lemma4_2)),
-    "lemma4-3": (("f", "g", "eta", "p", "q"), _two_brackets("lemma4-3", _lemma4_3)),
-    "lemma4-4": (("f", "g", "h", "eta", "p", "q"), _two_brackets("lemma4-4", _lemma4_4)),
-    "lemma4-5": (("f", "g", "h", "eta", "p", "q"), _check_lemma4_5),
-    "lemma5-deriv-bracket": (("f", "eta", "mu", "p"), _check_lemma5),
-    "lemma4.1-recurrence": (("f", "eta", "p"), _check_lemma4p1),
+    "lemma2-commute-A": _lemma2,
+    "lemma3-commutator": _lemma3,
+    "lemma4-1": _lemma4_1,
+    "lemma4-2": _lemma4_2,
+    "lemma4-3": _lemma4_3,
+    "lemma4-4": _lemma4_4,
+    "lemma4-5": _lemma4_5,
+    "lemma5-deriv-bracket": _lemma5,
+    "lemma4.1-recurrence": _lemma4p1,
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
+def _bind(check, inputs: Mapping, skip: int, what: str) -> dict:
+    """The inputs that ``check`` takes after its first ``skip`` parameters, in
+    signature order; ValueError if one without a default is missing, for ``what``."""
+    code = check.__code__
+    params = code.co_varnames[skip:code.co_argcount]
+    for p in params[:len(params) - len(check.__defaults__ or ())]:
+        if p not in inputs:
+            raise ValueError(f"missing binding {p!r} for {what}")
+    return {p: inputs[p] for p in params if p in inputs}
+
+
 def verify_identity(name: str, inputs: Mapping) -> VerificationReport:
     """Check one named bracket identity exactly on the given bound values.
 
-    ``inputs`` must bind every free symbol of the identity (f, g, h
-    polynomials; eta, mu derivations; p, q integer levels).  Returns a
-    report whose witness is the nonzero difference on failure.
+    ``inputs`` must bind every parameter of the identity's function in
+    ``_IDENTITIES`` (f, g, h polynomials; eta, mu derivations; p, q integer
+    levels); the report echoes them.  Its witness is the nonzero difference
+    on failure.
     """
-    try:
-        symbols, checker = _IDENTITIES[name]
-    except KeyError:
-        raise ValueError(f"unknown identity id {name!r}") from None
-    missing = [s for s in symbols if s not in inputs]
-    if missing:
-        raise ValueError(f"missing binding {missing[0]!r} for identity {name!r}")
-    bound = {s: inputs[s] for s in symbols}
-    witness = checker(**bound)
-    return _report(name, {k: str(v) for k, v in bound.items()}, witness)
+    if name not in _IDENTITIES:
+        raise ValueError(f"unknown identity id {name!r}")
+    check = _IDENTITIES[name]
+    bound = _bind(check, inputs, 0, f"identity {name!r}")
+    return _report(name, {k: str(v) for k, v in bound.items()}, check(**bound))

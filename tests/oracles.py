@@ -6,8 +6,9 @@ by applying the action to sampled monomial fields instead of the structure
 equations, quotient-rule calculus instead of the localized series (on
 rational one-forms, and on any module through its action tensor applied to
 fractions), the localized series one level at a time instead of as
-one smash element, triangular solves from jet prolongations instead of the
-closed binomial tensor, long division on unpacked exponents with Fraction
+one smash element, wedges of vectors from their k x k minors instead of
+the signs of exterior_power, triangular solves from jet prolongations
+instead of the closed binomial tensor, long division on unpacked exponents with Fraction
 quotients instead of tests on packed keys, and exact evaluation at a point
 instead of products of terms.  The seeded samplers at the end draw inputs
 that only the tests need, among them gauge-equivalent copies of a module:
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 from typing import Sequence
 
@@ -216,6 +217,24 @@ def series_by_levels(module: AVModule, g: Poly, eta: Derivation, m: ModuleElemen
 
 
 # -- jets by brute-force prolongation ------------------------------------------------
+
+def wedge(vectors: Sequence[ModuleElement]) -> ModuleElement:
+    """v_1 ^ ... ^ v_k over the basis e_S of wedge^k, S the k-subsets of the
+    rank in ``combinations`` order: coordinate S is the k x k minor of the
+    matrix with columns v_1 .. v_k on the rows S, by Leibniz's formula."""
+    k, dim = len(vectors), vectors[0].dim
+    coords = []
+    for rows in combinations(range(vectors[0].rank), k):
+        minor = Poly.zero(dim)
+        for perm in permutations(range(k)):
+            inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+            term = Poly.constant(dim, (-1) ** inversions)
+            for col, row in enumerate(perm):
+                term = term * vectors[col].entries[rows[row]]
+            minor = minor + term
+        coords.append(minor)
+    return ModuleElement(coords, dim)
+
 
 def _falling(gamma: MultiIndex, beta: MultiIndex) -> int:
     out = 1

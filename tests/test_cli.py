@@ -23,7 +23,7 @@ from smashmod import (
     zoo,
 )
 from smashmod.cli import build_parser, load_module_spec, main, save_module_spec
-from smashmod.poly import DegreeOverflow
+from smashmod.poly import DegreeOverflow, PolyParseError
 from smashmod.suites import RunConfig, iter_identity_samples
 
 
@@ -196,6 +196,51 @@ def test_verify_error_in_a_share_is_the_serial_error(monkeypatch, capsys, level)
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert f"planted at level {level}" in errs[0] and "--pmax" in errs[0]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_verify_errors_in_two_shares_give_the_serial_first_error(monkeypatch, capsys):
+    # with 6 trials in 3 shares, dim 1 trial 2 (level (2, 1)) is in share 1 and
+    # dim 2 trial 0 (level (1, 1)) in share 0; a serial run meets dim 1 first
+    real = suites.verify_identity
+
+    def verify_identity(name, bound):
+        dim, level = bound["f"].dim, (bound["p"], bound["q"])
+        if (dim, level) in ((1, (2, 1)), (2, (1, 1))):
+            raise DegreeOverflow(f"planted in dim {dim}")
+        return real(name, bound)
+
+    monkeypatch.setattr(suites, "verify_identity", verify_identity)
+    args = ["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6", "--pmax", "2"]
+    errs = []
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        assert main(args) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "planted in dim 1" in errs[0]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_verify_error_that_cannot_be_pickled_exits_two(monkeypatch, capsys):
+    # PolyParseError needs its position to be built again, so it cannot travel
+    # back from the child whose share (level (2, 1), share 1 of 3) raises it
+    real = suites.verify_identity
+
+    def verify_identity(name, bound):
+        if (bound["p"], bound["q"]) == (2, 1):
+            raise PolyParseError("planted", 3)
+        return real(name, bound)
+
+    monkeypatch.setattr(suites, "verify_identity", verify_identity)
+    _cpus(monkeypatch, 3)
+    assert main(["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6",
+                 "--pmax", "2"]) == 2
+    assert capsys.readouterr().err == "error: planted (at position 3)\n"
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 

@@ -1,6 +1,7 @@
 """Module actions, validation, annihilation, orders, functors, the zoo."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -52,6 +53,7 @@ from oracles import (
     random_unipotent,
     spanning_vectors,
     validate_by_sampling,
+    wedge,
 )
 from test_acceptance import small_zoo
 from test_poly import polys
@@ -682,6 +684,37 @@ def test_exterior_power_of_jets():
     assert exterior_power(j, 4).is_zero_module
     mid = exterior_power(j, 2)
     assert mid.rank == 3 and mid.validated
+
+
+def _assert_wedge_derivation(module, k, eta):
+    """wedge^k(module) acts on e_T as eta acts on each factor of e_t1 ^ ... ^ e_tk
+    in turn, the wedges built from minors by the oracle."""
+    power, basis = exterior_power(module, k), module.basis()
+    for a, T in enumerate(combinations(range(module.rank), k)):
+        factors = [basis[t] for t in T]
+        expected = ModuleElement.zero(module.dim, power.rank)
+        for pos, t in enumerate(T):
+            moved = module.act_derivation(eta, basis[t])
+            expected = expected + wedge(factors[:pos] + [moved] + factors[pos + 1:])
+        assert power.act_derivation(eta, power.basis_element(a)) == expected, (module.name, T)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exterior_power_acts_on_wedges_as_their_minors_give_on_the_zoo(k):
+    for module in small_zoo():
+        rng = seeded_rng(13, "wedge", module.name, k)
+        _assert_wedge_derivation(module, k, random_derivation(rng, module.dim, 2))
+
+
+@_GAUGED
+@pytest.mark.parametrize("k", [2, 3])
+def test_exterior_power_acts_on_wedges_as_their_minors_give_on_gauged_modules(build, k):
+    # gauged modules have polynomial entries, so every sign meets a polynomial
+    module = build()
+    rng = seeded_rng(5, "gauge-wedge", module.name, k)
+    gauged = gauge(module, random_unipotent(rng, module.dim, module.rank, 1))
+    assert gauged.validate().passed
+    _assert_wedge_derivation(gauged, k, random_derivation(rng, module.dim, 2))
 
 
 def test_dual_examples():
