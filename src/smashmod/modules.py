@@ -46,7 +46,6 @@ from .poly import (
     PolyError,
     _PolyTuple,
     _sum_products,
-    index_order,
     multi_binomial,
     multi_indices,
     parse_poly,
@@ -180,7 +179,7 @@ class AVModule:
                 clean[(i, alpha)] = mat
         self.dim = dim
         self.rank = rank
-        self.order = max((index_order(a) for (_, a) in clean), default=0)
+        self.order = max((sum(a) for (_, a) in clean), default=0)
         self.tensor = clean
         self.name = name
         self._validated = False
@@ -680,7 +679,7 @@ def module_from_dict(data: Mapping) -> AVModule:
     if order < 0:
         raise ModuleSchemaError("order must be nonnegative")
     for _, alpha in tensor:  # zero entries too: the constructor drops them
-        if index_order(alpha) > order:
+        if sum(alpha) > order:
             raise ModuleSchemaError(f"tensor entry at {alpha} exceeds declared order {order}")
     if module.order != order:
         raise ModuleSchemaError(f"declared order {order} is not tight "

@@ -145,26 +145,20 @@ def _unpack(key: int, dim: int) -> MultiIndex:
 # Fields are 16 bits, so shifting whole blocks moves exponents between the x- and
 # y-blocks without unpacking.
 
-def _embed_x_key(key: int, d: int) -> int:
-    return key << (_FIELD * d)
-
-
-def _embed_y_key(key: int, d: int) -> int:
-    low = key & ((1 << (_FIELD * d)) - 1)
-    deg = key >> (_FIELD * d)
-    return (deg << (_FIELD * 2 * d)) | low
-
-
 def embed_function(p: Poly) -> Poly:
     """View a d-variable polynomial as f(x) inside the doubled 2d variables."""
     d = p.dim
-    return Poly._raw(2 * d, {_embed_x_key(k, d): c for k, c in p.terms.items()}, p.den)
+    shift = _FIELD * d  # the whole key moves up, leaving the y-block empty
+    return Poly._raw(2 * d, {k << shift: c for k, c in p.terms.items()}, p.den)
 
 
 def embed_coefficient(p: Poly) -> Poly:
     """View a d-variable polynomial as g(y) inside the doubled 2d variables."""
     d = p.dim
-    return Poly._raw(2 * d, {_embed_y_key(k, d): c for k, c in p.terms.items()}, p.den)
+    shift = _FIELD * d  # the degree moves up past the empty x-block
+    low = (1 << shift) - 1
+    return Poly._raw(2 * d, {((k >> shift) << (2 * shift)) | (k & low): c
+                             for k, c in p.terms.items()}, p.den)
 
 
 def restrict_to_diagonal(p: Poly) -> Poly:
@@ -771,10 +765,6 @@ def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
     for head in range(total, -1, -1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-def index_order(alpha: MultiIndex) -> int:
-    return sum(alpha)
 
 
 def unit_index(dim: int, i: int) -> MultiIndex:

@@ -1,12 +1,12 @@
 """Deterministic verification suites over seeded random instances.
 
-A suite runs the checks of one or more families (bracket identities,
-closed-form coherence, localized-action laws, the negative control) over
-exhaustive small levels (p, q) and seeded random polynomial data.  Each
-family is a generator of (dim, trial, report) over its own seeded sample
-stream; ``run_suite`` is the one loop that walks the family table, tags each
-report with its dim and trial and collects them.  Identical (seed, config)
-reproduce the exact same reports, in one run or split into shares of trials.
+A suite runs the checks of one or more sampled families (bracket identities,
+closed-form coherence, localized-action laws) over exhaustive small levels
+(p, q) and seeded random polynomial data, and a fixed negative control.  Each
+family is a stream of (dim, trial, sample) from its own seed plus a check of
+one sample; ``run_suite`` alone keeps a share's trials, tags each report with
+its dim and trial and collects them.  Identical (seed, config) reproduce the
+exact same reports, in one run or split into shares of trials.
 """
 
 from __future__ import annotations
@@ -70,60 +70,56 @@ class RunConfig:
         return {**dataclasses.asdict(self), "dims": list(self.dims)}
 
 
-def iter_identity_samples(config: RunConfig, trials: range | None = None):
+def iter_identity_samples(config: RunConfig):
     """The seeded sample stream behind the identity suites.
 
     Yields (dim, trial, bindings) with bindings holding f, g, h, eta, mu and
     the levels p, q; the (p, q) grid 1..p_max x 1..p_max is cycled so that
-    trials >= p_max^2 covers it exhaustively in every dimension.  Given a
-    range of ``trials``, it yields theirs only, drawing all samples up to them.
+    trials >= p_max^2 covers it exhaustively in every dimension.
     """
-    trials = range(config.trials) if trials is None else trials
     for dim in config.dims:
         rng = seeded_rng(config.seed, "identities", dim)
-        for t in range(trials.stop):
+        for t in range(config.trials):
             f = random_poly(rng, dim, config.max_degree)
             g = random_poly(rng, dim, config.max_degree)
             h = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
             mu = random_derivation(rng, dim, config.max_degree)
-            if t in trials:
-                p, q = divmod(t % config.p_max ** 2, config.p_max)  # row-major, from 0
-                yield dim, t, dict(f=f, g=g, h=h, eta=eta, mu=mu, p=p + 1, q=q + 1)
+            p, q = divmod(t % config.p_max ** 2, config.p_max)  # row-major, from 0
+            yield dim, t, dict(f=f, g=g, h=h, eta=eta, mu=mu, p=p + 1, q=q + 1)
 
 
-def _identity_reports(ids, config: RunConfig, trials: range):
-    """The named bracket identities: every (p, q) in 1..p_max is hit,
-    trials seeded samples per dimension, all identities sharing each sample."""
-    for dim, t, bound in iter_identity_samples(config, trials):
-        for name in ids:
-            yield dim, t, verify_identity(name, bound)
+def _check_identities(ids, bound) -> list[VerificationReport]:
+    """The named bracket identities, all on one sample of iter_identity_samples."""
+    return [verify_identity(name, bound) for name in ids]
 
 
-def _coherence_reports(ids, config: RunConfig, trials: range):
-    """Closed forms against the definitional constructions: the alternating
-    binomial sum for omega, the iterated tensor action for the multi-function
-    product, and the collapse of the product form onto equal functions."""
+def _coherence_samples(config: RunConfig):
     for dim in config.dims:
         rng = seeded_rng(config.seed, "coherence", dim)
-        for t in range(trials.stop):
+        for t in range(config.trials):
             f = random_poly(rng, dim, config.max_degree)
             eta = random_derivation(rng, dim, config.max_degree)
             fs = tuple(random_poly(rng, dim, config.max_degree)
                        for _ in range(1 + t % 3))
-            if t not in trials:
-                continue
-            p = t % (config.p_max + 1)
-            yield dim, t, _report(
-                "omega-coherence", {"f": str(f), "eta": str(eta), "p": str(p)},
-                _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta)))
-            diff = omega_multi(fs, eta) - omega_multi_definitional(fs, eta)
-            collapse = omega_multi((f,) * max(p, 1), eta) - omega(max(p, 1), f, eta)
-            yield dim, t, _report(
-                "omega-multi-coherence",
-                {"fs": "; ".join(str(x) for x in fs), "f": str(f), "eta": str(eta),
-                 "p": str(max(p, 1))},
-                _smash_witness(diff) or _smash_witness(collapse))
+            yield dim, t, (f, eta, fs, t % (config.p_max + 1))
+
+
+def _check_coherence(ids, sample) -> list[VerificationReport]:
+    """Closed forms against the definitional constructions: the alternating
+    binomial sum for omega, the iterated tensor action for the multi-function
+    product, and the collapse of the product form onto equal functions."""
+    f, eta, fs, p = sample
+    single = _report(
+        "omega-coherence", {"f": str(f), "eta": str(eta), "p": str(p)},
+        _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta)))
+    diff = omega_multi(fs, eta) - omega_multi_definitional(fs, eta)
+    collapse = omega_multi((f,) * max(p, 1), eta) - omega(max(p, 1), f, eta)
+    return [single, _report(
+        "omega-multi-coherence",
+        {"fs": "; ".join(str(x) for x in fs), "f": str(f), "eta": str(eta),
+         "p": str(max(p, 1))},
+        _smash_witness(diff) or _smash_witness(collapse))]
 
 
 def _localized_modules(dim: int) -> list[AVModule]:
@@ -140,63 +136,60 @@ def _localized_modules(dim: int) -> list[AVModule]:
 LOCALIZED_DIMS = (1, 2)
 
 
-def _localized_reports(ids, config: RunConfig, trials: range):
-    """The localized-action checks over small zoo modules, cycling the
-    module per trial; dimensions outside LOCALIZED_DIMS are skipped."""
+def _localized_samples(config: RunConfig):
+    """A small zoo module, cycled per trial, with the trial and f, g, eta,
+    mu; dimensions outside LOCALIZED_DIMS are skipped."""
     for dim in [d for d in config.dims if d in LOCALIZED_DIMS]:
         mods = _localized_modules(dim)
         rng = seeded_rng(config.seed, "localized", dim)
-        for t in range(trials.stop):
+        for t in range(config.trials):
             f = random_poly(rng, dim, max(config.max_degree - 1, 1),
                             nonconstant=True, rational_share=0.0)
             g = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
             eta = random_derivation(rng, dim, 2)
             mu = random_derivation(rng, dim, 2)
-            if t not in trials:
-                continue
-            mod = mods[t % len(mods)]
-            bindings = {
-                "welldefined": {"eta": eta, "j": 1 + t % 3},
-                "leibniz": {"eta": eta, "k": 1 + t % 2, "a_num": g, "a_exp": t % 3},
-                "bracket": {"eta": eta, "mu": mu},
-                "inverse-square": {"eta": eta},
-                "inverse-cube": {"eta": eta},
-                "restriction": {"eta": (f ** 2) * mu, "eta_exp": 2,
-                                "mu": g * mu, "mu_exp": 1, "g": g},
-            }
-            for name in ids:
-                yield dim, t, verify_localized(name, mod, f, bindings[name])
+            yield dim, t, (mods[t % len(mods)], t, f, g, eta, mu)
 
 
-def _negative_control(ids, config: RunConfig, trials: range):
+def _check_localized(ids, sample) -> list[VerificationReport]:
+    """The localized-action checks on one zoo module."""
+    mod, t, f, g, eta, mu = sample
+    bindings = {
+        "welldefined": {"eta": eta, "j": 1 + t % 3},
+        "leibniz": {"eta": eta, "k": 1 + t % 2, "a_num": g, "a_exp": t % 3},
+        "bracket": {"eta": eta, "mu": mu},
+        "inverse-square": {"eta": eta},
+        "inverse-cube": {"eta": eta},
+        "restriction": {"eta": (f ** 2) * mu, "eta_exp": 2,
+                        "mu": g * mu, "mu_exp": 1, "g": g},
+    }
+    return [verify_localized(name, mod, f, bindings[name]) for name in ids]
+
+
+def _negative_control() -> VerificationReport:
     """A deliberately corrupted commutator identity on a fixed instance in
-    dimension 1, with no trial; it runs in the share that holds trial 0.
-
-    The sign of the level-p correction term is flipped, so the check must
-    fail with a nonzero witness; a passing run here means the harness has
-    gone vacuous.
-    """
-    if 0 not in trials:
-        return
+    dimension 1, with no trial.  The sign of the level-p correction term is
+    flipped, so the check must fail with a nonzero witness; a passing run
+    here means the harness has gone vacuous."""
     x = Poly.variable(1, 1)
     dd = Derivation.partial(1, 1)
     eta, mu, p, q = dd, x * dd, 1, 1
     lhs = smash_bracket(omega(p, x, eta), omega(q, x, mu))
     # the planted fault: the p-term of lemma 3's right-hand side with its sign flipped
     rhs = _lemma3_rhs(x, eta, mu, p, q) - 2 * p * omega(p + q - 1, x, mu.apply(x) * eta)
-    yield 1, None, _report(
+    return _report(
         "negative-control-lemma3",
-        {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1"},
+        {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1", "dim": "1"},
         _smash_witness(lhs - rhs))
 
 
-# check family: its check ids -> the generator of its (dim, trial, report),
-# called with the ids a suite selects from the family, the config and the trials
+# sampled family: its check ids -> (stream, check).  The stream yields (dim,
+# trial, sample) over the config's whole seeded stream; the check returns the
+# reports of one sample for the ids a suite selects from the family.
 _FAMILIES = {
-    IDENTITY_IDS: _identity_reports,
-    ("omega-coherence",): _coherence_reports,
-    LOCALIZED_CHECK_IDS: _localized_reports,
-    ("negative-control",): _negative_control,
+    IDENTITY_IDS: (iter_identity_samples, _check_identities),
+    ("omega-coherence",): (_coherence_samples, _check_coherence),
+    LOCALIZED_CHECK_IDS: (_localized_samples, _check_localized),
 }
 
 
@@ -264,22 +257,25 @@ def max_shares(suites: list[str], config: RunConfig) -> int:
 
 
 def run_suite(name: str, config: RunConfig, share=(0, 1)) -> list[VerificationReport]:
-    """Run one named suite: each check family it selects, in table order,
-    every report tagged with its dim and, unless it has none, its trial.
-    ``share`` (k, n) runs trials k*T//n <= t < (k+1)*T//n, T = config.trials,
-    in every dim: the n shares make between them the reports of the run (0, 1)."""
+    """Run one named suite: each sampled family it selects, in table order,
+    every report tagged with its dim and trial, then the negative control.
+    ``share`` (k, n) checks trials k*T//n <= t < (k+1)*T//n, T = config.trials,
+    in every dim, and the negative control in the share with trial 0: the n
+    shares make between them the reports of the run (0, 1)."""
     k, n = share
     if not 0 <= k < n:
         raise ValueError(f"there is no share {k} of {n}")
     trials = range(k * config.trials // n, (k + 1) * config.trials // n)
     checks = _checks_of(name)
     reports = []
-    for ids, family in _FAMILIES.items():
+    for ids, (stream, check) in _FAMILIES.items():
         selected = [c for c in checks if c in ids]
         if selected:
-            for dim, trial, report in family(selected, config, trials):
-                inputs = {**report.inputs, "dim": str(dim)}
-                if trial is not None:  # the negative control has none
-                    inputs["trial"] = str(trial)
-                reports.append(report._replace(inputs=inputs))
+            for dim, trial, sample in stream(config):
+                if trial in trials:
+                    tags = {"dim": str(dim), "trial": str(trial)}
+                    reports.extend(r._replace(inputs={**r.inputs, **tags})
+                                   for r in check(selected, sample))
+    if "negative-control" in checks and 0 in trials:
+        reports.append(_negative_control())
     return reports

@@ -20,6 +20,10 @@ GOLDEN = [
      "74afb241b619ea8c8767e683e83f620c14dfc23816cc03950c56af5cb5e54beb"),
     ("verify-all-7", VERIFY_ALL + ["--seed", "7"], 0,
      "f6f3f7d27e4ee7fb13da380c77091f2a1c9fd57ecaa016f6591c97f51c8a1ef3"),
+    # dim 3 is outside the localized family's dims, which skip it
+    ("verify-all-dims-1-3-7", ["verify", "--suite", "all", "--dims", "1,2,3", "--trials", "4",
+                               "--pmax", "2", "--degree", "4", "--seed", "7"], 0,
+     "9ea82f585b0c982880d02043c80cdeff2513b41c4fee31e6a6f9e50f7697aedd"),
     # its failing witness is the only report text printed in the doubled
     # variables x1, y1
     ("negative-control", ["verify", "--suite", "negative-control"], 1,

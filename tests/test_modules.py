@@ -523,7 +523,7 @@ def test_gauge_equivalent_module_keeps_the_smash_action_and_the_localized_laws(b
     s = omega(2, f, random_derivation(rng, dim, 2))
     for m in spanning_vectors(gauged):  # U (s m) == s (U m)
         assert mat_apply(u, gauged.act_smash(s, m)) == module.act_smash(s, mat_apply(u, m))
-    # bindings shaped like those of suites._localized_reports
+    # bindings shaped like those of suites._check_localized
     g = random_poly(rng, dim, 2, nonconstant=True, rational_share=0.0)
     eta, mu = random_derivation(rng, dim, 2), random_derivation(rng, dim, 2)
     bindings = {
