@@ -53,7 +53,7 @@ from .poly import (
     restrict_to_diagonal,
     unit_index,
 )
-from .smash import SmashElement, VerificationReport, omega, omega_multi
+from .smash import SmashElement, VerificationReport, from_term, omega, omega_multi
 
 __all__ = [
     "Matrix",
@@ -394,16 +394,22 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     with multiplication operators are spanned by the coordinate choices, and
     the monomial coefficients span all order-N jets, so this family decides
     the order exactly.  Returns n_max + 1 when no n suffices.
+
+    The search starts at n = -1, where the family is the vector fields g d_i
+    themselves: they act through their symbol, so on a nonzero module they
+    never all annihilate, and -1 (a zero Lie map) shows a criterion that has
+    stopped seeing the symbol.  Every element annihilates the zero module,
+    whose order is taken as 0.
     """
     module._require_validated()
     d = module.dim
+    one = Poly.constant(d, 1)
     coords = [Poly.variable(d, i) for i in range(1, d + 1)]
-    gs = [Poly.monomial(d, a) for a in multi_indices(d, module.order + 1)]
-    for n in range(n_max + 1):
-        if all(module.annihilates(omega_multi(fs, _direction(d, i, g)))
-               for fs in combinations_with_replacement(coords, n + 1)
-               for i in range(1, d + 1)
-               for g in gs):
+    fields = [_direction(d, i, Poly.monomial(d, a))
+              for i in range(1, d + 1) for a in multi_indices(d, module.order + 1)]
+    for n in range(-1 if module.rank else 0, n_max + 1):
+        if all(module.annihilates(omega_multi(fs, e) if fs else from_term(one, e))
+               for fs in combinations_with_replacement(coords, n + 1) for e in fields):
             return n
     return n_max + 1
 

@@ -105,8 +105,9 @@ def _rational(n: int, d: int) -> Coeff:
 def _reduced(dim: int, terms: dict[int, int], den: int) -> "Poly":
     """The canonical Poly terms / den: zero numerators dropped (in place) and
     the common factor of den and the numerators divided out, in one gcd."""
-    for k in [k for k, c in terms.items() if not c]:
-        del terms[k]
+    if 0 in terms.values():  # a C-level scan; most sums cancel no term
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
     if den != 1:
         g = gcd(den, *terms.values())
         if g != 1:

@@ -16,6 +16,13 @@ In this form the annihilator generators have closed components::
 and the commutator bracket is a first-order differential expression in the
 doubled polynomials (derived by expanding [f#eta, g#mu] = fg#[eta,mu]
 + f*eta(g)#mu - g*mu(f)#eta term by term and collecting components).
+
+``omega`` remembers the last f it met: f(x) - f(y), the powers of it at the
+levels asked for, and at each level up to ``_ETAS_PER_LEVEL`` elements by
+eta.  The memo is one binding, replaced whole when f changes, so it holds no
+more than the levels asked for since then.  The identity checks compare the
+canonical forms of their two sides and subtract them only to print the
+witness of a failure.
 """
 
 from __future__ import annotations
@@ -140,20 +147,52 @@ def smash_bracket(u: SmashElement, v: SmashElement) -> SmashElement:
     return SmashElement(d, out)
 
 
+# the most elements one level of omega's memo keeps: a sample's checks ask
+# for at most about a dozen eta per level
+_ETAS_PER_LEVEL = 16
+
+# omega's memo for the last f it met: (f, F, levels), with F = f(x) - f(y) and
+# levels[p] = (F^p, [(eta, omega(p, f, eta)), ...]) for the levels and the eta
+# asked for since f last changed.  It is replaced whole in one assignment and
+# read into a local, so no thread and no forked share reads one f's powers
+# under another f.
+_omega_memo = None
+
+
 def omega(p: int, f: Poly, e: Derivation) -> SmashElement:
     """The annihilator element of level p for the pair (f, eta).
 
     Defined by the alternating sum over k of (-1)^k C(p,k) f^{p-k} # f^k eta;
     in canonical form component i is (f(x) - f(y))^p * g_i(y), which is what
     this constructor computes.  Level 0 is the plain embedding 1 # eta.
+
+    The checks of one sample ask for a few levels of one f again and again,
+    so omega keeps, for the last f it met (compared by value), F = f(x) - f(y),
+    each level's power F^p and the elements built at that level.  A new level
+    is F ** p, never a chain of the lower levels; memory is bounded by the
+    levels asked for since f last changed, times at most ``_ETAS_PER_LEVEL``
+    elements each.
     """
+    global _omega_memo
     if p < 0:
         raise ValueError("level p must be nonnegative")
     if f.dim != e.dim:
         raise DimensionMismatch(f"dim {f.dim} vs {e.dim}")
-    F = embed_function(f) - embed_coefficient(f)
-    Fp = F ** p
-    return SmashElement(f.dim, (Fp * embed_coefficient(g) for g in e.coeffs))
+    memo = _omega_memo
+    if memo is None or not (memo[0] is f or memo[0] == f):
+        memo = _omega_memo = (f, embed_function(f) - embed_coefficient(f), {})
+    _, F, levels = memo
+    level = levels.get(p)
+    if level is None:
+        level = levels[p] = (F ** p, [])
+    Fp, built = level
+    for eta, u in built:
+        if eta == e:
+            return u
+    u = SmashElement(f.dim, (Fp * embed_coefficient(g) for g in e.coeffs))
+    if len(built) < _ETAS_PER_LEVEL:
+        built.append((e, u))
+    return u
 
 
 def omega_definitional(p: int, f: Poly, e: Derivation) -> SmashElement:
@@ -250,10 +289,13 @@ def _report(identity: str, inputs: dict, witness: Optional[dict]) -> Verificatio
     return VerificationReport(identity, inputs, "pass" if witness is None else "fail", witness)
 
 
-def _smash_witness(diff: SmashElement) -> Optional[dict]:
-    if diff.is_zero():
+def _smash_witness(lhs: SmashElement, rhs: SmashElement) -> Optional[dict]:
+    """None when the two sides are equal, else their difference.  Canonical
+    forms are equal exactly when the values are, so only a failure forms
+    lhs - rhs."""
+    if lhs == rhs:
         return None
-    return {"difference": str(diff)}
+    return {"difference": str(lhs - rhs)}
 
 
 def _lemma2(f, g, eta, p):
@@ -278,7 +320,7 @@ def _require_pq(name, p, q):
 def _lemma3(f, eta, mu, p, q):
     _require_pq("lemma3-commutator", p, q)
     lhs = smash_bracket(omega(p, f, eta), omega(q, f, mu))
-    return _smash_witness(lhs - _lemma3_rhs(f, eta, mu, p, q))
+    return _smash_witness(lhs, _lemma3_rhs(f, eta, mu, p, q))
 
 
 def _two_brackets(name, f, p, q, a, b, c, e, k, r):
@@ -292,7 +334,7 @@ def _two_brackets(name, f, p, q, a, b, c, e, k, r):
     lhs = smash_bracket(omega(p, f, a), omega(q, f, b)) \
         - smash_bracket(omega(p, f, c), omega(q, f, e))
     rhs = omega(p + q, f, r)
-    return _smash_witness(lhs - (rhs if k == 1 else k * rhs))
+    return _smash_witness(lhs, rhs if k == 1 else k * rhs)
 
 
 def _lemma4_1(f, g, eta, mu, p, q):
@@ -324,7 +366,7 @@ def _lemma4_5(f, g, h, eta, p, q):
     lhs = omega(p + q, f, (g * eta.apply(eh)) * eta)
     rhs = omega(p + q, f, eta.apply(g * eh) * eta) \
         - omega(p + q, f, (eta.apply(g) * eh) * eta)
-    return _smash_witness(lhs - rhs)
+    return _smash_witness(lhs, rhs)
 
 
 def _lemma5(f, eta, mu, p):
@@ -336,7 +378,7 @@ def _lemma5(f, eta, mu, p):
     rhs = omega(p, f, eta.bracket(mu))
     rhs = rhs + p * omega(p - 1, f, muf * eta)
     rhs = rhs - p * tensor_act(muf, one, omega(p - 1, f, eta))
-    return _smash_witness(lhs - rhs)
+    return _smash_witness(lhs, rhs)
 
 
 def _lemma4p1(f, eta, p):
@@ -345,7 +387,7 @@ def _lemma4p1(f, eta, p):
     one = Poly.constant(f.dim, 1)
     lhs = omega(p, f, f * eta)
     rhs = tensor_act(f, one, omega(p, f, eta)) - omega(p + 1, f, eta)
-    return _smash_witness(lhs - rhs)
+    return _smash_witness(lhs, rhs)
 
 
 # identity id -> its check, whose parameters are the symbols the identity binds;

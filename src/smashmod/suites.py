@@ -112,14 +112,14 @@ def _check_coherence(ids, sample) -> list[VerificationReport]:
     f, eta, fs, p = sample
     single = _report(
         "omega-coherence", {"f": str(f), "eta": str(eta), "p": str(p)},
-        _smash_witness(omega(p, f, eta) - omega_definitional(p, f, eta)))
-    diff = omega_multi(fs, eta) - omega_multi_definitional(fs, eta)
-    collapse = omega_multi((f,) * max(p, 1), eta) - omega(max(p, 1), f, eta)
+        _smash_witness(omega(p, f, eta), omega_definitional(p, f, eta)))
+    multi = _smash_witness(omega_multi(fs, eta), omega_multi_definitional(fs, eta))
+    collapse = _smash_witness(omega_multi((f,) * max(p, 1), eta), omega(max(p, 1), f, eta))
     return [single, _report(
         "omega-multi-coherence",
         {"fs": "; ".join(str(x) for x in fs), "f": str(f), "eta": str(eta),
          "p": str(max(p, 1))},
-        _smash_witness(diff) or _smash_witness(collapse))]
+        multi or collapse)]
 
 
 def _localized_modules(dim: int) -> list[AVModule]:
@@ -180,7 +180,7 @@ def _negative_control() -> VerificationReport:
     return _report(
         "negative-control-lemma3",
         {"f": str(x), "eta": str(eta), "mu": str(mu), "p": "1", "q": "1", "dim": "1"},
-        _smash_witness(lhs - rhs))
+        _smash_witness(lhs, rhs))
 
 
 # sampled family: its check ids -> (stream, check).  The stream yields (dim,

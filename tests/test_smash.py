@@ -1,5 +1,7 @@
 """Canonical smash-element form, annihilator elements, identity checks."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from smashmod import (
     tensor_act,
     verify_identity,
 )
+import smashmod.poly as poly
+import smashmod.smash as smash
 from smashmod.poly import embed_coefficient, embed_function, restrict_to_diagonal
 from smashmod.smash import IDENTITY_IDS
 
@@ -133,6 +137,122 @@ def test_omega_matches_definitional_sum():
     eta = parse_derivation("x2*d1 + x1^2*d2", 2)
     for p in range(6):
         assert omega(p, f, eta) == omega_definitional(p, f, eta)
+
+
+def omega_fresh(p, f, eta):
+    """omega's closed form built from scratch, (f(x) - f(y))^p * g_i(y)."""
+    Fp = (embed_function(f) - embed_coefficient(f)) ** p
+    return SmashElement(f.dim, tuple(Fp * embed_coefficient(g) for g in eta.coeffs))
+
+
+def _polys(dim, max_size=2):
+    exps = st.tuples(*[st.integers(0, 2) for _ in range(dim)])
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=max_size).map(
+        lambda t: Poly(dim, t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_omega_memo_matches_the_closed_form_over_interleaved_calls(data):
+    # omega keeps the powers and elements of the last f it met; interleave
+    # two f of different dims and a distinct object equal to the first
+    f1, f2 = data.draw(_polys(1)), data.draw(_polys(2))
+    copy = Poly(1, dict(f1.items()))
+    assert copy == f1 and copy is not f1
+    etas = {dim: [Derivation(tuple(data.draw(_polys(dim, 1)) for _ in range(dim)))
+                  for _ in range(3)] for dim in (1, 2)}
+    calls = data.draw(st.lists(st.tuples(st.sampled_from((f1, copy, f2)),
+                                         st.integers(0, 6), st.integers(0, 2)),
+                               min_size=1, max_size=12))
+    for f, p, k in calls:
+        eta = etas[f.dim][k]
+        assert omega(p, f, eta) == omega_fresh(p, f, eta)
+
+
+def test_omega_memo_keeps_a_bounded_number_of_eta_per_level():
+    f = parse_poly("x1^2 - x1 + 1/2", 1)
+    etas = [parse_poly(f"x1^{k} + {k}", 1) * d for k in range(smash._ETAS_PER_LEVEL + 4)]
+    for _ in range(2):
+        for eta in etas:
+            assert omega(3, f, eta) == omega_fresh(3, f, eta)
+    memo_f, _, levels = smash._omega_memo
+    assert memo_f == f and len(levels[3][1]) == smash._ETAS_PER_LEVEL
+
+
+def test_omega_memo_is_safe_across_threads():
+    # each thread alternates its own two f in runs of six calls over three
+    # levels, so the one-entry memo changes hands while the threads read it;
+    # every result must still be the element of its own f
+    cases = [[(parse_poly(f"x1^{k} + {t}*x1", 1), parse_poly(f"x1^{t}", 1) * d)
+              for k in (1, 2)] for t in (2, 3, 4, 5)]  # more threads than CPUs
+    expected = [[[omega_fresh(p, f, eta) for p in range(3)] for f, eta in pair]
+                for pair in cases]
+    wrong = []
+    start = threading.Barrier(len(cases))
+
+    def work(t):
+        start.wait()
+        for i in range(2000):
+            j, p = (i // 6) % 2, i % 3
+            f, eta = cases[t][j]
+            if omega(p, f, eta) != expected[t][j][p]:
+                wrong.append((t, f, p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(cases))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+
+
+def test_omega_memo_survives_a_switch_inside_its_replacement(monkeypatch):
+    # a thread switch in the middle of omega replacing its memo for f, made
+    # deterministic: the first embedding of f runs omega on another g, as a
+    # second thread would.  A memo kept in more than one binding would be
+    # left holding g with the powers of f.
+    f, g = parse_poly("x1^2 + 1", 1), parse_poly("x1 - 3", 1)
+    monkeypatch.setattr(smash, "_omega_memo", None)
+    real = smash.embed_function
+    switched = []
+
+    def embed_with_a_switch(p):
+        if not switched:
+            switched.append(p)
+            assert omega(2, g, d) == omega_fresh(2, g, d)
+        return real(p)
+
+    monkeypatch.setattr(smash, "embed_function", embed_with_a_switch)
+    assert omega(2, f, d) == omega_fresh(2, f, d)
+    assert switched == [f]
+    for h in (g, f, g):
+        for p in (2, 3):
+            assert omega(p, h, d) == omega_fresh(p, h, d)
+
+
+def test_omega_builds_one_power_per_new_level(monkeypatch):
+    # a new level is F ** p from the cached F, not a chain of the lower levels;
+    # __pow__ is stubbed so that level 20000 costs nothing here
+    x1, eta = Poly.variable(1, 1), x * d
+    monkeypatch.setattr(smash, "_omega_memo", None)
+    powers, products = [], []
+    monkeypatch.setattr(Poly, "__pow__", lambda self, n: powers.append(n) or self)
+    real = poly._sum_products
+    monkeypatch.setattr(poly, "_sum_products",
+                        lambda *args: products.append(1) or real(*args))
+    omega(20000, x1, d)
+    assert powers == [20000]
+    assert len(products) == 1  # the one component's product by g_1(y)
+    omega(20000, x1, eta)  # a new eta at a known level: no power at all
+    omega(20000, Poly.variable(1, 1), eta)  # an equal f: the element itself
+    assert powers == [20000] and len(products) == 2
 
 
 def test_omega_multi_examples():
