@@ -8,8 +8,9 @@ elements it built for the last f it met, and the memo holds only values that
 the real ``omega`` computed: a row that corrupts anything beneath ``omega``
 must rebind ``omega`` itself, or a memoized element hides the fault.  A
 mutant that survives shows a check that cannot fail: strengthen the check,
-never the mutant.  The method is mutation testing (DeMillo, Lipton and Sayward, "Hints
-on test data selection", IEEE Computer 11(4), 1978), with no mutation tool.
+never the mutant.  The method is mutation testing (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978), with no
+mutation tool.
 """
 
 import json
@@ -139,7 +140,7 @@ def annihilates_ignoring_the_symbol(self, u):
 
 def oracle_order_off_by_one(module, n_max):
     """oracle_order with products of n + 2 coordinate functions in place of
-    n + 1 for order n, so it answers one below a positive order."""
+    n + 1 for order n, so it answers one below the order."""
     module._require_validated()
     d = module.dim
     one = Poly.constant(d, 1)

@@ -170,7 +170,8 @@ def test_omega_memo_matches_the_closed_form_over_interleaved_calls(data):
         assert omega(p, f, eta) == omega_fresh(p, f, eta)
 
 
-def test_omega_memo_keeps_a_bounded_number_of_eta_per_level():
+def test_omega_memo_keeps_a_bounded_number_of_eta_per_level(monkeypatch):
+    monkeypatch.setattr(smash, "_omega_memo", None)
     f = parse_poly("x1^2 - x1 + 1/2", 1)
     etas = [parse_poly(f"x1^{k} + {k}", 1) * d for k in range(smash._ETAS_PER_LEVEL + 4)]
     for _ in range(2):
