@@ -197,15 +197,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_order(args) -> int:
-    if args.nmax is not None and args.nmax < 0:
-        raise ValueError("--nmax must be >= 0")
     module = _resolve_module(args)
     lie = module.lie_map_order()
-    n_max = args.nmax if args.nmax is not None else module.rank ** 2
-    oracle = oracle_order(module, n_max)
+    # the oracle searches up to rank^2, the bound the report checks, and
+    # answers rank^2 + 1 when no order up to it works
     bound = module.rank ** 2
-    # oracle_order answers n_max + 1 when no order up to n_max works
-    ok = lie == oracle <= n_max and lie <= bound
+    oracle = oracle_order(module, bound)
     record = {
         "kind": "order",
         "identity": "order-bound",
@@ -215,10 +212,10 @@ def cmd_order(args) -> int:
         "lie_map_order": lie,
         "oracle_order": oracle,
         "rank_squared_bound": bound,
-        "status": "pass" if ok else "fail",
+        "status": "pass" if lie == oracle <= bound else "fail",
     }
     envelope = ReportEnvelope(config={"command": "order", "module": args.module,
-                                      "n_max": n_max})
+                                      "n_max": bound})
     envelope.results.append(record)
     return _emit(envelope, args)
 
@@ -286,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("order", help="Lie-map order, oracle order and the rank^2 bound")
     _add_module_flags(o)
-    o.add_argument("--nmax", type=int, default=None,
-                   help="oracle search bound (default rank^2)")
     _add_output_flags(o)
     o.set_defaults(func=cmd_order)
 

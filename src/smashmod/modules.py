@@ -393,7 +393,8 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     monomial coefficient of total degree <= order+1.  Iterated commutators
     with multiplication operators are spanned by the coordinate choices, and
     the monomial coefficients span all order-N jets, so this family decides
-    the order exactly.  Returns n_max + 1 when no n suffices.
+    the order exactly.  Returns n_max + 1 when no n suffices.  The ``order``
+    report searches up to n_max = rank^2, the bound it checks.
 
     The search starts at n = -1, where the family is the vector fields g d_i
     themselves: they act through their symbol, so on a nonzero module they
@@ -574,7 +575,10 @@ def twist(lam: Coeff | str = 0) -> AVModule:
     lam = 0 is the trivial D-module point, lam = 1 the one-forms, lam = -1
     the adjoint action.
     """
-    lam = Fraction(lam)
+    try:
+        lam = Fraction(lam)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"twist weight {lam!r} is not a rational number") from None
     mat = ((Poly.constant(1, lam),),)  # zero at lam = 0, which the constructor drops
     return _validated(AVModule(1, 1, {(1, (1,)): mat}, name=f"twist({lam})"))
 

@@ -37,7 +37,11 @@ multiplies numerators only: a triple's scale is the product of the
 denominators of c, a and b, folded into the running lcm of the sum's
 denominator, and the sum is reduced by one ``gcd`` at the end.  Sums,
 differences, scalar multiples, derivatives and diagonal restrictions
-likewise rescale to a common denominator and reduce once.
+likewise rescale to a common denominator and reduce once, in ``_reduced``,
+the one function that computes a canonical pair.  Every other ``Poly._raw``
+call has ``den == 1`` or relabels or negates a canonical pair: the
+embeddings, ``__neg__``, ``constant``, and the integer returns of
+``partial_derivative`` and ``exact_divide``.
 
 ``Poly.exact_divide`` is shaped for the localized action's tiny operands:
 it tests divisibility on the packed keys, divides by a monomial in one pass,
@@ -117,14 +121,10 @@ def _reduced(dim: int, terms: dict[int, int], den: int) -> "Poly":
 
 
 def _from_coefficients(dim: int, coeffs: dict[int, Coeff]) -> "Poly":
-    """The canonical Poly with the given int or Fraction coefficients, zeros dropped.
-
-    Over the lcm of the coefficients' denominators the numerators are
-    already coprime to it: a prime of the lcm divides neither the numerator
-    nor the cofactor of a coefficient whose denominator carries its full power."""
+    """The canonical Poly with the given int or Fraction coefficients, zeros dropped."""
     den = lcm(*[c.denominator for c in coeffs.values()])
-    return Poly._raw(dim, {k: c.numerator * (den // c.denominator)
-                           for k, c in coeffs.items() if c}, den)
+    return _reduced(dim, {k: c.numerator * (den // c.denominator)
+                          for k, c in coeffs.items()}, den)
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -314,17 +314,9 @@ class Poly:
         if isinstance(other, Poly):
             return _sum_products(self.dim, ((1, self, other),))
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly.zero(self.dim)
-            n, d = other.numerator, other.denominator
-            if d != 1:
-                return _reduced(self.dim, {k: c * n for k, c in self.terms.items()}, self.den * d)
-            # an int scales canonically after cancelling gcd(n, den): what is
-            # left of den is coprime to both n and the numerators
-            g = gcd(n, self.den)
-            if g != 1:
-                n //= g
-            return Poly._raw(self.dim, {k: c * n for k, c in self.terms.items()}, self.den // g)
+            n = other.numerator
+            return _reduced(self.dim, {k: c * n for k, c in self.terms.items()},
+                            self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__

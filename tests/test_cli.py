@@ -365,19 +365,10 @@ def test_order_twist_rational_weight(tmp_path):
     assert r["lie_map_order"] == 1 and r["rank"] == 1
 
 
-def test_order_negative_nmax_exits_two(capsys):
-    assert main(["order", "--module", "zoo:forms", "--dim", "1", "--nmax", "-1"]) == 2
-    assert "--nmax" in capsys.readouterr().err
-
-
-def test_order_search_bound_below_the_order_fails(tmp_path):
-    # no order <= 0 works, so the oracle answers n_max + 1 = 1, which is no
-    # proof that the order is 1
-    code, data = run_json(tmp_path, ["order", "--module", "zoo:twist", "--lam", "1/2",
-                                     "--nmax", "0"])
-    assert code == 1
-    (r,) = data["results"]
-    assert r["oracle_order"] == 1 and r["status"] == "fail"
+@pytest.mark.parametrize("lam", ["1/0", "abc"])
+def test_order_bad_twist_weight_exits_two_with_a_message(capsys, lam):
+    assert main(["order", "--module", "zoo:twist", "--lam", lam]) == 2
+    assert capsys.readouterr().err == f"error: twist weight {lam!r} is not a rational number\n"
 
 
 def test_order_reports_a_rank_squared_breach_as_a_failed_check(tmp_path, monkeypatch):

@@ -430,6 +430,16 @@ _CORRUPTIBLE = {
 }
 
 
+def perturbed_module(module: AVModule, key, entry: tuple[int, int], p: Poly) -> AVModule:
+    """The module, unvalidated, with p added to one entry of D[key]."""
+    d, r = module.dim, module.rank
+    tensor = dict(module.tensor)
+    rows = [list(line) for line in tensor.get(key, ((Poly.zero(d),) * r,) * r)]
+    rows[entry[0]][entry[1]] = rows[entry[0]][entry[1]] + p
+    tensor[key] = tuple(map(tuple, rows))
+    return AVModule(d, r, tensor, name=module.name)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_validate_agrees_with_the_sampling_oracle_on_perturbed_tensors(data):
@@ -442,13 +452,9 @@ def test_validate_agrees_with_the_sampling_oracle_on_perturbed_tensors(data):
     row, col = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
     terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d),
                                       st.sampled_from((-2, -1, 1, 2)), min_size=1, max_size=2))
-    tensor = dict(module.tensor)
-    rows = [list(line) for line in tensor.get(key, ((Poly.zero(d),) * r,) * r)]
-    rows[row][col] = rows[row][col] + Poly(d, terms)
-    tensor[key] = tuple(map(tuple, rows))
-    order = max((sum(alpha) for (_, alpha), mat in tensor.items()
+    perturbed = perturbed_module(module, key, (row, col), Poly(d, terms))
+    order = max((sum(alpha) for (_, alpha), mat in perturbed.tensor.items()
                  if any(p.terms for line in mat for p in line)), default=0)
-    perturbed = AVModule(d, r, tensor, name=module.name)
     assert perturbed.order == order
     library, oracle = _verdicts(perturbed)
     event("pass" if oracle else "fail")
@@ -475,15 +481,16 @@ def test_schema_errors():
 # -- gauge-equivalent modules --------------------------------------------------------
 
 # dmodule(2,3) has an empty tensor: its gauged copy has D'[i,0] = U^-1 d_i(U) alone
-_GAUGED = pytest.mark.parametrize("build", [
-    lambda: jet_module(1, 2),
-    lambda: differential_forms(2),
-    lambda: tangent_adjoint(2),
-    lambda: jet_module(2, 1),
-    lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
-    lambda: trivial_dmodule(2, 3),
-], ids=["jets(1,2)", "forms(2)", "adjoint(2)", "jets(2,1)", "forms(2)xadjoint(2)",
-        "dmodule(2,3)"])
+GAUGED_BUILDS = {
+    "jets(1,2)": lambda: jet_module(1, 2),
+    "forms(2)": lambda: differential_forms(2),
+    "adjoint(2)": lambda: tangent_adjoint(2),
+    "jets(2,1)": lambda: jet_module(2, 1),
+    "forms(2)xadjoint(2)": lambda: tensor_product(differential_forms(2), tangent_adjoint(2)),
+    "dmodule(2,3)": lambda: trivial_dmodule(2, 3),
+}
+_GAUGED = pytest.mark.parametrize("build", list(GAUGED_BUILDS.values()),
+                                  ids=list(GAUGED_BUILDS))
 
 
 @_GAUGED

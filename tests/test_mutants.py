@@ -14,7 +14,8 @@ mutation tool.
 """
 
 import json
-from itertools import combinations_with_replacement
+from collections import defaultdict
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 
 import pytest
@@ -24,14 +25,20 @@ import smashmod.localize as localize
 import smashmod.modules as modules
 import smashmod.smash as smash
 import smashmod.suites as suites
+from smashmod import differential_forms, jet_module
 from smashmod.cli import main, save_module_spec
 from smashmod.localize import LocalizedDerivation, LocalizedModule
-from smashmod.modules import _direction, _mat_is_zero
-from smashmod.poly import Poly, embed_coefficient, embed_function, multi_indices
+from smashmod.modules import AVModule, VerificationReport, _direction, _mat_is_zero
+from smashmod.poly import (Poly, _sum_products, embed_coefficient, embed_function,
+                           multi_binomial, multi_indices, parse_poly, unit_index)
+from smashmod.sampling import seeded_rng
 from smashmod.smash import SmashElement, from_term, omega_multi
 from smashmod.suites import RunConfig, run_suite
 
+from oracles import gauge, random_unipotent, validate_by_sampling
 from test_acceptance import small_zoo
+from test_modules import (GAUGED_BUILDS, _corrupted, _rank_one_order_zero, _tampered,
+                          perturbed_module)
 
 IDENTITIES = RunConfig(dims=(1, 2), trials=4, p_max=2)
 LOCALIZED = RunConfig(dims=(1, 2), trials=6)
@@ -154,6 +161,65 @@ def oracle_order_off_by_one(module, n_max):
     return n_max + 1
 
 
+def annihilates_nothing(self, u):
+    """AVModule.annihilates that holds on the zero module only, so that no
+    order up to the search bound works."""
+    self._require_validated()
+    return self.rank == 0
+
+
+def structure_terms_dropping(mirror=False, derivative=False):
+    """AVModule._structure_terms without its mirror Leibniz term (the one of
+    D[i,alpha] in the direction j) or without its derivative terms d_k D."""
+
+    def _structure_terms(self, i, j):
+        d, r = self.dim, range(self.rank)
+        eye = tuple(tuple(Poly.constant(d, int(a == b)) for b in r) for a in r)
+        coeffs = defaultdict(list)
+
+        def leibniz(alpha, mat, k, sign, key):
+            if not derivative:
+                coeffs[key((0,) * d, alpha)].append(
+                    (sign, eye, tuple(tuple(p.partial_derivative(k) for p in row)
+                                      for row in mat)))
+            for delta in islice(product(*(range(a + 1) for a in alpha)), 1, None):
+                rest = tuple(a - dl + x for a, dl, x in zip(alpha, delta, unit_index(d, k)))
+                coeffs[key(delta, rest)].append((-sign * multi_binomial(alpha, delta), eye, mat))
+
+        tensor_i, tensor_j = ([(alpha, mat) for (k, alpha), mat in self.tensor.items()
+                               if k == t] for t in (i, j))
+        for alpha, mat in tensor_j:
+            leibniz(alpha, mat, i, 1, lambda u, v: (u, v))
+        for alpha, mat in tensor_i:
+            if not mirror:
+                leibniz(alpha, mat, j, -1, lambda u, v: (v, u))
+            for beta, other in tensor_j:
+                coeffs[(alpha, beta)] += [(1, mat, other), (-1, other, mat)]
+        return coeffs
+
+    return _structure_terms
+
+
+def validate_skipping_the_pairs_i_below_j(self):
+    """AVModule.validate that checks the structure matrices C_ii only."""
+    inputs = {"module": self.name or "<anonymous>", "dim": str(self.dim),
+              "rank": str(self.rank), "order": str(self.order)}
+    r = range(self.rank)
+    for i in range(1, self.dim + 1):
+        for (beta, gamma), terms in sorted(self._structure_terms(i, i).items()):
+            for a, b in product(r, r):
+                defect = _sum_products(self.dim, [(c, left[a][k], right[k][b])
+                                                  for c, left, right in terms for k in r])
+                if defect.terms:
+                    witness = {"i": str(i), "j": str(i), "beta": str(beta),
+                               "gamma": str(gamma), "entry": str((a, b)),
+                               "defect": str(defect)}
+                    return VerificationReport(
+                        "module-bracket-compatibility", inputs, "fail", witness)
+    self._validated = True
+    return VerificationReport("module-bracket-compatibility", inputs, "pass")
+
+
 def _rebind(monkeypatch, name, mutant):
     owner, _, attr = name.rpartition(".")
     for module in (smash, suites, localize, modules, cli):
@@ -234,3 +300,63 @@ def test_the_clean_order_reports_pass(tmp_path):
 def test_the_order_check_catches_the_mutant(monkeypatch, tmp_path, name, mutant):
     _rebind(monkeypatch, name, mutant)
     assert any(r["status"] == "fail" for r in order_reports(tmp_path))
+
+
+def test_the_order_check_fails_when_no_order_up_to_rank_squared_works(monkeypatch, tmp_path):
+    # the oracle's fallback: it answers rank^2 + 1, one past the bound it searched
+    _rebind(monkeypatch, "AVModule.annihilates", annihilates_nothing)
+    reports = [r for r in order_reports(tmp_path) if r["rank"]]
+    assert reports and all(r["status"] == "fail"
+                           and r["oracle_order"] == r["rank_squared_bound"] + 1
+                           for r in reports)
+
+
+def gauged_modules():
+    """The gauged copies of the modules of test_modules.GAUGED_BUILDS, each of
+    which has polynomial tensor entries."""
+    out = []
+    for build in GAUGED_BUILDS.values():
+        module = build()
+        rng = seeded_rng(5, "gauge", module.name)
+        out.append(gauge(module, random_unipotent(rng, module.dim, module.rank, 1)))
+    return out
+
+
+def invalid_modules():
+    """Invalid tensors of test_modules, each unvalidated: a curl in D[i,0]
+    shows only in C_12."""
+    return [_tampered(), _corrupted(jet_module(2, 1)), _corrupted(differential_forms(2)),
+            _rank_one_order_zero("x2", "-x1"),
+            perturbed_module(jet_module(2, 1), (1, (0, 0)), (0, 0), parse_poly("x2", 2))]
+
+
+def test_the_clean_validate_passes_and_agrees_with_the_sampling_oracle():
+    assert all(m.validate().passed for m in small_zoo() + gauged_modules())
+    assert not any(m.validate().passed or validate_by_sampling(m).passed
+                   for m in invalid_modules())
+
+
+def test_validate_catches_structure_terms_without_the_mirror_leibniz_term(monkeypatch):
+    zoo = small_zoo()  # built, and validated, before the fault is planted
+    _rebind(monkeypatch, "AVModule._structure_terms", structure_terms_dropping(mirror=True))
+    reports = {m.name: m.validate() for m in zoo}
+    failed = [r for r in reports.values() if not r.passed]
+    assert failed and all(r.status == "fail" and r.witness for r in failed)
+    # on forms(1), C[(1),(1)] is -D instead of 0
+    assert reports["forms(1)"].witness == {"i": "1", "j": "1", "beta": "(1,)", "gamma": "(1,)",
+                                          "entry": "(0, 0)", "defect": "-1"}
+
+
+def test_validate_catches_structure_terms_without_the_derivative_term(monkeypatch):
+    # zoo tensors are constant, so only modules with polynomial entries can
+    modules = gauged_modules()
+    _rebind(monkeypatch, "AVModule._structure_terms", structure_terms_dropping(derivative=True))
+    reports = [m.validate() for m in modules]
+    assert all(r.status == "fail" and r.witness for r in reports)
+
+
+def test_the_sampling_oracle_catches_a_validate_that_skips_the_pairs_i_below_j(monkeypatch):
+    # the zoo modules are valid, so a fault in validate shows on invalid input
+    _rebind(monkeypatch, "AVModule.validate", validate_skipping_the_pairs_i_below_j)
+    assert any(m.validate().passed != validate_by_sampling(m).passed
+               for m in invalid_modules())

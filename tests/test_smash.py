@@ -1,6 +1,5 @@
 """Canonical smash-element form, annihilator elements, identity checks."""
 
-import sys
 import threading
 from fractions import Fraction
 
@@ -181,37 +180,37 @@ def test_omega_memo_keeps_a_bounded_number_of_eta_per_level(monkeypatch):
     assert memo_f == f and len(levels[3][1]) == smash._ETAS_PER_LEVEL
 
 
-def test_omega_memo_is_safe_across_threads():
-    # each thread alternates its own two f in runs of six calls over three
-    # levels, so the one-entry memo changes hands while the threads read it;
-    # every result must still be the element of its own f
-    cases = [[(parse_poly(f"x1^{k} + {t}*x1", 1), parse_poly(f"x1^{t}", 1) * d)
-              for k in (1, 2)] for t in (2, 3, 4, 5)]  # more threads than CPUs
-    expected = [[[omega_fresh(p, f, eta) for p in range(3)] for f, eta in pair]
-                for pair in cases]
-    wrong = []
-    start = threading.Barrier(len(cases))
+def test_omega_memo_is_safe_across_threads(monkeypatch):
+    # two real threads driven through the one interleaving that breaks a memo
+    # kept in several bindings: thread Y is paused inside its replacement of
+    # the memo for g, this test's own thread X replaces the memo for f and
+    # reads it, then Y finishes its replacement and X reads again.  A memo of
+    # (f, F, levels) in separate bindings would be left holding f with the
+    # F of g.
+    f, g, h = (parse_poly(t, 1) for t in ("x1^2 + 7*x1", "x1^3 - 5", "x1 + 11"))
+    omega(2, h, d)  # the memo holds neither f nor g, so both threads replace it
+    real = smash.embed_function
+    paused, release = threading.Event(), threading.Event()
+    got = []
 
-    def work(t):
-        start.wait()
-        for i in range(2000):
-            j, p = (i // 6) % 2, i % 3
-            f, eta = cases[t][j]
-            if omega(p, f, eta) != expected[t][j][p]:
-                wrong.append((t, f, p))
+    def embed_pausing_y(p):
+        if threading.current_thread() is y and not paused.is_set():
+            paused.set()
+            assert release.wait(timeout=30)
+        return real(p)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    monkeypatch.setattr(smash, "embed_function", embed_pausing_y)
+    y = threading.Thread(target=lambda: got.append(omega(2, g, d)))
+    y.start()
     try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(cases))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
+        assert paused.wait(timeout=30)
+        assert omega(2, f, d) == omega_fresh(2, f, d)
     finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert not wrong
+        release.set()
+        y.join(timeout=30)
+    assert not y.is_alive() and got == [omega_fresh(2, g, d)]
+    for p in (2, 3):
+        assert omega(p, f, d) == omega_fresh(p, f, d)
 
 
 def test_omega_memo_survives_a_switch_inside_its_replacement(monkeypatch):
