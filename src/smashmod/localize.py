@@ -1,12 +1,11 @@
 """Localization of a validated module at a fixed nonzero polynomial f.
 
 Fractions are pairs (numerator, k) standing for numerator / f^k, kept over
-the single base f (principal open sets only).  Normal form cancels f from
-the numerator by exact trial division; the raw constructors deliberately do
-NOT reduce, so representation-independence checks can feed unreduced
-representatives through the action.  Internal results (sums, products,
-reductions, actions) are built without the constructors' checks, which their
-operands have passed; the public constructors keep every check.
+the single base f (principal open sets only).  No result is reduced: sums,
+products and actions keep the power of f they were built over, and ``==``
+compares numerators over the larger power.  Only ``str`` and ``reduce`` make
+the normal form, cancelling f by exact trial division.  Internal results skip
+the checks of the public constructors, which their operands have passed.
 
 The localized vector-field action is the finite series
 
@@ -147,7 +146,7 @@ class _LocalizedFraction:
         if not self._same_space(other):
             raise BaseMismatch("localized values have different bases or modules")
         k = max(self.denom_exp, other.denom_exp)
-        return self._new(self.base, self._over(k) + other._over(k), k).reduce()
+        return self._new(self.base, self._over(k) + other._over(k), k)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -161,18 +160,19 @@ class _LocalizedFraction:
         if isinstance(other, LocalizedPoly):
             _check_base(self, other)
             return self._new(self.base, self.numerator * other.numerator,
-                             self.denom_exp + other.denom_exp).reduce()
+                             self.denom_exp + other.denom_exp)
         if isinstance(other, (int, Fraction, Poly)):
-            return self._new(self.base, self.numerator * other, self.denom_exp).reduce()
+            return self._new(self.base, self.numerator * other, self.denom_exp)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if self.denom_exp == 0:
-            return str(self.numerator)
-        num = f"({self.numerator})" if self._paren else str(self.numerator)
-        return f"{num} / ({self.base})^{self.denom_exp}"
+        r = self._reduce()  # values print in normal form
+        if r.denom_exp == 0:
+            return str(r.numerator)
+        num = f"({r.numerator})" if self._paren else str(r.numerator)
+        return f"{num} / ({self.base})^{r.denom_exp}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -306,7 +306,7 @@ class LocalizedModule:
             me: LocalizedModuleElement) -> LocalizedModuleElement:
         """Apply eta/f^k, a LocalizedOperator or a LocalizedDerivation, to
         m/f^l through the finite annihilator series, with the quotient-rule
-        term -l eta(f) m / f^{k+l+1}; result reduced."""
+        term -l eta(f) m / f^{k+l+1}; the result is not reduced."""
         if isinstance(op, LocalizedDerivation):
             op = self.operator(op)
         if op.base != self.base or me.base != self.base:
@@ -317,19 +317,19 @@ class LocalizedModule:
             raise BaseMismatch("element does not belong to this module")
         f, l, m = self.base, me.denom_exp, me.numerator
         series = me._new(f, self.module._apply(op.pair, m), op.pair_exp + l)
-        if l:  # + reduces its sum; l = 0 skips adding a zero term
+        if l:  # l = 0 skips adding a zero term
             return series + me._new(f, m * (-l * op.eta_f), op.denom_exp + l + 1)
-        return series.reduce()
+        return series
 
 
 def apply_localized_derivation(ed: LocalizedDerivation, a: LocalizedPoly) -> LocalizedPoly:
-    """(eta/f^k)(g/f^j) = (eta(g) f - j g eta(f)) / f^{k+j+1}, reduced."""
+    """(eta/f^k)(g/f^j) = (eta(g) f - j g eta(f)) / f^{k+j+1}, not reduced."""
     _check_base(ed, a)
     f = ed.base
     eta, k = ed.numerator, ed.denom_exp
     g, j = a.numerator, a.denom_exp
     num = eta.apply(g) * f - (j * g) * eta.apply(f)
-    return LocalizedPoly(f, num, k + j + 1).reduce()
+    return LocalizedPoly(f, num, k + j + 1)
 
 
 def extend_base(value, extra: Poly):

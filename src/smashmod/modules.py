@@ -570,11 +570,13 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
 def twist(lam: Coeff | str = 0) -> AVModule:
     """The rank-one family on the line: rho(g d)(m) = g m' + lam g' m.
 
-    lam is any value ``Fraction`` accepts: an int, a Fraction or a text such
-    as "-3/2"; twist(1), twist(Fraction(1)) and twist("1") are one module.
+    lam is an int, a Fraction or a text such as "-3/2", never a float;
+    twist(1), twist(Fraction(1)) and twist("1") are one module.
     lam = 0 is the trivial D-module point, lam = 1 the one-forms, lam = -1
     the adjoint action.
     """
+    if not isinstance(lam, (int, Fraction, str)):  # Fraction(0.1) is binary, not 1/10
+        raise TypeError(f"twist weight {lam!r} is not an int, a Fraction or a text")
     try:
         lam = Fraction(lam)
     except (ValueError, ZeroDivisionError):

@@ -128,6 +128,11 @@ def test_verify_defaults_are_the_run_config_defaults(tmp_path):
 def test_verify_invalid_config_exits_two(capsys):
     assert main(["verify", "--suite", "lemma3", "--trials", "0"]) == 2
     assert main(["verify", "--suite", "lemma3", "--dims", "0"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--suite", "lemma2", "--pmax", "0"]) == 2
+    assert capsys.readouterr().err == "error: p_max must be >= 1\n"
+    assert main(["verify", "--suite", ","]) == 2
+    assert capsys.readouterr().err == "error: no suite selected\n"
 
 
 def test_verify_product_past_the_exponent_limit_names_the_options(capsys):
@@ -335,6 +340,12 @@ def test_verify_text_format(capsys):
     out = capsys.readouterr().out
     assert out.startswith("smashmod ")
     assert "[PASS]" in out and "summary:" in out
+    # a failure prints its witness on the line below it
+    assert main(["verify", "--suite", "negative-control", "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] negative-control-lemma3 " in out
+    assert '\n        witness: {"difference": ' in out
+    assert out.endswith("summary: 0/1 passed, 1 failed\n")
 
 
 # -- order ----------------------------------------------------------------------------

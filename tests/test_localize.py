@@ -153,6 +153,8 @@ def test_text_forms():
     assert str(LocalizedModuleElement(f, forms, m, 0)) == "(x1, -x2)"
     # the element prints its own parentheses; none are added around it
     assert str(LocalizedModuleElement(f, forms, m, 3)) == "(x1, -x2) / (x1^2 + 1)^3"
+    # a value prints in normal form however it is represented
+    assert str(LocalizedPoly(x, x ** 2 * (x + 1), 3)) == "(x1 + 1) / (x1)^1"
 
 
 def test_zero_base_rejected():
@@ -433,6 +435,28 @@ def test_action_agrees_with_the_action_tensor_on_fractions():
                             assert got == act_by_tensor(mod, f, eta, k, m, l), (mod.name, k, l)
 
 
+def test_action_does_not_depend_on_the_representative_of_the_element():
+    # no action result is reduced, so act must give the same value on
+    # m f^j / f^(l+j) as on m / f^l, and every result must equal and print
+    # as its normal form
+    for dim in (1, 2):
+        rng = seeded_rng(61, "representative", dim)
+        for mod in _localized_modules(dim):
+            f = random_poly(rng, dim, 2, nonconstant=True)
+            eta = random_derivation(rng, dim, 2)
+            ctx = LocalizedModule(mod, f)
+            for k in range(3):
+                op = ctx.operator(ctx.derivation(eta, k))
+                for m in mod.basis():
+                    for l in range(3):
+                        plain = ctx.act(op, LocalizedModuleElement(f, mod, m, l))
+                        for j in (1, 2):
+                            v = ctx.act(op, LocalizedModuleElement(f, mod, m * f ** j, l + j))
+                            assert v == plain, (mod.name, k, l, j)
+                            for r in (v, plain):
+                                assert r == r.reduce() and str(r) == str(r.reduce())
+
+
 def test_action_is_representation_independent():
     # (f eta / f) m = (eta / 1) m, fed through the series unreduced
     j = jet_module(1, 2)
@@ -660,9 +684,12 @@ def test_double_localization_consistency():
 
 # The report of verify --suite localized --dims 1,2 --trials 6 --seed 7 with a planted
 # fault: LocalizedOperator doubles eta(f) when denom_exp > 0, so the quotient-rule
-# term is wrong.  Passing reports print no action result; the failure witnesses print
-# reduced differences, so this hash pins the normal form of the localized fractions.
-MUTANT_REPORT_SHA256 = "9138a6c0ccdcca9a01324722680a12fbc49928b1d61a5cf6f3400ab8b7829a33"
+# term is wrong and the action depends on the representative m / f^l.  No sum,
+# product or action is reduced, so the bracket and leibniz laws feed non-normal
+# representatives into act and catch the fault on 17 checks, where feeding only
+# normal forms caught it on 15.  Passing reports print no action result; the
+# failure witnesses print differences in normal form, which this hash pins.
+MUTANT_REPORT_SHA256 = "8c23cac46c8fed15f1a4dcf119087c1dac2cf4d73ac0bb40a4222a10ce53e27f"
 
 
 def test_failing_localized_report_is_pinned(monkeypatch, capsys):
@@ -677,5 +704,5 @@ def test_failing_localized_report_is_pinned(monkeypatch, capsys):
                  "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 1
-    assert out.count('"status": "fail"') == 15
+    assert out.count('"status": "fail"') == 17
     assert hashlib.sha256(out.encode()).hexdigest() == MUTANT_REPORT_SHA256

@@ -209,6 +209,13 @@ def test_twist_family_points():
     assert half.validated and half.order == 1
 
 
+def test_twist_refuses_a_float_weight():
+    # Fraction(0.1) is the binary value of the float, not 1/10; Poly refuses
+    # a float coefficient the same way
+    with pytest.raises(TypeError, match=r"twist weight 0\.1 is not an int"):
+        twist(0.1)
+
+
 # -- actions -------------------------------------------------------------------------
 
 def test_act_derivation_forms_is_lie_derivative():

@@ -111,6 +111,15 @@ def test_print_canonical_order():
     assert str(p) == "x1^2*x2 + x1 + x2 + 1"
 
 
+def test_scalar_minus_poly():
+    # int - Poly and Fraction - Poly reach Poly.__rsub__
+    p = P("x1^2 - 1/3")
+    assert 2 - p == P("-x1^2 + 7/3")
+    assert Fraction(1, 3) - p == P("-x1^2 + 2/3")
+    assert 0 - p == -p
+    assert (Fraction(-1, 3) - P("-1/3")).is_zero()
+
+
 def test_inexact_coefficients_rejected():
     for bad in (0.1, 0.5, "1/2"):
         with pytest.raises(TypeError):
