@@ -1,8 +1,12 @@
 """Command-line surface: verify suites, order reports, annihilation profiles.
 
 Reports are JSON-first and deterministic: identical (seed, config) produce
-byte-identical output.  Exit codes: 0 all checks passed, 1 at least one
-exact check failed, 2 usage / parse / load / validation errors.
+byte-identical output.  A report is written into its destination (stdout or
+``--out``) as it is rendered, in pieces of at most ``_WRITE_BATCH`` JSON
+tokens or text lines, so no copy of the whole report text is ever built; a
+failed write exits 2 and may leave a partial ``--out`` file.  Exit codes: 0
+all checks passed, 1 at least one exact check failed, 2 usage / parse / load
+/ validation / write errors.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
@@ -65,34 +70,55 @@ class ReportEnvelope:
         }
 
 
-def render_json(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+# strings joined into one write: one write per JSON token would cost a system
+# call per token on an unbuffered stdout (python -u, PYTHONUNBUFFERED), and a
+# batch of this many tokens of a verify report holds about 0.2 MB
+_WRITE_BATCH = 4096
 
 
-def render_text(envelope: dict) -> str:
-    """Human-readable rendering derived from the JSON structure."""
-    lines = [f"smashmod {envelope['tool']['version']}"]
-    cfg = envelope["config"]
-    lines.append("config: " + json.dumps(cfg, sort_keys=True))
+def _write_batched(chunks, fh) -> None:
+    """Write the strings ``chunks`` to the text stream ``fh``, joined
+    ``_WRITE_BATCH`` at a time."""
+    it = iter(chunks)
+    for first in it:
+        fh.write("".join(chain((first,), islice(it, _WRITE_BATCH - 1))))
+
+
+def render_json(envelope: dict, fh) -> None:
+    """Write ``json.dumps(envelope, sort_keys=True, indent=2) + "\\n"`` to the
+    text stream ``fh`` as the encoder yields it, never holding the whole text."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(envelope)
+    _write_batched(chain(chunks, ("\n",)), fh)
+
+
+def render_text(envelope: dict, fh) -> None:
+    """Write the human-readable rendering, derived from the JSON structure, to
+    the text stream ``fh``."""
+    _write_batched(_text_lines(envelope), fh)
+
+
+def _text_lines(envelope: dict):
+    yield f"smashmod {envelope['tool']['version']}\n"
+    yield "config: " + json.dumps(envelope["config"], sort_keys=True) + "\n"
     for r in envelope["results"]:
         status = r.get("status", "?")
         label = r.get("identity", r.get("kind", "result"))
         detail = {k: v for k, v in r.items() if k not in ("identity", "status", "witness", "kind")}
-        lines.append(f"[{status.upper():4}] {label} {json.dumps(detail, sort_keys=True)}")
+        yield f"[{status.upper():4}] {label} {json.dumps(detail, sort_keys=True)}\n"
         if r.get("witness"):
-            lines.append(f"        witness: {json.dumps(r['witness'], sort_keys=True)}")
+            yield f"        witness: {json.dumps(r['witness'], sort_keys=True)}\n"
     s = envelope["summary"]
-    lines.append(f"summary: {s['passed']}/{s['total']} passed, {s['failed']} failed")
-    return "\n".join(lines) + "\n"
+    yield f"summary: {s['passed']}/{s['total']} passed, {s['failed']} failed\n"
 
 
 def _emit(envelope: ReportEnvelope, args) -> int:
     data = envelope.to_dict()
-    text = render_json(data) if args.format == "json" else render_text(data)
+    render = render_json if args.format == "json" else render_text
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            render(data, fh)
     else:
-        sys.stdout.write(text)
+        render(data, sys.stdout)
     return data["exit_status"]
 
 
@@ -114,7 +140,9 @@ def load_module_spec(path: str) -> AVModule:
 
 
 def save_module_spec(module: AVModule, path: str) -> None:
-    Path(path).write_text(render_json(module_to_dict(module)), encoding="utf-8")
+    data = module_to_dict(module)  # refuses a module the loader could not read, before any file
+    with open(path, "w", encoding="utf-8") as fh:
+        render_json(data, fh)
 
 
 def _resolve_module(args) -> AVModule:

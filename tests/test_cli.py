@@ -348,6 +348,79 @@ def test_verify_text_format(capsys):
     assert out.endswith("summary: 0/1 passed, 1 failed\n")
 
 
+# -- report output ----------------------------------------------------------------------
+
+REPORT_COMMANDS = [
+    ["verify", "--suite", "negative-control"],  # fails, so the report holds a witness
+    ["order", "--module", "zoo:jets", "--dim", "1", "--n", "2"],
+    ["annihilator", "--module", "zoo:forms", "--dim", "1", "--f", "x1", "--eta", "d1"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("args", REPORT_COMMANDS, ids=lambda args: args[0])
+def test_stdout_and_out_file_get_the_same_report_bytes(tmp_path, capsysbinary, args, fmt):
+    path = tmp_path / "report"
+    code = main(args + ["--format", fmt, "--out", str(path)])
+    assert main(args + ["--format", fmt]) == code == (1 if args[0] == "verify" else 0)
+    out = capsysbinary.readouterr().out
+    assert out == path.read_bytes()
+    assert (b"witness" in out) == (args[0] == "verify")
+    if fmt == "json":
+        text = out.decode("utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class _CountingSink:
+    """A text stream that keeps only how many writes and characters it got."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+
+
+def test_json_report_is_written_in_bounded_batches():
+    # records shaped like verify's, about 1 MB of report; json.dumps with
+    # indent builds a list of every token first, 7.5 times the text's size
+    envelope = cli.ReportEnvelope(config={"command": "verify", "seed": 7})
+    envelope.results = [
+        {"identity": "lemma4-2", "status": "pass", "suite": "identities",
+         "inputs": {"dim": "2", "eta": f"x1^{k % 5}*d1 - {k}/7*x2*d2",
+                    "f": f"{k}*x1^3 - 2*x1*x2", "p": str(k % 4 + 1), "trial": str(k)}}
+        for k in range(3500)]
+    data = envelope.to_dict()
+    length = len(json.dumps(data, sort_keys=True, indent=2)) + 1
+    assert length > 300_000
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        cli.render_json(data, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == length
+    assert peak < length / 2, f"rendering {length} characters peaked at {peak} bytes"
+    # one write per token would make an unbuffered stdout one system call each
+    assert sink.writes <= length // 4096 + 3
+
+
+@pytest.mark.parametrize("target", ["missing directory", "/dev/full"])
+def test_failed_report_write_exits_two_with_a_message(tmp_path, capsys, target):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this platform")
+    path = tmp_path / "missing" / "report.json" if target == "missing directory" else target
+    # over one 8 KiB buffer of report, so /dev/full fails inside the stream
+    args = ["verify", "--suite", "lemma2", "--dims", "1", "--trials", "40", "--out", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if target == "missing directory":
+        assert not path.exists()
+
+
 # -- order ----------------------------------------------------------------------------
 
 def test_order_jets_spec_example(tmp_path):
