@@ -2,11 +2,11 @@
 
 Reports are JSON-first and deterministic: identical (seed, config) produce
 byte-identical output.  A report is written into its destination (stdout or
-``--out``) as it is rendered, in pieces of at most ``_WRITE_BATCH`` JSON
-tokens or text lines, so no copy of the whole report text is ever built; a
-failed write exits 2 and may leave a partial ``--out`` file.  Exit codes: 0
-all checks passed, 1 at least one exact check failed, 2 usage / parse / load
-/ validation / write errors.
+``--out``) as it is rendered, in pieces of at most 4096 JSON tokens or 128
+text lines, so no copy of the whole report text is ever built; a failed
+write exits 2 and may leave a partial ``--out`` file.  Exit codes: 0 all
+checks passed, 1 at least one exact check failed, 2 usage / parse / load /
+validation / write errors.
 """
 
 from __future__ import annotations
@@ -70,31 +70,32 @@ class ReportEnvelope:
         }
 
 
-# strings joined into one write: one write per JSON token would cost a system
-# call per token on an unbuffered stdout (python -u, PYTHONUNBUFFERED), and a
-# batch of this many tokens of a verify report holds about 0.2 MB
-_WRITE_BATCH = 4096
+# strings joined into one write: one write per JSON token or text line would
+# cost a system call each on an unbuffered stdout (python -u,
+# PYTHONUNBUFFERED); either batch of a verify report is about 25 KB
+_JSON_TOKENS_PER_WRITE = 4096
+_TEXT_LINES_PER_WRITE = 128
 
 
-def _write_batched(chunks, fh) -> None:
+def _write_batched(chunks, fh, per_write: int) -> None:
     """Write the strings ``chunks`` to the text stream ``fh``, joined
-    ``_WRITE_BATCH`` at a time."""
+    ``per_write`` at a time."""
     it = iter(chunks)
     for first in it:
-        fh.write("".join(chain((first,), islice(it, _WRITE_BATCH - 1))))
+        fh.write("".join(chain((first,), islice(it, per_write - 1))))
 
 
 def render_json(envelope: dict, fh) -> None:
     """Write ``json.dumps(envelope, sort_keys=True, indent=2) + "\\n"`` to the
     text stream ``fh`` as the encoder yields it, never holding the whole text."""
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(envelope)
-    _write_batched(chain(chunks, ("\n",)), fh)
+    _write_batched(chain(chunks, ("\n",)), fh, _JSON_TOKENS_PER_WRITE)
 
 
 def render_text(envelope: dict, fh) -> None:
     """Write the human-readable rendering, derived from the JSON structure, to
     the text stream ``fh``."""
-    _write_batched(_text_lines(envelope), fh)
+    _write_batched(_text_lines(envelope), fh, _TEXT_LINES_PER_WRITE)
 
 
 def _text_lines(envelope: dict):

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, determinism, report structure."""
 
+import io
 import json
 import os
 import subprocess
@@ -382,8 +383,9 @@ class _CountingSink:
         self.chars += len(text)
 
 
-def test_json_report_is_written_in_bounded_batches():
-    # records shaped like verify's, about 1 MB of report; json.dumps with
+@pytest.mark.parametrize("render", ["render_json", "render_text"])
+def test_report_is_written_in_bounded_batches(render):
+    # records shaped like verify's, 0.6-0.9 MB of report; json.dumps with
     # indent builds a list of every token first, 7.5 times the text's size
     envelope = cli.ReportEnvelope(config={"command": "verify", "seed": 7})
     envelope.results = [
@@ -392,12 +394,14 @@ def test_json_report_is_written_in_bounded_batches():
                     "f": f"{k}*x1^3 - 2*x1*x2", "p": str(k % 4 + 1), "trial": str(k)}}
         for k in range(3500)]
     data = envelope.to_dict()
-    length = len(json.dumps(data, sort_keys=True, indent=2)) + 1
+    whole = io.StringIO()
+    getattr(cli, render)(data, whole)
+    length = len(whole.getvalue())
     assert length > 300_000
     sink = _CountingSink()
     tracemalloc.start()
     try:
-        cli.render_json(data, sink)
+        getattr(cli, render)(data, sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
