@@ -383,9 +383,10 @@ class _CountingSink:
         self.chars += len(text)
 
 
-@pytest.mark.parametrize("render", ["render_json", "render_text"])
+@pytest.mark.parametrize("render", [cli.render_json, cli.render_text],
+                         ids=lambda render: render.__name__)
 def test_report_is_written_in_bounded_batches(render):
-    # records shaped like verify's, 0.6-0.9 MB of report; json.dumps with
+    # records shaped like verify's, 0.5-0.9 MB of report; json.dumps with
     # indent builds a list of every token first, 7.5 times the text's size
     envelope = cli.ReportEnvelope(config={"command": "verify", "seed": 7})
     envelope.results = [
@@ -395,13 +396,13 @@ def test_report_is_written_in_bounded_batches(render):
         for k in range(3500)]
     data = envelope.to_dict()
     whole = io.StringIO()
-    getattr(cli, render)(data, whole)
+    render(data, whole)
     length = len(whole.getvalue())
     assert length > 300_000
     sink = _CountingSink()
     tracemalloc.start()
     try:
-        getattr(cli, render)(data, sink)
+        render(data, sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
