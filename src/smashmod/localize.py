@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import attrgetter
 from typing import Mapping
 
 from .poly import (
@@ -36,7 +35,6 @@ from .poly import (
     DimensionMismatch,
     Poly,
     PolyError,
-    _PolyTuple,
     _sum_products,
     embed_coefficient,
     embed_function,
@@ -70,17 +68,13 @@ class _LocalizedFraction:
 
     The one place that decides how such a fraction is checked, reduced,
     compared, added, scaled and printed.  The numerator is a Poly, a
-    Derivation or a ModuleElement; ``_parts`` splits it into polynomials and
-    ``_assemble(num, parts)`` rebuilds one of num's shape from them (a Poly
-    is its own single part; a tuple is rebuilt without the constructor's
-    checks, which num has passed).
+    Derivation or a ModuleElement; each has an ``exact_divide`` by a Poly,
+    componentwise for a tuple, which only the normal form calls.
     """
 
     __slots__ = ("base", "numerator", "denom_exp")
     # whether __str__ parenthesizes the numerator
     _paren = True
-    _parts = staticmethod(lambda num: (num,))
-    _assemble = staticmethod(lambda num, parts: parts[0])
 
     def __init__(self, base: Poly, numerator, denom_exp: int = 0):
         if base.is_zero():
@@ -103,20 +97,14 @@ class _LocalizedFraction:
         return out
 
     def _reduce(self):
-        """Normal form: cancel the base out of every part of the numerator at
-        once (value-preserving); stop at the first part it does not divide.
-        A zero part is its own quotient."""
+        """Normal form: cancel the base out of every component of the
+        numerator at once (value-preserving), while it divides them all."""
         num, k = self.numerator, self.denom_exp
-        if num.is_zero():
-            return self._new(self.base, num, 0)
-        while k > 0:
-            quots = []
-            for p in self._parts(num):
-                q = p.exact_divide(self.base) if p.terms else p
-                if q is None:
-                    return self._new(self.base, num, k)
-                quots.append(q)
-            num, k = self._assemble(num, quots), k - 1
+        while k:
+            q = num.exact_divide(self.base)
+            if q is None:
+                break
+            num, k = q, k - 1
         return self._new(self.base, num, k)
 
     def is_zero(self) -> bool:
@@ -192,8 +180,6 @@ class LocalizedDerivation(_LocalizedFraction):
     """A vector field divided by a power of the base: numerator / base^k."""
 
     __slots__ = ()
-    _parts = attrgetter("coeffs")
-    _assemble = staticmethod(_PolyTuple._new)
 
     def reduce(self) -> "LocalizedDerivation":
         """Cancel the base out of all components simultaneously."""
@@ -205,8 +191,6 @@ class LocalizedModuleElement(_LocalizedFraction):
 
     __slots__ = ("module",)
     _paren = False  # a ModuleElement prints its own parentheses
-    _parts = attrgetter("entries")
-    _assemble = staticmethod(_PolyTuple._new)
 
     def __init__(self, base: Poly, module: AVModule, numerator: ModuleElement,
                  denom_exp: int = 0):

@@ -40,13 +40,13 @@ differences, scalar multiples, derivatives and diagonal restrictions
 likewise rescale to a common denominator and reduce once, in ``_reduced``,
 the one function that computes a canonical pair.  Every other ``Poly._raw``
 call has ``den == 1`` or relabels or negates a canonical pair: the
-embeddings, ``__neg__``, ``constant``, and the integer returns of
-``partial_derivative`` and ``exact_divide``.
+embeddings, ``__neg__``, ``constant``, and the integer return of
+``partial_derivative``.
 
-``Poly.exact_divide`` is shaped for the localized action's tiny operands:
-it tests divisibility on the packed keys, divides by a monomial in one pass,
-gives up early when the divisor's smallest monomial does not divide the
-dividend's, and divides int coefficients with ``divmod``.
+``Poly.exact_divide`` is one long-division loop on the packed keys.  Only
+output divides: the normal form of a localized value, printed or returned by
+``reduce()``, cancels the base out of every component of its numerator at
+once (``_PolyTuple.exact_divide`` for a tuple of polynomials).
 
 A derivation g1*d1 + ... + gn*dn is a tuple of coefficient polynomials,
 where d<i> denotes the partial derivative in x<i>.  It shares its
@@ -353,65 +353,39 @@ class Poly:
     def exact_divide(self, divisor: "Poly") -> "Poly | None":
         """Quotient self/divisor when the division is exact, else None.
 
-        Divisibility of monomials is one test on the packed keys.  A monomial
-        divisor takes one pass over the terms.  Otherwise, since min(a*q) =
-        min(a)*min(q) in a monomial order, the divisor's smallest monomial must
-        divide self's; then long division cancels leading terms until one is
-        not divisible.  The numerators divide by divmod, and a Fraction is made
-        only for a remainder; the quotient of the numerators is then scaled by
-        the ratio of the denominators."""
+        Long division on the numerators: the leading term of the remainder is
+        cancelled until the remainder is empty, or until its leading monomial
+        is not a multiple of the divisor's, when no quotient exists.
+        Divisibility of monomials is one test on the packed keys.  The
+        quotient of the numerators is then scaled by divisor.den / self.den."""
         self._check(divisor)
         dt, dim = divisor.terms, self.dim
         if not dt:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
-            return Poly.zero(dim)
         # b's monomial divides a's iff a - b borrows across no field boundary:
         # (a - b) ^ a ^ b then has no bit of ``borrow``, the lowest of each field
         # above the first
         borrow = ((1 << (_FIELD * (dim + 1))) - 1) // _MASK - 1
         dlead = max(dt)
         dc = dt[dlead]
-        whole = True  # every quotient coefficient so far is an int
+        rest = [(k, c) for k, c in dt.items() if k != dlead]
+        rem = dict(self.terms)
         quot = {}
-        if len(dt) == 1:
-            for k, c in self.terms.items():
-                qk = k - dlead
-                if (qk ^ k ^ dlead) & borrow:
-                    return None
-                q, r = divmod(c, dc)
-                if r:
-                    q, whole = Fraction(c, dc), False
-                quot[qk] = q
-        else:
-            a, b = min(self.terms), min(dt)
-            if ((a - b) ^ a ^ b) & borrow:
+        while rem:
+            lead = max(rem)
+            qk = lead - dlead
+            if (qk ^ lead ^ dlead) & borrow:
                 return None
-            rest = [(k, c) for k, c in dt.items() if k != dlead]
-            rem = dict(self.terms)
-            while rem:
-                lead = max(rem)
-                qk = lead - dlead
-                if (qk ^ lead ^ dlead) & borrow:
-                    return None
-                c = rem.pop(lead)
-                q, r = divmod(c, dc)
-                if r:
-                    q, whole = Fraction(c, dc), False
-                quot[qk] = q
-                for k, dcf in rest:
-                    kk = qk + k
-                    v = rem.get(kk, 0) - q * dcf
-                    if v:
-                        rem[kk] = v
-                    else:
-                        del rem[kk]
-        if whole and self.den == divisor.den:
-            return Poly._raw(dim, quot, 1)
-        # quot * divisor.den / self.den, over the lcm of quot's denominators
-        den = lcm(*[q.denominator for q in quot.values()])
-        return _reduced(dim, {k: q.numerator * (den // q.denominator) * divisor.den
-                              for k, q in quot.items()}, den * self.den)
+            q = quot[qk] = Fraction(rem.pop(lead), dc)
+            for k, dcf in rest:
+                kk = qk + k
+                v = rem.get(kk, 0) - q * dcf
+                if v:
+                    rem[kk] = v
+                else:
+                    del rem[kk]
+        scale = Fraction(divisor.den, self.den)
+        return _from_coefficients(dim, {k: q * scale for k, q in quot.items()})
 
     # -- text form -----------------------------------------------------------------
 
@@ -614,9 +588,9 @@ class _PolyTuple:
     """A fixed-length tuple of polynomials with componentwise arithmetic.
 
     The one place that decides how vector fields, smash elements and module
-    elements compare, add, subtract, negate and scale.  Each subclass checks
-    its own constructor arguments, sets ``dim`` and exposes the tuple under
-    its own read-only name; results keep the shape of their operands.
+    elements compare, add, subtract, negate, scale and divide.  Each subclass
+    checks its own constructor arguments, sets ``dim`` and exposes the tuple
+    under its own read-only name; results keep the shape of their operands.
     """
 
     __slots__ = ("dim", "_polys")
@@ -668,6 +642,17 @@ class _PolyTuple:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def exact_divide(self, divisor: Poly):
+        """The componentwise quotient by ``divisor``, or None at the first
+        component that it does not divide exactly."""
+        quots = []
+        for p in self._polys:
+            q = p.exact_divide(divisor)
+            if q is None:
+                return None
+            quots.append(q)
+        return self._new(quots)
 
 
 class Derivation(_PolyTuple):

@@ -484,6 +484,13 @@ def test_order_bad_module_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_order_module_file_that_is_not_a_mapping_exits_two(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([module_to_dict(differential_forms(1))]))
+    assert main(["order", "--module", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: module definition must be a mapping\n"
+
+
 def test_order_invalid_module_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "incompatible.json"
     bad.write_text(json.dumps({

@@ -532,6 +532,11 @@ def test_restriction_rejects_unequal_representatives():
                          {"eta": d, "eta_exp": 1, "mu": d, "mu_exp": 0, "g": x + one})
 
 
+def test_welldefined_needs_a_positive_power():
+    with pytest.raises(ValueError, match="welldefined needs j >= 1"):
+        verify_localized("welldefined", differential_forms(1), x, {"eta": d, "j": 0})
+
+
 def test_unknown_check_id():
     with pytest.raises(ValueError, match="unknown localized check"):
         verify_localized("gluing", differential_forms(1), x, {})

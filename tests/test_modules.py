@@ -822,24 +822,40 @@ def test_from_dict_schema_errors():
         module_from_dict({"dim": 1, "rank": 1})  # missing order
     with pytest.raises(ModuleSchemaError):
         module_from_dict({"dim": 1, "rank": 1, "order": "x"})
-    # the range and shape checks are AVModule's; each still raises a schema error
-    for field, value in [
-        ("rank", 0),
-        ("terms", [{"i": 2, "alpha": [1], "matrix": [["1"]]}]),  # direction
-        ("terms", [{"i": 1, "alpha": [1, 0], "matrix": [["1"]]}]),  # alpha length
-        ("terms", [{"i": 1, "alpha": [-1], "matrix": [["1"]]}]),  # alpha sign
-        ("terms", [{"i": 1, "alpha": [1], "matrix": [["1", "0"]]}]),  # row length
-        ("terms", [{"i": "1", "alpha": [1], "matrix": [["1"]]}]),  # JSON types
-        ("terms", [{"i": 1, "alpha": 1, "matrix": [["1"]]}]),
-        ("terms", [{"i": 1, "alpha": [1], "matrix": ["1"]}]),
-        ("dim", True),  # JSON booleans are not integers
-        ("rank", True),
-        ("order", True),
-        ("terms", [{"i": True, "alpha": [1], "matrix": [["1"]]}]),
-        ("terms", [{"i": 1, "alpha": [True], "matrix": [["1"]]}]),
+    # the range and shape checks are AVModule's; each still raises a schema error.
+    # A row's field None replaces the whole definition.
+    for field, value, message in [
+        ("rank", 0, "rank must be >= 1"),
+        ("terms", [{"i": 2, "alpha": [1], "matrix": [["1"]]}],  # direction
+         "direction index 2 out of range"),
+        ("terms", [{"i": 1, "alpha": [1, 0], "matrix": [["1"]]}],  # alpha length
+         r"bad multi-index \(1, 0\) for dim 1"),
+        ("terms", [{"i": 1, "alpha": [-1], "matrix": [["1"]]}],  # alpha sign
+         r"bad multi-index \(-1,\) for dim 1"),
+        ("terms", [{"i": 1, "alpha": [1], "matrix": [["1", "0"]]}],  # row length
+         "is not 1x1"),
+        ("terms", [{"i": "1", "alpha": [1], "matrix": [["1"]]}],  # JSON types
+         "term direction '1' is not an integer"),
+        ("terms", [{"i": 1, "alpha": 1, "matrix": [["1"]]}], "bad multi-index 1"),
+        ("terms", [{"i": 1, "alpha": [1], "matrix": ["1"]}], "is not a list of rows"),
+        ("dim", True, "field 'dim' must be an integer"),  # JSON booleans are not integers
+        ("rank", True, "field 'rank' must be an integer"),
+        ("order", True, "field 'order' must be an integer"),
+        ("terms", [{"i": True, "alpha": [1], "matrix": [["1"]]}],
+         "term direction True is not an integer"),
+        ("terms", [{"i": 1, "alpha": [True], "matrix": [["1"]]}],
+         r"bad multi-index \[True\]"),
+        (None, [good], "module definition must be a mapping"),
+        ("dim", 0, "dim must be >= 1"),
+        ("terms", "x", "terms must be a list"),
+        ("terms", [1], "each term must be a mapping"),
+        ("terms", [{"alpha": [1], "matrix": [["1"]]}], "term missing field 'i'"),
+        ("terms", [{"i": 1, "matrix": [["1"]]}], "term missing field 'alpha'"),
+        ("terms", [{"i": 1, "alpha": [1]}], "term missing field 'matrix'"),
+        ("terms", good["terms"] * 2, r"duplicate term at \(1, \(1,\)\)"),
     ]:
-        with pytest.raises(ModuleSchemaError):
-            module_from_dict(dict(good, **{field: value}))
+        with pytest.raises(ModuleSchemaError, match=message):
+            module_from_dict(value if field is None else dict(good, **{field: value}))
 
 
 def test_from_dict_validation_failure():

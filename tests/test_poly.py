@@ -16,6 +16,7 @@ from smashmod import (
     parse_derivation,
     parse_poly,
 )
+from smashmod.modules import ModuleElement
 from smashmod.poly import (
     DegreeOverflow,
     _sum_products,
@@ -264,6 +265,22 @@ def test_exact_divide():
         with pytest.raises(ZeroDivisionError):
             zero.exact_divide(Poly.zero(1))
         assert zero.exact_divide(P("x1 + 1")) == Poly.zero(1)
+
+
+@pytest.mark.parametrize("make", [Derivation, ModuleElement], ids=["derivation", "element"])
+def test_tuple_exact_divide_is_componentwise(make):
+    f = P("x1^2 - 2/3*x2", 2)
+    a, b = P("x1 + 3*x2^2", 2), P("1/2*x1*x2 - 5", 2)
+    assert make((f * a, f * b)).exact_divide(f) == make((a, b))
+    assert make((f * a, f * b + 1)).exact_divide(f) is None
+    assert make((f * a + 1, f * b)).exact_divide(f) is None
+    zero = Poly.zero(2)
+    assert make((zero, f * b)).exact_divide(f) == make((zero, b))
+    assert make((zero, zero)).exact_divide(f) == make((zero, zero))
+    with pytest.raises(DimensionMismatch):
+        make((f * a, f * b)).exact_divide(P("x1"))
+    with pytest.raises(DimensionMismatch):
+        make((zero, zero)).exact_divide(P("x1"))
 
 
 # the leading coefficients of the localized action's divisors: negative, +-1, rational

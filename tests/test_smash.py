@@ -358,9 +358,17 @@ def test_verify_missing_binding():
 
 
 def test_verify_bad_level():
-    with pytest.raises(ValueError):
-        verify_identity("lemma3-commutator",
-                        {"f": x, "eta": d, "mu": d, "p": 0, "q": 1})
+    # every symbol any identity binds; each identity takes the ones it names
+    symbols = {"f": x, "g": x, "h": one, "eta": d, "mu": d}
+    for name, levels, message in [
+        ("lemma3-commutator", {"p": 0, "q": 1}, "lemma3-commutator needs p, q >= 1"),
+        ("lemma2-commute-A", {"p": 0}, "lemma2-commute-A needs p >= 1"),
+        ("lemma4-5", {"p": 0, "q": 0}, r"lemma4-5 needs p \+ q >= 1"),
+        ("lemma5-deriv-bracket", {"p": 0}, "lemma5-deriv-bracket needs p >= 1"),
+        ("lemma4.1-recurrence", {"p": -1}, "lemma4.1-recurrence needs p >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            verify_identity(name, symbols | levels)
 
 
 def test_function_commutator_is_zero_on_annihilator_elements():
