@@ -53,7 +53,7 @@ from .poly import (
     restrict_to_diagonal,
     unit_index,
 )
-from .smash import SmashElement, VerificationReport, from_term, omega, omega_multi
+from .smash import SmashElement, VerificationReport, _report, omega, omega_multi
 
 __all__ = [
     "Matrix",
@@ -323,13 +323,12 @@ class AVModule:
                         defect = _sum_products(self.dim, [(c, left[a][k], right[k][b])
                                                           for c, left, right in terms for k in r])
                         if defect.terms:
-                            witness = {"i": str(i), "j": str(j), "beta": str(beta),
-                                       "gamma": str(gamma), "entry": str((a, b)),
-                                       "defect": str(defect)}
-                            return VerificationReport(
-                                "module-bracket-compatibility", inputs, "fail", witness)
+                            return _report("module-bracket-compatibility", inputs, {
+                                "i": str(i), "j": str(j), "beta": str(beta),
+                                "gamma": str(gamma), "entry": str((a, b)),
+                                "defect": str(defect)})
         self._validated = True
-        return VerificationReport("module-bracket-compatibility", inputs, "pass")
+        return _report("module-bracket-compatibility", inputs, None)
 
     def _structure_terms(self, i: int, j: int) -> dict[tuple[MultiIndex, MultiIndex], list]:
         """The C_ij[beta,gamma] of ``validate`` that some term reaches, each a
@@ -396,20 +395,19 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     the order exactly.  Returns n_max + 1 when no n suffices.  The ``order``
     report searches up to n_max = rank^2, the bound it checks.
 
-    The search starts at n = -1, where the family is the vector fields g d_i
-    themselves: they act through their symbol, so on a nonzero module they
-    never all annihilate, and -1 (a zero Lie map) shows a criterion that has
-    stopped seeing the symbol.  Every element annihilates the zero module,
-    whose order is taken as 0.
+    The search starts at n = -1, whose empty products give the vector fields
+    themselves, omega_multi((), g d_i) = 1 # g d_i: they act through their
+    symbol, so on a nonzero module they never all annihilate, and -1 (a zero
+    Lie map) shows a criterion that has stopped seeing the symbol.  Every
+    element annihilates the zero module, whose order is taken as 0.
     """
     module._require_validated()
     d = module.dim
-    one = Poly.constant(d, 1)
     coords = [Poly.variable(d, i) for i in range(1, d + 1)]
     fields = [_direction(d, i, Poly.monomial(d, a))
               for i in range(1, d + 1) for a in multi_indices(d, module.order + 1)]
     for n in range(-1 if module.rank else 0, n_max + 1):
-        if all(module.annihilates(omega_multi(fs, e) if fs else from_term(one, e))
+        if all(module.annihilates(omega_multi(fs, e))
                for fs in combinations_with_replacement(coords, n + 1) for e in fields):
             return n
     return n_max + 1

@@ -164,8 +164,6 @@ def embed_coefficient(p: Poly) -> Poly:
 
 def restrict_to_diagonal(p: Poly) -> Poly:
     """Substitute y := x in a doubled polynomial, returning a d-variable one."""
-    if p.dim % 2:
-        raise DimensionMismatch("diagonal restriction needs a doubled polynomial")
     d = p.dim // 2
     block = (1 << (_FIELD * d)) - 1
     out: dict[int, int] = {}
@@ -594,6 +592,9 @@ class _PolyTuple:
     """
 
     __slots__ = ("dim", "_polys")
+    # the components are polynomials in _doubling * dim variables, and so is
+    # a polynomial operand, checked once whether or not there is a component
+    _doubling = 1
 
     def _new(self, polys: Iterable[Poly]):
         """A value of the same type and ``dim``, without the constructor's
@@ -635,17 +636,24 @@ class _PolyTuple:
     def __neg__(self):
         return self._new(-p for p in self._polys)
 
+    def _check_poly(self, p: Poly):
+        if p.dim != self._doubling * self.dim:
+            raise DimensionMismatch(f"dim {p.dim} vs {self._doubling * self.dim}")
+
     def __mul__(self, other):
         """Scaling by a rational or by a polynomial in the components' variables."""
-        if isinstance(other, (int, Fraction, Poly)):
-            return self._new(p * other for p in self._polys)
-        return NotImplemented
+        if isinstance(other, Poly):
+            self._check_poly(other)
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self._new(p * other for p in self._polys)
 
     __rmul__ = __mul__
 
     def exact_divide(self, divisor: Poly):
         """The componentwise quotient by ``divisor``, or None at the first
         component that it does not divide exactly."""
+        self._check_poly(divisor)
         quots = []
         for p in self._polys:
             q = p.exact_divide(divisor)
@@ -691,15 +699,13 @@ class Derivation(_PolyTuple):
 
     def apply(self, p: Poly) -> Poly:
         """eta(p) = sum_i g_i * dp/dx_i; satisfies the Leibniz rule exactly."""
-        if p.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {p.dim}")
+        self._check_poly(p)
         return _sum_products(self.dim, [(1, g, p.partial_derivative(i))
                                         for i, g in enumerate(self.coeffs, start=1) if g.terms])
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """Lie bracket of vector fields: component j is self(other_j) - other(self_j)."""
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        self._check(other)
         return Derivation(tuple(
             self.apply(other.coeffs[j]) - other.apply(self.coeffs[j])
             for j in range(self.dim)))

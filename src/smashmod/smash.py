@@ -69,6 +69,7 @@ class SmashElement(_PolyTuple):
 
     __slots__ = ()
     components = property(attrgetter("_polys"))
+    _doubling = 2
 
     def __init__(self, dim: int, components: Iterable[Poly]):
         components = tuple(components)
@@ -218,10 +219,7 @@ def omega_definitional(p: int, f: Poly, e: Derivation) -> SmashElement:
 def omega_multi(fs: Sequence[Poly], e: Derivation) -> SmashElement:
     """Product form over several functions: component i is
     prod_j (f_j(x) - f_j(y)) * g_i(y).  Coincides with omega(p, f, e) when
-    all p functions equal f."""
-    fs = tuple(fs)
-    if not fs:
-        raise ValueError("need at least one function")
+    all p functions equal f; the empty product gives 1 # e, omega(0, f, e)."""
     dim = e.dim
     prod = Poly.constant(2 * dim, 1)
     for f in fs:
@@ -232,11 +230,8 @@ def omega_multi(fs: Sequence[Poly], e: Derivation) -> SmashElement:
 
 
 def omega_multi_definitional(fs: Sequence[Poly], e: Derivation) -> SmashElement:
-    """Product form built one factor at a time through the tensor action,
-    u -> (f tensor 1)u - (1 tensor f)u.  Second route for coherence checks."""
-    fs = tuple(fs)
-    if not fs:
-        raise ValueError("need at least one function")
+    """Product form built from 1 # e one factor at a time through the tensor
+    action, u -> (f tensor 1)u - (1 tensor f)u.  Second route for coherence checks."""
     one = Poly.constant(e.dim, 1)
     u = from_term(one, e)
     for f in fs:

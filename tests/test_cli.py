@@ -626,6 +626,15 @@ def test_console_script_entry():
     assert proc.returncode == 2  # --module is required
 
 
+def test_console_entry_exits_with_the_code_of_main(monkeypatch, tmp_path):
+    out = tmp_path / "order.json"
+    monkeypatch.setattr(sys, "argv", ["smashmod", "order", "--module", "zoo:jets",
+                                      "--dim", "1", "--n", "2", "--out", str(out)])
+    with pytest.raises(SystemExit) as exited:
+        cli.console_entry()
+    assert exited.value.code == 0 and json.loads(out.read_text())["results"][0]["status"] == "pass"
+
+
 def test_annihilator_zoo_flag_on_a_module_file_exits_two(tmp_path, capsys):
     path = tmp_path / "jets.json"
     save_module_spec(zoo("jets", dim=1, n=2), str(path))

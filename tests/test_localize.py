@@ -155,6 +155,9 @@ def test_text_forms():
     assert str(LocalizedModuleElement(f, forms, m, 3)) == "(x1, -x2) / (x1^2 + 1)^3"
     # a value prints in normal form however it is represented
     assert str(LocalizedPoly(x, x ** 2 * (x + 1), 3)) == "(x1 + 1) / (x1)^1"
+    assert repr(LocalizedPoly(f, x1 - x2, 2)) == "LocalizedPoly((x1 - x2) / (x1^2 + 1)^2)"
+    assert repr(LocalizedModuleElement(f, forms, m, 0)) == "LocalizedModuleElement((x1, -x2))"
+    assert LocalizedPoly(f, x1, 0) != x1  # a value of another type is never equal
 
 
 def test_zero_base_rejected():
@@ -196,6 +199,22 @@ def test_base_mismatch_rejected():
     b = LocalizedPoly(x + one, one, 1)
     with pytest.raises(BaseMismatch):
         a + b
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LocalizedPoly(x, one, 1) * LocalizedPoly(x + one, one, 1), BaseMismatch,
+     "localized values have different bases"),
+    (lambda: LocalizedModule(differential_forms(1), Poly.variable(2, 1)), DimensionMismatch,
+     "base and module disagree on dim"),
+    (lambda: extend_base(LocalizedPoly(x, one, 1), Poly.zero(1)), ZeroDivisionError,
+     "base factor must be nonzero"),
+    (lambda: LocalizedPoly(x, one, 1) + 1, TypeError, "unsupported operand"),
+    (lambda: LocalizedPoly(x, one, 1) - 1, TypeError, "unsupported operand"),
+], ids=["product-over-two-bases", "base-of-another-dim", "extend-by-zero", "plus-int",
+        "minus-int"])
+def test_each_guard_raises_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_sum_refuses_elements_of_different_modules():

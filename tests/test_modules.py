@@ -485,6 +485,42 @@ def test_schema_errors():
         AVModule(2, 1, {(3, (1, 0)): ((parse_poly("x1", 2),),)})  # bad direction
 
 
+# operands in two variables, for the guards against mixing dims
+x_2d, d_2d = Poly.variable(2, 1), Derivation.partial(2, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AVModule(0, 1, {}), ModuleSchemaError, "dim must be a positive integer"),
+    (lambda: AVModule(1, 1, {(1, (1,)): ((1,),)}), ModuleSchemaError,
+     r"matrix entries at \(1, \(1,\)\) must be 1-variable polynomials"),
+    (lambda: differential_forms(1).basis_element(1), ValueError, "basis index 1 out of range"),
+    (lambda: differential_forms(1).act_derivation(d_2d, ModuleElement((x,))),
+     DimensionMismatch, "dimension mismatch with the module"),
+    (lambda: differential_forms(1).act_derivation(d, ModuleElement((x, x))),
+     DimensionMismatch, "element rank 2 vs module rank 1"),
+    (lambda: differential_forms(1).annihilates(omega(1, x_2d, d_2d)), DimensionMismatch,
+     "dimension mismatch with the module"),
+    (lambda: min_annihilating_order(differential_forms(1), x_2d, d), DimensionMismatch,
+     "dimension mismatch with the module"),
+    (lambda: tensor_product(differential_forms(1), differential_forms(2)), DimensionMismatch,
+     "dim 1 vs 2"),
+    (lambda: differential_forms(0), ValueError, "differential_forms needs dim >= 1"),
+    (lambda: tangent_adjoint(0), ValueError, "tangent_adjoint needs dim >= 1"),
+], ids=["dim-0", "entry-not-a-poly", "basis-index-out-of-range", "act-across-dims",
+        "act-across-ranks", "annihilates-across-dims", "min-order-across-dims",
+        "tensor-product-across-dims", "forms-dim-0", "adjoint-dim-0"])
+def test_each_guard_raises_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_module_and_an_element_print_as_their_values():
+    assert repr(ModuleElement((x, -one))) == "ModuleElement(x1, -1)"
+    forms = differential_forms(1)
+    assert repr(forms) == "AVModule(name='forms(1)', dim=1, rank=1, order=1)"
+    assert forms != "forms(1)"  # a value of another type is never equal
+
+
 # -- gauge-equivalent modules --------------------------------------------------------
 
 # dmodule(2,3) has an empty tensor: its gauged copy has D'[i,0] = U^-1 d_i(U) alone

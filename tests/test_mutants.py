@@ -1,16 +1,17 @@
 """The mutant table: each row plants one fault in a library function, and
 the suite that covers the function must report a failure with a witness.
 
-A row rebinds the function (or ``Class.method``) to a corrupted copy with
-``monkeypatch``, in the library module that defines it and wherever
-``suites`` or ``cli`` imported it by name.  ``omega`` keeps a memo of the
-elements it built for the last f it met, and the memo holds only values that
-the real ``omega`` computed: a row that corrupts anything beneath ``omega``
-must rebind ``omega`` itself, or a memoized element hides the fault.  A
-mutant that survives shows a check that cannot fail: strengthen the check,
-never the mutant.  The method is mutation testing (DeMillo, Lipton and
-Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978), with no
-mutation tool.
+A row rebinds a function (or ``Class.method``) with ``monkeypatch``, in the
+library module that defines it and wherever ``suites`` or ``cli`` imported
+it by name: either to a corrupted copy of the function under test, or to a
+faulty collaborator of it, so that the live function runs under the fault.
+``omega`` keeps a memo of the elements it built for the last f it met, and
+the memo holds only values that the real ``omega`` computed: a row that
+corrupts anything beneath ``omega`` must rebind ``omega`` itself, or a
+memoized element hides the fault.  A mutant that survives shows a check
+that cannot fail: strengthen the check, never the mutant.  The method is
+mutation testing (DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978), with no mutation tool.
 """
 
 import json
@@ -28,11 +29,11 @@ import smashmod.suites as suites
 from smashmod import differential_forms, jet_module
 from smashmod.cli import main, save_module_spec
 from smashmod.localize import LocalizedDerivation, LocalizedModule
-from smashmod.modules import AVModule, VerificationReport, _direction, _mat_is_zero
-from smashmod.poly import (Poly, _sum_products, embed_coefficient, embed_function,
-                           multi_binomial, multi_indices, parse_poly, unit_index)
+from smashmod.modules import AVModule, _mat_is_zero
+from smashmod.poly import (Poly, embed_coefficient, embed_function, multi_binomial,
+                           parse_poly, unit_index)
 from smashmod.sampling import seeded_rng
-from smashmod.smash import SmashElement, from_term, omega_multi
+from smashmod.smash import SmashElement
 from smashmod.suites import RunConfig, run_suite
 
 from oracles import gauge, random_unipotent, validate_by_sampling
@@ -89,10 +90,7 @@ _omega_multi = smash.omega_multi
 
 def omega_multi_without_its_last_factor(fs, e):
     """omega_multi over all but the last function: one function gives 1 # e."""
-    fs = tuple(fs)
-    if len(fs) == 1:
-        return SmashElement(e.dim, (embed_coefficient(g) for g in e.coeffs))
-    return _omega_multi(fs[:-1], e)
+    return _omega_multi(tuple(fs)[:-1], e)
 
 
 _series_operator = localize._series_operator
@@ -145,20 +143,11 @@ def annihilates_ignoring_the_symbol(self, u):
     return _mat_is_zero(matrix)
 
 
-def oracle_order_off_by_one(module, n_max):
-    """oracle_order with products of n + 2 coordinate functions in place of
-    n + 1 for order n, so it answers one below the order."""
-    module._require_validated()
-    d = module.dim
-    one = Poly.constant(d, 1)
-    coords = [Poly.variable(d, i) for i in range(1, d + 1)]
-    fields = [_direction(d, i, Poly.monomial(d, a))
-              for i in range(1, d + 1) for a in multi_indices(d, module.order + 1)]
-    for n in range(-1 if module.rank else 0, n_max + 1):
-        if all(module.annihilates(omega_multi(fs, e) if fs else from_term(one, e))
-               for fs in combinations_with_replacement(coords, n + 2) for e in fields):
-            return n
-    return n_max + 1
+def combinations_with_one_more(iterable, r):
+    """combinations_with_replacement drawing r + 1 items: under it the live
+    oracle_order, its one caller in ``modules``, takes products of n + 2
+    coordinate functions for order n, so it answers one below the order."""
+    return combinations_with_replacement(iterable, r + 1)
 
 
 def annihilates_nothing(self, u):
@@ -200,24 +189,13 @@ def structure_terms_dropping(mirror=False, derivative=False):
     return _structure_terms
 
 
-def validate_skipping_the_pairs_i_below_j(self):
-    """AVModule.validate that checks the structure matrices C_ii only."""
-    inputs = {"module": self.name or "<anonymous>", "dim": str(self.dim),
-              "rank": str(self.rank), "order": str(self.order)}
-    r = range(self.rank)
-    for i in range(1, self.dim + 1):
-        for (beta, gamma), terms in sorted(self._structure_terms(i, i).items()):
-            for a, b in product(r, r):
-                defect = _sum_products(self.dim, [(c, left[a][k], right[k][b])
-                                                  for c, left, right in terms for k in r])
-                if defect.terms:
-                    witness = {"i": str(i), "j": str(i), "beta": str(beta),
-                               "gamma": str(gamma), "entry": str((a, b)),
-                               "defect": str(defect)}
-                    return VerificationReport(
-                        "module-bracket-compatibility", inputs, "fail", witness)
-    self._validated = True
-    return VerificationReport("module-bracket-compatibility", inputs, "pass")
+_structure_terms = AVModule._structure_terms
+
+
+def structure_terms_only_for_i_equal_j(self, i, j):
+    """AVModule._structure_terms with no term for i < j: under it the live
+    validate checks the structure matrices C_ii only."""
+    return _structure_terms(self, i, j) if i == j else {}
 
 
 def _rebind(monkeypatch, name, mutant):
@@ -295,7 +273,7 @@ def test_the_clean_order_reports_pass(tmp_path):
 
 @pytest.mark.parametrize("name, mutant", [
     ("AVModule.annihilates", annihilates_ignoring_the_symbol),
-    ("oracle_order", oracle_order_off_by_one),
+    ("combinations_with_replacement", combinations_with_one_more),
 ], ids=["annihilates-ignoring-the-symbol", "oracle-order-off-by-one"])
 def test_the_order_check_catches_the_mutant(monkeypatch, tmp_path, name, mutant):
     _rebind(monkeypatch, name, mutant)
@@ -357,6 +335,6 @@ def test_validate_catches_structure_terms_without_the_derivative_term(monkeypatc
 
 def test_the_sampling_oracle_catches_a_validate_that_skips_the_pairs_i_below_j(monkeypatch):
     # the zoo modules are valid, so a fault in validate shows on invalid input
-    _rebind(monkeypatch, "AVModule.validate", validate_skipping_the_pairs_i_below_j)
+    _rebind(monkeypatch, "AVModule._structure_terms", structure_terms_only_for_i_equal_j)
     assert any(m.validate().passed != validate_by_sampling(m).passed
                for m in invalid_modules())

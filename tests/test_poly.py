@@ -110,6 +110,8 @@ def test_over_long_direction_index_is_a_parse_error():
 def test_print_canonical_order():
     p = parse_poly("x2 + x1 + x1^2*x2 + 1", 2)
     assert str(p) == "x1^2*x2 + x1 + x2 + 1"
+    assert repr(p) == "Poly(2, 'x1^2*x2 + x1 + x2 + 1')"
+    assert repr(parse_derivation("x1*d2 - d1", 2)) == "Derivation(2, '-d1 + x1*d2')"
 
 
 def test_scalar_minus_poly():
@@ -281,6 +283,14 @@ def test_tuple_exact_divide_is_componentwise(make):
         make((f * a, f * b)).exact_divide(P("x1"))
     with pytest.raises(DimensionMismatch):
         make((zero, zero)).exact_divide(P("x1"))
+
+
+def test_an_empty_element_checks_the_dim_of_its_polynomial_operand():
+    empty = ModuleElement((), dim=2)
+    for op in (lambda p: empty * p, lambda p: p * empty, empty.exact_divide):
+        with pytest.raises(DimensionMismatch):
+            op(P("x1"))
+        assert op(P("x1 + x2", 2)) == empty
 
 
 # the leading coefficients of the localized action's divisors: negative, +-1, rational
@@ -581,6 +591,35 @@ def test_dimension_mismatch_is_an_error():
         P("x1") + parse_poly("x1", 2)
     with pytest.raises(DimensionMismatch):
         P("x1") * parse_poly("x1", 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Poly(0), ValueError, "dim must be a positive integer"),
+    (lambda: Poly(2, {(1,): 1}), DimensionMismatch, r"\(1,\) has length 1, expected 2"),
+    (lambda: Poly.variable(2, 3), ValueError, r"variable index 3 out of range 1\.\.2"),
+    (lambda: P("x1") ** -1, ValueError, "negative power of a polynomial"),
+    (lambda: parse_poly("x1", 0), ValueError, "dim must be a positive integer"),
+    (lambda: Derivation(()), ValueError, "a derivation needs at least one component"),
+    (lambda: Derivation((P("x1"), P("x1", 2))), DimensionMismatch,
+     "derivation components disagree on dim"),
+    (lambda: Derivation((P("x1"), P("x1"))), DimensionMismatch, "2 components for 1 variables"),
+    (lambda: Derivation.partial(2, 3), ValueError, r"variable index 3 out of range 1\.\.2"),
+    (lambda: Derivation.partial(1, 1).bracket(Derivation.partial(2, 1)), DimensionMismatch,
+     "dim 1 vs 2"),
+    (lambda: partial_power(P("x1", 2), (1,)), DimensionMismatch,
+     "multi-index length 1 vs dim 2"),
+    (lambda: P("x1") + "x1", TypeError, "unsupported operand"),
+    (lambda: Derivation.partial(1, 1) + 3, TypeError, "unsupported operand"),
+    (lambda: Derivation.partial(1, 1) - 3, TypeError, "unsupported operand"),
+    (lambda: Derivation.partial(1, 1) * 0.5, TypeError, "unsupported operand"),
+], ids=["poly-dim-0", "exponents-of-the-wrong-length", "variable-out-of-range",
+        "negative-power", "parse-dim-0", "empty-derivation", "components-of-two-dims",
+        "component-count-other-than-dim", "partial-out-of-range", "bracket-across-dims",
+        "partial-power-index-of-the-wrong-length", "poly-plus-text", "derivation-plus-int",
+        "derivation-minus-int", "derivation-times-float"])
+def test_each_guard_raises_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_random_poly_or_zero_repeats_the_draws_of_random_poly_allowing_zero():

@@ -43,6 +43,7 @@ def doubled(text, dim=1):
 
 def test_from_term_examples():
     assert from_term(one, d).components == (doubled("1"),)
+    assert repr(from_term(x, d)) == "SmashElement(1, [x1])"
     assert from_term(x, x * d).components == (doubled("x1*x2"),)  # x * y in doubled vars
     assert from_term(Poly.zero(1), x * d).is_zero()
 
@@ -109,6 +110,34 @@ def test_bracket_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         smash_bracket(from_term(one, d), from_term(parse_poly("x1", 2),
                                                    Derivation.partial(2, 1)))
+
+
+# operands in two variables, for the guards against mixing dims
+x_2d, d_2d = Poly.variable(2, 1), Derivation.partial(2, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SmashElement(0, ()), ValueError, "dim must be a positive integer"),
+    (lambda: SmashElement(1, (doubled("x1"),) * 2), DimensionMismatch, "2 components for dim 1"),
+    (lambda: SmashElement(1, (x,)), DimensionMismatch,
+     r"components must live in 2\*dim doubled variables"),
+    (lambda: from_term(x, d_2d), DimensionMismatch, "dim 1 vs 2"),
+    (lambda: tensor_act(x_2d, one, from_term(one, d)), DimensionMismatch, "dim 2/1 vs 1"),
+    (lambda: omega(1, x_2d, d), DimensionMismatch, "dim 2 vs 1"),
+    (lambda: omega_definitional(1, x_2d, d), DimensionMismatch, "dim 2 vs 1"),
+    (lambda: omega_multi((x_2d,), d), DimensionMismatch, "dim 2 vs 1"),
+    (lambda: function_commutator(from_term(one, d), x_2d), DimensionMismatch, "dim 2 vs 1"),
+    (lambda: omega(-1, x, d), ValueError, "level p must be nonnegative"),
+    (lambda: omega_definitional(-1, x, d), ValueError, "level p must be nonnegative"),
+    (lambda: from_term(one, d) + 1, TypeError, "unsupported operand"),
+], ids=["dim-0", "wrong-component-count", "components-outside-the-doubled-variables",
+        "from-term-across-dims", "tensor-act-across-dims", "omega-across-dims",
+        "omega-definitional-across-dims", "omega-multi-across-dims",
+        "function-commutator-across-dims", "omega-negative-level",
+        "omega-definitional-negative-level", "element-plus-int"])
+def test_each_guard_raises_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # -- annihilator elements -------------------------------------------------------------
@@ -262,8 +291,15 @@ def test_omega_multi_examples():
     assert w.components[0] == parse_poly("x1*x2 - x1*x4 - x2*x3 + x3*x4", 4)
     assert w.components[1].is_zero()
     assert omega_multi((Poly.constant(1, 4),), x * d).is_zero()
-    with pytest.raises(ValueError):
-        omega_multi((), d)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_empty_product_is_one_smash_eta(dim):
+    f = Poly.variable(dim, dim) ** 2 + 1
+    eta = Derivation((Poly.variable(dim, 1),) * dim)
+    one = Poly.constant(dim, 1)
+    assert omega_multi((), eta) == omega_multi_definitional((), eta) \
+        == from_term(one, eta) == omega(0, f, eta)
 
 
 def test_omega_multi_matches_tensor_route():
@@ -314,6 +350,7 @@ def test_tuple_types_compare_unequal():
     assert ModuleElement((x,)) != Derivation((x,))
     assert SmashElement(1, comps) != ModuleElement(comps)
     assert SmashElement(1, comps) == from_term(x, x * d)
+    assert x != "x1" and d != (one,)  # a value of another type is never equal
 
 
 # -- identity verification ------------------------------------------------------------
