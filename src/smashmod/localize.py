@@ -76,7 +76,7 @@ class _LocalizedFraction:
     # whether __str__ parenthesizes the numerator
     _paren = True
 
-    def __init__(self, base: Poly, numerator, denom_exp: int = 0):
+    def __init__(self, base: Poly, numerator, denom_exp: int):
         if base.is_zero():
             raise ZeroDivisionError("localizing polynomial must be nonzero")
         self._check_numerator(base, numerator)
@@ -192,8 +192,7 @@ class LocalizedModuleElement(_LocalizedFraction):
     __slots__ = ("module",)
     _paren = False  # a ModuleElement prints its own parentheses
 
-    def __init__(self, base: Poly, module: AVModule, numerator: ModuleElement,
-                 denom_exp: int = 0):
+    def __init__(self, base: Poly, module: AVModule, numerator: ModuleElement, denom_exp: int):
         self.module = module
         super().__init__(base, numerator, denom_exp)
 
@@ -275,7 +274,7 @@ class LocalizedModule:
         """Embed an integral element as m / f^0."""
         return LocalizedModuleElement(self.base, self.module, m, 0)
 
-    def derivation(self, e: Derivation, denom_exp: int = 0) -> LocalizedDerivation:
+    def derivation(self, e: Derivation, denom_exp: int) -> LocalizedDerivation:
         return LocalizedDerivation(self.base, e, denom_exp)
 
     def operator(self, ed: LocalizedDerivation) -> LocalizedOperator:

@@ -99,12 +99,6 @@ def _mat_is_zero(mat: Matrix) -> bool:
     return all(p.is_zero() for row in mat for p in row)
 
 
-def _direction(d: int, i: int, g: Poly) -> Derivation:
-    """The vector field g * d_i in d variables."""
-    zero = Poly.zero(d)
-    return Derivation(tuple(g if t == i - 1 else zero for t in range(d)))
-
-
 class ModuleElement(_PolyTuple):
     """An element of A^r: r polynomials in ``dim`` variables (given when r = 0)."""
 
@@ -404,7 +398,7 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     module._require_validated()
     d = module.dim
     coords = [Poly.variable(d, i) for i in range(1, d + 1)]
-    fields = [_direction(d, i, Poly.monomial(d, a))
+    fields = [Derivation.partial(d, i) * Poly.monomial(d, a)
               for i in range(1, d + 1) for a in multi_indices(d, module.order + 1)]
     for n in range(-1 if module.rank else 0, n_max + 1):
         if all(module.annihilates(omega_multi(fs, e))

@@ -230,7 +230,7 @@ class Poly:
         """The polynomial x<i>, with 1 <= i <= dim."""
         if not 1 <= i <= dim:
             raise ValueError(f"variable index {i} out of range 1..{dim}")
-        return cls.monomial(dim, tuple(1 if j == i - 1 else 0 for j in range(dim)))
+        return cls.monomial(dim, unit_index(dim, i))
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], c: Coeff = 1) -> "Poly":
@@ -695,7 +695,7 @@ class Derivation(_PolyTuple):
         """The coordinate vector field d<i>."""
         if not 1 <= i <= dim:
             raise ValueError(f"variable index {i} out of range 1..{dim}")
-        return cls(tuple(Poly.constant(dim, 1 if j == i - 1 else 0) for j in range(dim)))
+        return cls(tuple(Poly.constant(dim, e) for e in unit_index(dim, i)))
 
     def apply(self, p: Poly) -> Poly:
         """eta(p) = sum_i g_i * dp/dx_i; satisfies the Leibniz rule exactly."""

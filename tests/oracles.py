@@ -34,7 +34,7 @@ from smashmod import (
     from_term,
     multi_indices,
 )
-from smashmod.modules import Matrix, _direction
+from smashmod.modules import Matrix
 from smashmod.poly import (
     Coeff,
     MultiIndex,
@@ -121,7 +121,7 @@ def validate_by_sampling(module: AVModule) -> VerificationReport:
         """(g d_idx, its operator, its images of the test vectors), g = monos[gidx]."""
         got = cache.get((idx, gidx))
         if got is None:
-            eta = _direction(d, idx, monos[gidx])
+            eta = Derivation.partial(d, idx) * monos[gidx]
             op = module._field_operator(eta)
             got = cache[(idx, gidx)] = (eta, op, [module._apply(op, v) for v in vectors])
         return got

@@ -527,6 +527,21 @@ def test_inverse_cube_check():
     assert rep.passed
 
 
+@pytest.mark.parametrize("name, k", [("inverse-square", 2), ("inverse-cube", 3)])
+def test_each_inverse_law_acts_by_the_power_its_id_names(name, k):
+    # the records echo eta and not k, so no report shows which power a law
+    # builds: its first side on the basis is eta/f^k by the action tensor
+    rng = seeded_rng(83, "inverse-power")
+    for dim in (1, 2):
+        for mod in _localized_modules(dim):
+            f = random_poly(rng, dim, 2, nonconstant=True)
+            eta = random_derivation(rng, dim, 2)
+            ctx = LocalizedModule(mod, f)
+            sides = _LAWS[name](ctx, f, eta)
+            for m in mod.basis():
+                assert sides(ctx.include(m))[0] == act_by_tensor(mod, f, eta, k, m, 0), mod.name
+
+
 def test_restriction_trivial_instance():
     # equal representatives eta/1 = mu/1
     eta = parse_derivation("x1*d1", 1)

@@ -1,23 +1,27 @@
 """The mutant table: each row plants one fault in a library function, and
 the suite that covers the function must report a failure with a witness.
 
-A row rebinds a function (or ``Class.method``) with ``monkeypatch``, in the
-library module that defines it and wherever ``suites`` or ``cli`` imported
-it by name: either to a corrupted copy of the function under test, or to a
-faulty collaborator of it, so that the live function runs under the fault.
-``omega`` keeps a memo of the elements it built for the last f it met, and
-the memo holds only values that the real ``omega`` computed: a row that
-corrupts anything beneath ``omega`` must rebind ``omega`` itself, or a
-memoized element hides the fault.  A mutant that survives shows a check
-that cannot fail: strengthen the check, never the mutant.  The method is
-mutation testing (DeMillo, Lipton and Sayward, "Hints on test data
-selection", IEEE Computer 11(4), 1978), with no mutation tool.
+A row rebinds a function (or ``Class.method``) with ``monkeypatch``, in
+every layer that defines it or imported it by name or, when a layer
+qualifies the name (``"localize._sum_products"``), in that layer only.
+Most rows rebind a faulty collaborator of the function under test, or wrap
+the live function with a fault in its input or output, so that the live
+code runs under the fault.  ``omega`` keeps a memo of the elements it
+built for the last f it met, and the memo holds only values that the real
+``omega`` computed: a row that corrupts anything beneath ``omega`` must
+rebind ``omega`` itself, or a memoized element hides the fault.  So three
+rows rebind a corrupted copy: ``omega_reversed`` and the memo keyed on p
+alone, whose faults sit beneath that memo, and ``_structure_terms``
+without its mirror Leibniz term, whose fault sits inside the body.  A
+mutant that survives shows a check that cannot fail: strengthen the check,
+never the mutant.  The method is mutation testing (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978), with
+no mutation tool.
 """
 
 import json
 from collections import defaultdict
 from itertools import combinations_with_replacement, islice, product
-from math import comb
 
 import pytest
 
@@ -29,9 +33,9 @@ import smashmod.suites as suites
 from smashmod import differential_forms, jet_module
 from smashmod.cli import main, save_module_spec
 from smashmod.localize import LocalizedDerivation, LocalizedModule
-from smashmod.modules import AVModule, _mat_is_zero
-from smashmod.poly import (Poly, embed_coefficient, embed_function, multi_binomial,
-                           parse_poly, unit_index)
+from smashmod.modules import AVModule
+from smashmod.poly import (Poly, _sum_products, embed_coefficient, embed_function,
+                           multi_binomial, parse_poly, unit_index)
 from smashmod.sampling import seeded_rng
 from smashmod.smash import SmashElement
 from smashmod.suites import RunConfig, run_suite
@@ -45,14 +49,11 @@ IDENTITIES = RunConfig(dims=(1, 2), trials=4, p_max=2)
 LOCALIZED = RunConfig(dims=(1, 2), trials=6)
 
 
-def bracket_without_cross_terms(u, v):
-    """smash_bracket with the vector-field terms only: the eta(g) and mu(f)
-    cross terms, taken on the diagonal, are dropped."""
-    d, P, Q = u.dim, u.components, v.components
-    return SmashElement(d, (
-        sum((P[i] * Q[l].partial_derivative(d + i + 1)
-             - Q[i] * P[l].partial_derivative(d + i + 1) for i in range(d)), Poly.zero(2 * d))
-        for l in range(d)))
+def restrict_to_diagonal_to_zero(p):
+    """restrict_to_diagonal giving 0: rebound in ``smash`` only, it drops the
+    eta(g) and mu(f) cross terms of smash_bracket, which are taken on the
+    diagonal (function_commutator is then 0, so lemma2 still passes)."""
+    return Poly.zero(p.dim // 2)
 
 
 def omega_reversed(p, f, e):
@@ -103,15 +104,10 @@ def series_one_power_too_high(module, g, eta, j=1):
     return pair, exp + 1
 
 
-def series_without_its_top_level(module, g, eta, j=1):
-    """_series_operator with the level u = N of its sum dropped."""
-    N, d = module.order, module.dim
-    gx = embed_function(g)
-    G = gx - embed_coefficient(g)
-    S = sum((comb(u + j - 1, j - 1) * gx ** (N - u) * G ** u for u in range(N)),
-            Poly.zero(2 * d))
-    element = SmashElement(d, (S * embed_coefficient(c) for c in eta.coeffs))
-    return module._smash_operator(element), N + j
+def sum_products_without_its_last_triple(dim, triples):
+    """_sum_products without its last triple: rebound in ``localize`` only, it
+    drops the level u = N of _series_operator's sum, its one caller there."""
+    return _sum_products(dim, list(triples)[:-1])
 
 
 def series_with_the_weights_of_j2(module, g, eta, j=1):
@@ -133,14 +129,20 @@ def act_with_the_quotient_term_flipped(self, op, me):
     return _act(self, op, me) + flip
 
 
-def annihilates_ignoring_the_symbol(self, u):
-    """AVModule.annihilates that tests only the matrix of u's action, not its
-    symbol, the vector field it applies to the entries."""
-    self._require_validated()
-    if self.rank == 0:
-        return True
-    _, matrix = self._smash_operator(u)
-    return _mat_is_zero(matrix)
+_smash_operator = AVModule._smash_operator
+
+
+def smash_operator_without_its_symbol(self, u):
+    """AVModule._smash_operator with an empty symbol: the live annihilates then
+    tests only the matrix of u's action, not the vector field it applies."""
+    return (), _smash_operator(self, u)[1]
+
+
+def smash_operator_with_a_unit_symbol(self, u):
+    """AVModule._smash_operator with the symbol 1 in place of u's: the live
+    annihilates then holds on the zero module only, so that no order up to
+    the search bound works."""
+    return (Poly.constant(self.dim, 1),), _smash_operator(self, u)[1]
 
 
 def combinations_with_one_more(iterable, r):
@@ -150,43 +152,30 @@ def combinations_with_one_more(iterable, r):
     return combinations_with_replacement(iterable, r + 1)
 
 
-def annihilates_nothing(self, u):
-    """AVModule.annihilates that holds on the zero module only, so that no
-    order up to the search bound works."""
-    self._require_validated()
-    return self.rank == 0
+def structure_terms_without_the_mirror_leibniz_term(self, i, j):
+    """AVModule._structure_terms without its mirror Leibniz term, the one of
+    D[i,alpha] in the direction j."""
+    d, r = self.dim, range(self.rank)
+    eye = tuple(tuple(Poly.constant(d, int(a == b)) for b in r) for a in r)
+    coeffs = defaultdict(list)
+    tensor_i, tensor_j = ([(alpha, mat) for (k, alpha), mat in self.tensor.items()
+                           if k == t] for t in (i, j))
+    for alpha, mat in tensor_j:
+        coeffs[((0,) * d, alpha)].append(
+            (1, eye, tuple(tuple(p.partial_derivative(i) for p in row) for row in mat)))
+        for delta in islice(product(*(range(a + 1) for a in alpha)), 1, None):
+            rest = tuple(a - dl + x for a, dl, x in zip(alpha, delta, unit_index(d, i)))
+            coeffs[(delta, rest)].append((-multi_binomial(alpha, delta), eye, mat))
+    for alpha, mat in tensor_i:
+        for beta, other in tensor_j:
+            coeffs[(alpha, beta)] += [(1, mat, other), (-1, other, mat)]
+    return coeffs
 
 
-def structure_terms_dropping(mirror=False, derivative=False):
-    """AVModule._structure_terms without its mirror Leibniz term (the one of
-    D[i,alpha] in the direction j) or without its derivative terms d_k D."""
-
-    def _structure_terms(self, i, j):
-        d, r = self.dim, range(self.rank)
-        eye = tuple(tuple(Poly.constant(d, int(a == b)) for b in r) for a in r)
-        coeffs = defaultdict(list)
-
-        def leibniz(alpha, mat, k, sign, key):
-            if not derivative:
-                coeffs[key((0,) * d, alpha)].append(
-                    (sign, eye, tuple(tuple(p.partial_derivative(k) for p in row)
-                                      for row in mat)))
-            for delta in islice(product(*(range(a + 1) for a in alpha)), 1, None):
-                rest = tuple(a - dl + x for a, dl, x in zip(alpha, delta, unit_index(d, k)))
-                coeffs[key(delta, rest)].append((-sign * multi_binomial(alpha, delta), eye, mat))
-
-        tensor_i, tensor_j = ([(alpha, mat) for (k, alpha), mat in self.tensor.items()
-                               if k == t] for t in (i, j))
-        for alpha, mat in tensor_j:
-            leibniz(alpha, mat, i, 1, lambda u, v: (u, v))
-        for alpha, mat in tensor_i:
-            if not mirror:
-                leibniz(alpha, mat, j, -1, lambda u, v: (v, u))
-            for beta, other in tensor_j:
-                coeffs[(alpha, beta)] += [(1, mat, other), (-1, other, mat)]
-        return coeffs
-
-    return _structure_terms
+def partial_derivative_to_zero(self, i):
+    """Poly.partial_derivative giving 0: the live validate differentiates only
+    in the derivative terms d_k D of its structure matrices."""
+    return Poly.zero(self.dim)
 
 
 _structure_terms = AVModule._structure_terms
@@ -198,9 +187,17 @@ def structure_terms_only_for_i_equal_j(self, i, j):
     return _structure_terms(self, i, j) if i == j else {}
 
 
+_LAYERS = {"smash": smash, "suites": suites, "localize": localize, "modules": modules, "cli": cli}
+
+
 def _rebind(monkeypatch, name, mutant):
+    """Rebind ``name`` to ``mutant``: a function or ``Class.method`` in every
+    layer that has it, a ``layer.function`` in that layer only."""
     owner, _, attr = name.rpartition(".")
-    for module in (smash, suites, localize, modules, cli):
+    if owner in _LAYERS:
+        monkeypatch.setattr(_LAYERS[owner], attr, mutant)
+        return
+    for module in _LAYERS.values():
         target = getattr(module, owner, None) if owner else module
         if hasattr(target, attr):
             monkeypatch.setattr(target, attr, mutant)
@@ -220,7 +217,7 @@ def test_the_clean_suite_passes(suite, config):
 
 
 @pytest.mark.parametrize("name, mutant", [
-    ("smash_bracket", bracket_without_cross_terms),
+    ("smash.restrict_to_diagonal", restrict_to_diagonal_to_zero),
     ("omega", omega_reversed),
     ("_two_brackets", two_brackets_without_k),
 ], ids=["smash_bracket-without-cross-terms", "omega-reversed", "two-brackets-without-k"])
@@ -244,7 +241,7 @@ def test_the_coherence_suite_catches_omega_multi_without_its_last_factor(monkeyp
 
 @pytest.mark.parametrize("name, mutant", [
     ("_series_operator", series_one_power_too_high),
-    ("_series_operator", series_without_its_top_level),
+    ("localize._sum_products", sum_products_without_its_last_triple),
     ("_series_operator", series_with_the_weights_of_j2),
     ("LocalizedModule.act", act_with_the_quotient_term_flipped),
 ], ids=["series-one-power-too-high", "series-without-its-top-level",
@@ -272,7 +269,7 @@ def test_the_clean_order_reports_pass(tmp_path):
 
 
 @pytest.mark.parametrize("name, mutant", [
-    ("AVModule.annihilates", annihilates_ignoring_the_symbol),
+    ("AVModule._smash_operator", smash_operator_without_its_symbol),
     ("combinations_with_replacement", combinations_with_one_more),
 ], ids=["annihilates-ignoring-the-symbol", "oracle-order-off-by-one"])
 def test_the_order_check_catches_the_mutant(monkeypatch, tmp_path, name, mutant):
@@ -282,7 +279,7 @@ def test_the_order_check_catches_the_mutant(monkeypatch, tmp_path, name, mutant)
 
 def test_the_order_check_fails_when_no_order_up_to_rank_squared_works(monkeypatch, tmp_path):
     # the oracle's fallback: it answers rank^2 + 1, one past the bound it searched
-    _rebind(monkeypatch, "AVModule.annihilates", annihilates_nothing)
+    _rebind(monkeypatch, "AVModule._smash_operator", smash_operator_with_a_unit_symbol)
     reports = [r for r in order_reports(tmp_path) if r["rank"]]
     assert reports and all(r["status"] == "fail"
                            and r["oracle_order"] == r["rank_squared_bound"] + 1
@@ -316,7 +313,8 @@ def test_the_clean_validate_passes_and_agrees_with_the_sampling_oracle():
 
 def test_validate_catches_structure_terms_without_the_mirror_leibniz_term(monkeypatch):
     zoo = small_zoo()  # built, and validated, before the fault is planted
-    _rebind(monkeypatch, "AVModule._structure_terms", structure_terms_dropping(mirror=True))
+    _rebind(monkeypatch, "AVModule._structure_terms",
+            structure_terms_without_the_mirror_leibniz_term)
     reports = {m.name: m.validate() for m in zoo}
     failed = [r for r in reports.values() if not r.passed]
     assert failed and all(r.status == "fail" and r.witness for r in failed)
@@ -326,10 +324,11 @@ def test_validate_catches_structure_terms_without_the_mirror_leibniz_term(monkey
 
 
 def test_validate_catches_structure_terms_without_the_derivative_term(monkeypatch):
-    # zoo tensors are constant, so only modules with polynomial entries can
-    modules = gauged_modules()
-    _rebind(monkeypatch, "AVModule._structure_terms", structure_terms_dropping(derivative=True))
-    reports = [m.validate() for m in modules]
+    # zoo tensors are constant, so only modules with polynomial entries can;
+    # gauge differentiates, so they are built before the fault is planted
+    gauged = gauged_modules()
+    _rebind(monkeypatch, "Poly.partial_derivative", partial_derivative_to_zero)
+    reports = [m.validate() for m in gauged]
     assert all(r.status == "fail" and r.witness for r in reports)
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from smashmod import LOCALIZED_CHECK_IDS, SUITE_NAMES, RunConfig, run_suite
-from smashmod.suites import SUITE_CHECKS
+from smashmod.suites import SUITE_CHECKS, _localized_samples
 
 
 def _identities(check: str) -> set[str]:
@@ -44,6 +44,14 @@ def test_shares_make_exactly_the_reports_of_the_serial_run(trials):
         for n in (1, 2, 3):
             shares = [r for k in range(n) for r in run_suite(name, config, (k, n))]
             assert _multiset(shares) == serial, (name, n)
+
+
+@pytest.mark.parametrize("max_degree", [1, 2])
+def test_localized_samples_draw_f_of_degree_one_below_max_degree_three(max_degree):
+    # f has degree at most max_degree - 1, and at least 1, since it is nonconstant
+    config = RunConfig(dims=(1, 2), max_degree=max_degree, trials=20)
+    fs = [f for _, _, (_, _, f, *_) in _localized_samples(config)]
+    assert len(fs) == 40 and all(f.total_degree() == 1 for f in fs)
 
 
 def test_a_share_is_a_contiguous_block_of_trials():
