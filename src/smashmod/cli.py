@@ -1,12 +1,14 @@
 """Command-line surface: verify suites, order reports, annihilation profiles.
 
 Reports are JSON-first and deterministic: identical (seed, config) produce
-byte-identical output.  A report is written into its destination (stdout or
-``--out``) as it is rendered, in pieces of at most 4096 JSON tokens or 128
-text lines, so no copy of the whole report text is ever built; a failed
-write exits 2 and may leave a partial ``--out`` file.  Exit codes: 0 all
-checks passed, 1 at least one exact check failed, 2 usage / parse / load /
-validation / write errors.
+byte-identical output.  A verify report lists its records in the order of
+their compact JSON text: each share of the trials sorts its own records, and
+the sorted shares are merged.  A report is written into its destination
+(stdout or ``--out``) as it is rendered, in pieces of at most 4096 JSON
+tokens or 128 text lines, so no copy of the whole report text is ever built;
+a failed write exits 2 and may leave a partial ``--out`` file.  Exit codes:
+0 all checks passed, 1 at least one exact check failed, 2 usage / parse /
+load / validation / write errors.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class ReportEnvelope:
         self.results = []
 
     def to_dict(self) -> dict:
-        results = sorted(self.results, key=lambda r: json.dumps(r, sort_keys=True))
+        """The report of ``results``, in the order the caller gave them."""
+        results = self.results
         failed = sum(1 for r in results if r.get("status") == "fail")
         return {
             "tool": {"name": "smashmod", "version": __version__},
@@ -162,12 +165,19 @@ def _resolve_module(args) -> AVModule:
 # subcommands
 # ---------------------------------------------------------------------------------
 
+def _record_key(record: dict) -> str:
+    """The order of a verify report's records: by their compact JSON text."""
+    return json.dumps(record, sort_keys=True)
+
+
 def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list:
-    """The report records of share ``share`` (see ``run_suite``) of the suites."""
+    """The report records of share ``share`` (see ``run_suite``) of the
+    suites, sorted by ``_record_key``."""
     from .suites import run_suite  # read when called, so a rebound run_suite is the one run
     try:
-        return [{**report.to_dict(), "suite": s}
-                for s in suites for report in run_suite(s, config, share)]
+        return sorted(({**report.to_dict(), "suite": s}
+                       for s in suites for report in run_suite(s, config, share)),
+                      key=_record_key)
     except DegreeOverflow as e:  # the suites' products grow with both options
         raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
                         f"({config.p_max})") from e
@@ -176,11 +186,13 @@ def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int])
 def cmd_verify(args) -> int:
     """Run share 0 of n = min(CPUs in the affinity mask, trials) here and fork a
     child for each other share, which pipes back its pickled records, or nothing
-    if its share fails.  The sorted report is the same for every n (``taskset
-    -c 0`` gives n = 1).  If any share fails, the children are reaped and the
-    plan runs again here as the one share (0, 1), which raises the error that a
+    if its share fails.  Each share sorts its own records, and the sorted
+    shares are merged, so the report is the same for every n (``taskset -c 0``
+    gives n = 1).  If any share fails, the children are reaped and the plan
+    runs again here as the one share (0, 1), which raises the error that a
     serial run meets first."""
-    import pickle  # here, so that order and annihilator import none of these
+    import heapq  # here, so that order and annihilator import none of these
+    import pickle
     import signal
 
     from .suites import RunConfig, max_shares, plan_suites
@@ -209,9 +221,10 @@ def cmd_verify(args) -> int:
                     os._exit(0)
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
-        results = _share_records(suites, config, (0, n))
+        shares = [_share_records(suites, config, (0, n))]
         for _, fh in children:  # the empty pipe of a failed share raises EOFError
-            results.extend(pickle.loads(fh.read()))
+            shares.append(pickle.loads(fh.read()))
+        results = list(heapq.merge(*shares, key=_record_key))
     except Exception:  # any error of any share: the serial run below raises it again
         if n == 1:
             raise

@@ -17,12 +17,11 @@ and the commutator bracket is a first-order differential expression in the
 doubled polynomials (derived by expanding [f#eta, g#mu] = fg#[eta,mu]
 + f*eta(g)#mu - g*mu(f)#eta term by term and collecting components).
 
-``omega`` remembers the last f it met: f(x) - f(y), the powers of it at the
-levels asked for, and at each level up to ``_ETAS_PER_LEVEL`` elements by
-eta.  The memo is one binding, replaced whole when f changes, so it holds no
-more than the levels asked for since then.  The identity checks compare the
-canonical forms of their two sides and subtract them only to print the
-witness of a failure.
+``omega`` remembers the last f it met: f(x) - f(y) and the powers of it at
+the levels asked for.  The memo is one binding, replaced whole when f
+changes, so it holds no more than the levels asked for since then.  The
+identity checks compare the canonical forms of their two sides and subtract
+them only to print the witness of a failure.
 """
 
 from __future__ import annotations
@@ -148,16 +147,10 @@ def smash_bracket(u: SmashElement, v: SmashElement) -> SmashElement:
     return SmashElement(d, out)
 
 
-# the most elements one level of omega's memo keeps: at the identities
-# benchmark config (dims 1-3, 100 trials, pmax 4) a level holds at most 12
-# eta at seed 7 and 15 at seed 2026
-_ETAS_PER_LEVEL = 16
-
-# omega's memo for the last f it met: (f, F, levels), with F = f(x) - f(y) and
-# levels[p] = (F^p, [(eta, omega(p, f, eta)), ...]) for the levels and the eta
-# asked for since f last changed.  It is replaced whole in one assignment and
-# read into a local, so no thread and no forked share reads one f's powers
-# under another f.
+# omega's memo for the last f it met: (f, F, powers), with F = f(x) - f(y) and
+# powers[p] = F^p for the levels asked for since f last changed.  It is
+# replaced whole in one assignment and read into a local, so no thread and no
+# forked share reads one f's powers under another f.
 _omega_memo = None
 
 
@@ -169,11 +162,10 @@ def omega(p: int, f: Poly, e: Derivation) -> SmashElement:
     this constructor computes.  Level 0 is the plain embedding 1 # eta.
 
     The checks of one sample ask for a few levels of one f again and again,
-    so omega keeps, for the last f it met (compared by value), F = f(x) - f(y),
-    each level's power F^p and the elements built at that level.  A new level
-    is F ** p, never a chain of the lower levels; memory is bounded by the
-    levels asked for since f last changed, times at most ``_ETAS_PER_LEVEL``
-    elements each.
+    so omega keeps, for the last f it met (compared by value), F = f(x) - f(y)
+    and each level's power F^p.  A new level is F ** p, never a chain of the
+    lower levels; memory is bounded by the levels asked for since f last
+    changed.
     """
     global _omega_memo
     if p < 0:
@@ -183,18 +175,11 @@ def omega(p: int, f: Poly, e: Derivation) -> SmashElement:
     memo = _omega_memo
     if memo is None or not (memo[0] is f or memo[0] == f):
         memo = _omega_memo = (f, embed_function(f) - embed_coefficient(f), {})
-    _, F, levels = memo
-    level = levels.get(p)
-    if level is None:
-        level = levels[p] = (F ** p, [])
-    Fp, built = level
-    for eta, u in built:
-        if eta == e:
-            return u
-    u = SmashElement(f.dim, (Fp * embed_coefficient(g) for g in e.coeffs))
-    if len(built) < _ETAS_PER_LEVEL:
-        built.append((e, u))
-    return u
+    _, F, powers = memo
+    Fp = powers.get(p)
+    if Fp is None:
+        Fp = powers[p] = F ** p
+    return SmashElement(f.dim, (Fp * embed_coefficient(g) for g in e.coeffs))
 
 
 def omega_definitional(p: int, f: Poly, e: Derivation) -> SmashElement:

@@ -11,12 +11,12 @@ exact same reports, in one run or split into shares of trials.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .localize import LOCALIZED_CHECK_IDS, verify_localized
 from .modules import (
     AVModule,
+    _is_int,
     differential_forms,
     jet_module,
     tangent_adjoint,
@@ -41,33 +41,43 @@ from .smash import (
 __all__ = ["RunConfig", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for a verification run, checked on construction (ValueError);
-    identical configs give identical reports."""
-
+class _RunConfigFields(NamedTuple):  # RunConfig's fields and defaults, unchecked
     dims: tuple[int, ...] = (1, 2, 3)
     max_degree: int = 4
     trials: int = 100
     seed: int = 2026
     p_max: int = 4
 
-    def __post_init__(self):
-        if not self.dims or any(d < 1 for d in self.dims):
+
+class RunConfig(_RunConfigFields):
+    """Knobs for a verification run, checked on construction (ValueError);
+    identical configs give identical reports."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        dims, *numbers = super().__new__(cls, *args, **kwargs)
+        if not isinstance(dims, (tuple, list)) or not dims \
+                or not all(_is_int(d) and d >= 1 for d in dims):
             raise ValueError("dims must be a nonempty list of positive integers")
-        for i, d in enumerate(self.dims):
-            if d in self.dims[:i]:
+        for i, d in enumerate(dims):
+            if d in dims[:i]:
                 raise ValueError(f"dimension {d} given twice")
-        if not 1 <= self.max_degree <= _MASK:
+        for field, value in zip(cls._fields[1:], numbers):
+            if not _is_int(value):
+                raise ValueError(f"{field} must be an integer (got {value!r})")
+        max_degree, trials, _, p_max = numbers
+        if not 1 <= max_degree <= _MASK:
             raise ValueError(f"max degree must be in 1..{_MASK}, the exponent limit "
-                             f"(got {self.max_degree})")
-        if self.trials < 1:
+                             f"(got {max_degree})")
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.p_max < 1:
+        if p_max < 1:
             raise ValueError("p_max must be >= 1")
+        return super().__new__(cls, tuple(dims), *numbers)
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "dims": list(self.dims)}
+        return {**self._asdict(), "dims": list(self.dims)}
 
 
 def iter_identity_samples(config: RunConfig):
@@ -274,8 +284,11 @@ def run_suite(name: str, config: RunConfig, share=(0, 1)) -> list[VerificationRe
             for dim, trial, sample in stream(config):
                 if trial in trials:
                     tags = {"dim": str(dim), "trial": str(trial)}
-                    reports.extend(r._replace(inputs={**r.inputs, **tags})
-                                   for r in check(selected, sample))
+                    texts = {}  # the first of each equal echoed text of the sample
+                    reports.extend(
+                        r._replace(inputs={k: texts.setdefault(v, v)
+                                           for k, v in {**r.inputs, **tags}.items()})
+                        for r in check(selected, sample))
     if "negative-control" in checks and 0 in trials:
         reports.append(_negative_control())
     return reports

@@ -168,15 +168,18 @@ def _cpus(monkeypatch, count):
 
 @needs_fork
 def test_verify_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, capsys):
-    args = ["verify", "--suite", "all", "--dims", "1,2", "--trials", "6", "--pmax", "2",
-            "--seed", "7"]
-    outs = []
-    for cpus, children in ((1, 0), (3, 2)):
-        forks = _cpus(monkeypatch, cpus)
-        assert main(args) == 0
-        assert len(forks) == children
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+    # each share sorts its own records and the shares are merged; the failing
+    # selection merges a record with a witness, from the share with trial 0
+    for suite, code in (("all", 0), ("lemma3,negative-control", 1)):
+        outs = []
+        for cpus in (1, 2, 3):
+            forks = _cpus(monkeypatch, cpus)
+            assert main(["verify", "--suite", suite, "--dims", "1,2", "--trials", "6",
+                         "--pmax", "2", "--seed", "7"]) == code
+            assert len(forks) == cpus - 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert ('"witness"' in outs[0]) == bool(code)
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -296,6 +299,16 @@ def test_order_imports_no_process_machinery(tmp_path):
                               f"assert cli.main({argv!r}) == 0\n"
                               f"print(sorted(set({unwanted!r}) & set(sys.modules) - started))"
                               ) == "[]", argv
+
+
+def test_verify_imports_neither_dataclasses_nor_inspect(tmp_path):
+    argv = ["verify", "--suite", "lemma2,omega-coherence,bracket", "--dims", "1",
+            "--trials", "2", "--out", str(tmp_path / "report.json")]
+    assert _imports_after(f"started = set(sys.modules)\n"
+                          f"import smashmod.cli as cli\n"
+                          f"assert cli.main({argv!r}) == 0\n"
+                          f"print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules) - started))"
+                          ) == "[]"
 
 
 def test_import_smashmod_loads_no_layer():

@@ -183,7 +183,7 @@ def _polys(dim, max_size=2):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_omega_memo_matches_the_closed_form_over_interleaved_calls(data):
-    # omega keeps the powers and elements of the last f it met; interleave
+    # omega keeps the powers of the last f it met; interleave
     # two f of different dims and a distinct object equal to the first
     f1, f2 = data.draw(_polys(1)), data.draw(_polys(2))
     copy = Poly(1, dict(f1.items()))
@@ -196,17 +196,6 @@ def test_omega_memo_matches_the_closed_form_over_interleaved_calls(data):
     for f, p, k in calls:
         eta = etas[f.dim][k]
         assert omega(p, f, eta) == omega_fresh(p, f, eta)
-
-
-def test_omega_memo_keeps_a_bounded_number_of_eta_per_level(monkeypatch):
-    monkeypatch.setattr(smash, "_omega_memo", None)
-    f = parse_poly("x1^2 - x1 + 1/2", 1)
-    etas = [parse_poly(f"x1^{k} + {k}", 1) * d for k in range(smash._ETAS_PER_LEVEL + 4)]
-    for _ in range(2):
-        for eta in etas:
-            assert omega(3, f, eta) == omega_fresh(3, f, eta)
-    memo_f, _, levels = smash._omega_memo
-    assert memo_f == f and len(levels[3][1]) == smash._ETAS_PER_LEVEL
 
 
 def test_omega_memo_is_safe_across_threads(monkeypatch):
@@ -256,8 +245,8 @@ def test_omega_builds_one_power_per_new_level(monkeypatch):
     assert powers == [20000]
     assert len(products) == 1  # the one component's product by g_1(y)
     omega(20000, x1, eta)  # a new eta at a known level: no power at all
-    omega(20000, Poly.variable(1, 1), eta)  # an equal f: the element itself
-    assert powers == [20000] and len(products) == 2
+    omega(20000, Poly.variable(1, 1), eta)  # an equal f: its known power
+    assert powers == [20000] and len(products) == 3
 
 
 def test_omega_multi_examples():

@@ -2,10 +2,12 @@
 its shares of the trials run them all between them."""
 
 import json
+import pickle
 
 import pytest
 
 from smashmod import LOCALIZED_CHECK_IDS, SUITE_NAMES, RunConfig, run_suite
+from smashmod.cli import _share_records
 from smashmod.suites import SUITE_CHECKS, _localized_samples
 
 
@@ -60,3 +62,44 @@ def test_a_share_is_a_contiguous_block_of_trials():
     assert trials == {(d, t) for d in ("1", "2") for t in ("1", "2")}
     with pytest.raises(ValueError, match="no share 3 of 3"):
         run_suite("lemma2", config, (3, 3))
+
+
+def _assert_each_text_is_held_once_per_sample(inputs_of_reports):
+    first = {}  # (dim, trial) -> the first of each echoed text
+    for inputs in inputs_of_reports:
+        texts = first.setdefault((inputs["dim"], inputs["trial"]), {})
+        for v in inputs.values():
+            assert texts.setdefault(v, v) is v
+    assert len(first) < len(inputs_of_reports)  # samples do hold several reports
+
+
+def test_reports_of_one_sample_hold_one_copy_of_each_echoed_text():
+    config = RunConfig(dims=(1, 2), trials=3, p_max=2)
+    _assert_each_text_is_held_once_per_sample(
+        [r.inputs for r in run_suite("identities", config)])
+    # pickle keeps the sharing on its way back from a forked share
+    records = pickle.loads(pickle.dumps(_share_records(["identities"], config, (1, 2))))
+    _assert_each_text_is_held_once_per_sample([r["inputs"] for r in records])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dims", (True,)), ("dims", (1.5,)), ("dims", ("1",)), ("dims", "12"), ("dims", True),
+    ("max_degree", True), ("max_degree", 2.0), ("max_degree", "4"),
+    ("trials", 2.5), ("trials", True), ("trials", "3"),
+    ("seed", "7"), ("seed", False), ("seed", 7.0),
+    ("p_max", 2.0), ("p_max", True), ("p_max", "2"),
+])
+def test_run_config_refuses_a_value_that_is_not_an_integer(field, value):
+    # a bool, float or str used to run (and echo as given) or fail in run_suite
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_is_an_immutable_value():
+    config = RunConfig(dims=[2, 1], seed=-3)
+    assert config.dims == (2, 1) and config == RunConfig(dims=(2, 1), seed=-3)
+    assert hash(config) == hash(RunConfig(dims=(2, 1), seed=-3))
+    assert config.to_dict() == {"dims": [2, 1], "max_degree": 4, "trials": 100,
+                                "seed": -3, "p_max": 4}
+    with pytest.raises(AttributeError):
+        config.seed = 7
