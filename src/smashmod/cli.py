@@ -200,7 +200,13 @@ def cmd_verify(args) -> int:
     given = {"max_degree": args.degree, "trials": args.trials, "seed": args.seed,
              "p_max": args.pmax}
     if args.dims is not None:
-        given["dims"] = tuple(int(d) for d in args.dims.split(",") if d != "")
+        dims = []
+        for item in filter(None, args.dims.split(",")):  # empty items skipped, as in --suite
+            try:
+                dims.append(int(item))
+            except ValueError:
+                raise ValueError(f"--dims item {item!r} is not an integer") from None
+        given["dims"] = tuple(dims)
     config = RunConfig(**{k: v for k, v in given.items() if v is not None})
     suites = plan_suites(args.suite, config)
     envelope = ReportEnvelope(config={"command": "verify", "suites": suites,

@@ -336,9 +336,6 @@ def extend_base(value, extra: Poly):
 # returns sides(me): the two sides of the law on the integral element me.
 
 def _welldefined(context: LocalizedModule, f: Poly, eta: Derivation, j=1):
-    j = int(j)
-    if j < 1:
-        raise ValueError("welldefined needs j >= 1")
     # eta f^j / f^j, unreduced on purpose
     scaled = context.operator(LocalizedDerivation(f, (f ** j) * eta, j))
     plain = context.operator(LocalizedDerivation(f, eta, 0))
@@ -346,8 +343,7 @@ def _welldefined(context: LocalizedModule, f: Poly, eta: Derivation, j=1):
 
 
 def _leibniz(context: LocalizedModule, f: Poly, eta: Derivation, a_num: Poly, k=1, a_exp=1):
-    k = int(k)
-    a = LocalizedPoly(f, a_num, int(a_exp))
+    a = LocalizedPoly(f, a_num, a_exp)
     ed = LocalizedDerivation(f, eta, k)
     da = apply_localized_derivation(ed, a)
     op = context.operator(ed)
@@ -382,24 +378,24 @@ def _restriction(context: LocalizedModule, f: Poly, eta: Derivation, mu: Derivat
                  eta_exp=0, mu_exp=0):
     if g.is_zero():
         raise ZeroDivisionError("second localizing polynomial must be nonzero")
-    a, b = int(eta_exp), int(mu_exp)
-    if eta * (g ** b) != mu * (f ** a):
+    if eta * (g ** mu_exp) != mu * (f ** eta_exp):
         raise ValueError("representatives are not equal in the common localization")
     context_g = LocalizedModule(context.module, g)
-    ed_f = context.operator(LocalizedDerivation(f, eta, a))
-    ed_g = context_g.operator(LocalizedDerivation(g, mu, b))
+    ed_f = context.operator(LocalizedDerivation(f, eta, eta_exp))
+    ed_g = context_g.operator(LocalizedDerivation(g, mu, mu_exp))
     # f*g == g*f structurally, so both sides live over the same base
     return lambda me: (extend_base(context.act(ed_f, me), g),
                        extend_base(context_g.act(ed_g, context_g.include(me.numerator)), f))
 
 
+# check id -> (law, integer bindings, least value), bound by smash._bind
 _LAWS = {
-    "welldefined": _welldefined,
-    "leibniz": _leibniz,
-    "bracket": _bracket,
-    "inverse-square": _inverse(2),
-    "inverse-cube": _inverse(3),
-    "restriction": _restriction,
+    "welldefined": (_welldefined, ("j",), 1),
+    "leibniz": (_leibniz, ("k", "a_exp"), 0),
+    "bracket": (_bracket, (), 0),
+    "inverse-square": (_inverse(2), (), 0),
+    "inverse-cube": (_inverse(3), (), 0),
+    "restriction": (_restriction, ("eta_exp", "mu_exp"), 0),
 }
 
 LOCALIZED_CHECK_IDS = tuple(_LAWS)
@@ -420,10 +416,10 @@ def verify_localized(name: str, module: AVModule, f: Poly,
     """
     if name not in _LAWS:
         raise ValueError(f"unknown localized check id {name!r}")
-    law = _LAWS[name]
+    row = _LAWS[name]
     context = LocalizedModule(module, f)
-    bound = _bind(law, inputs, 2, f"check {name!r}")
-    sides = law(context, f, **bound)
+    bound = _bind("check", name, row, inputs, 2)
+    sides = row[0](context, f, **bound)
     echoed = {"module": module.name or "<anonymous>", "f": str(f)}
     echoed |= {p: str(v) for p, v in bound.items()}
     basis = module.basis()  # each law is tested on the basis and on x_k * basis

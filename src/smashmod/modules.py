@@ -45,6 +45,7 @@ from .poly import (
     Poly,
     PolyError,
     _PolyTuple,
+    _is_int,
     _sum_products,
     multi_binomial,
     multi_indices,
@@ -585,11 +586,14 @@ _ZOO |= {builder.__name__: builder for builder in _ZOO.values()}
 
 def zoo(name: str, **params) -> AVModule:
     """Construct a named example module; see the builders for parameters.
-    Unknown parameters are refused before anything is built."""
+    Unknown parameters and non-int sizes are refused before anything is built."""
     if name not in _ZOO:
         raise ValueError(f"unknown zoo module {name!r}")
+    for key, value in params.items():
+        if key != "lam" and not _is_int(value):
+            raise ValueError(f"zoo parameter {key}={value!r} is not an integer")
     builder = _ZOO[name]
-    if builder is twist and int(params.pop("dim", 1)) != 1:
+    if builder is twist and params.pop("dim", 1) != 1:
         raise ValueError("twist is defined on the line (dim must be 1)")
     code = builder.__code__
     unknown = sorted(params.keys() - set(code.co_varnames[:code.co_argcount]))
@@ -623,11 +627,6 @@ def module_to_dict(module: AVModule) -> dict:
         "order": module.order,
         "terms": terms,
     }
-
-
-def _is_int(value) -> bool:
-    """An integer in the JSON sense: Python's bool is an int, JSON's is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def module_from_dict(data: Mapping) -> AVModule:

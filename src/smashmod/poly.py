@@ -93,6 +93,11 @@ class PolyParseError(PolyError):
         self.position = position
 
 
+def _is_int(value) -> bool:
+    """An integer in the JSON sense: Python's bool is an int, JSON's is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _exact(c) -> Coeff:
     """Admit only exact coefficients: a float would smuggle in rounding."""
     if not isinstance(c, (int, Fraction)):

@@ -36,6 +36,7 @@ from .poly import (
     Poly,
     _PolyTuple,
     _format_terms,
+    _is_int,
     _sum_products,
     _x_names,
     embed_coefficient,
@@ -280,8 +281,6 @@ def _smash_witness(lhs: SmashElement, rhs: SmashElement) -> Optional[dict]:
 
 
 def _lemma2(f, g, eta, p):
-    if p < 1:
-        raise ValueError("lemma2-commute-A needs p >= 1")
     w = function_commutator(omega(p, f, eta), g)
     return None if w.is_zero() else {"scalar_part": str(w)}
 
@@ -293,25 +292,18 @@ def _lemma3_rhs(f, eta, mu, p, q):
     return rhs
 
 
-def _require_pq(name, p, q):
-    if p < 1 or q < 1:
-        raise ValueError(f"{name} needs p, q >= 1")
-
-
 def _lemma3(f, eta, mu, p, q):
-    _require_pq("lemma3-commutator", p, q)
     lhs = smash_bracket(omega(p, f, eta), omega(q, f, mu))
     return _smash_witness(lhs, _lemma3_rhs(f, eta, mu, p, q))
 
 
-def _two_brackets(name, f, p, q, a, b, c, e, k, r):
+def _two_brackets(f, p, q, a, b, c, e, k, r):
     """The witness of [omega_p(f,a), omega_q(f,b)] - [omega_p(f,c), omega_q(f,e)]
     = k * omega_{p+q}(f, r), the form of the four two-bracket lemmas.
 
     omega and smash_bracket are looked up as module globals when the check
     runs, so a profiler that rebinds them sees every call.
     """
-    _require_pq(name, p, q)
     lhs = smash_bracket(omega(p, f, a), omega(q, f, b)) \
         - smash_bracket(omega(p, f, c), omega(q, f, e))
     rhs = omega(p + q, f, r)
@@ -319,24 +311,24 @@ def _two_brackets(name, f, p, q, a, b, c, e, k, r):
 
 
 def _lemma4_1(f, g, eta, mu, p, q):
-    return _two_brackets("lemma4-1", f, p, q, eta, g * mu, g * eta, mu, 1,
+    return _two_brackets(f, p, q, eta, g * mu, g * eta, mu, 1,
                          eta.apply(g) * mu + mu.apply(g) * eta)
 
 
 def _lemma4_2(f, g, h, eta, p, q):
     # Stated with the two brackets in the orientation the proof establishes:
     # [omega_p(f,eta), omega_q(f,gh eta)] - [omega_p(f,g eta), omega_q(f,h eta)].
-    return _two_brackets("lemma4-2", f, p, q, eta, (g * h) * eta, g * eta, h * eta, 2,
+    return _two_brackets(f, p, q, eta, (g * h) * eta, g * eta, h * eta, 2,
                          (h * eta.apply(g)) * eta)
 
 
 def _lemma4_3(f, g, eta, p, q):
-    return _two_brackets("lemma4-3", f, p, q, eta, g * eta, g * eta, eta, 2, eta.apply(g) * eta)
+    return _two_brackets(f, p, q, eta, g * eta, g * eta, eta, 2, eta.apply(g) * eta)
 
 
 def _lemma4_4(f, g, h, eta, p, q):
     eh = eta.apply(h)
-    return _two_brackets("lemma4-4", f, p, q, eta, (g * eh) * eta, g * eta, eh * eta, 2,
+    return _two_brackets(f, p, q, eta, (g * eh) * eta, g * eta, eh * eta, 2,
                          (eta.apply(g) * eh) * eta)
 
 
@@ -351,8 +343,6 @@ def _lemma4_5(f, g, h, eta, p, q):
 
 
 def _lemma5(f, eta, mu, p):
-    if p < 1:
-        raise ValueError("lemma5-deriv-bracket needs p >= 1")
     one = Poly.constant(f.dim, 1)
     lhs = smash_bracket(omega(p, f, eta), from_term(one, mu))
     muf = mu.apply(f)
@@ -363,40 +353,44 @@ def _lemma5(f, eta, mu, p):
 
 
 def _lemma4p1(f, eta, p):
-    if p < 0:
-        raise ValueError("lemma4.1-recurrence needs p >= 0")
     one = Poly.constant(f.dim, 1)
     lhs = omega(p, f, f * eta)
     rhs = tensor_act(f, one, omega(p, f, eta)) - omega(p + 1, f, eta)
     return _smash_witness(lhs, rhs)
 
 
-# identity id -> its check, whose parameters are the symbols the identity binds;
-# it checks their levels and returns the witness of a failure, or None
+# identity id -> (check, integer bindings, least value).  The check's parameters
+# are the symbols the identity binds, and it returns the witness of a failure, or
+# None; _bind checks the levels, so no check does (lemma4-5 adds p + q >= 1).
 _IDENTITIES = {
-    "lemma2-commute-A": _lemma2,
-    "lemma3-commutator": _lemma3,
-    "lemma4-1": _lemma4_1,
-    "lemma4-2": _lemma4_2,
-    "lemma4-3": _lemma4_3,
-    "lemma4-4": _lemma4_4,
-    "lemma4-5": _lemma4_5,
-    "lemma5-deriv-bracket": _lemma5,
-    "lemma4.1-recurrence": _lemma4p1,
+    "lemma2-commute-A": (_lemma2, ("p",), 1),
+    "lemma3-commutator": (_lemma3, ("p", "q"), 1),
+    "lemma4-1": (_lemma4_1, ("p", "q"), 1),
+    "lemma4-2": (_lemma4_2, ("p", "q"), 1),
+    "lemma4-3": (_lemma4_3, ("p", "q"), 1),
+    "lemma4-4": (_lemma4_4, ("p", "q"), 1),
+    "lemma4-5": (_lemma4_5, ("p", "q"), 0),
+    "lemma5-deriv-bracket": (_lemma5, ("p",), 1),
+    "lemma4.1-recurrence": (_lemma4p1, ("p",), 0),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def _bind(check, inputs: Mapping, skip: int, what: str) -> dict:
-    """The inputs that ``check`` takes after its first ``skip`` parameters, in
-    signature order; ValueError if one without a default is missing, for ``what``."""
+def _bind(kind: str, name: str, row: tuple, inputs: Mapping, skip: int) -> dict:
+    """The inputs that the check of ``name``'s table row takes after its first ``skip``
+    parameters, in signature order.  ValueError if one without a default is missing,
+    or if a given integer binding of the row is not an int of at least its least value."""
+    check, ints, least = row
     code = check.__code__
     params = code.co_varnames[skip:code.co_argcount]
     for p in params[:len(params) - len(check.__defaults__ or ())]:
         if p not in inputs:
-            raise ValueError(f"missing binding {p!r} for {what}")
-    return {p: inputs[p] for p in params if p in inputs}
+            raise ValueError(f"missing binding {p!r} for {kind} {name!r}")
+    bound = {p: inputs[p] for p in params if p in inputs}
+    if not all(_is_int(bound[p]) and bound[p] >= least for p in ints if p in bound):
+        raise ValueError(f"{name} needs {', '.join(ints)} >= {least}")
+    return bound
 
 
 def verify_identity(name: str, inputs: Mapping) -> VerificationReport:
@@ -404,11 +398,11 @@ def verify_identity(name: str, inputs: Mapping) -> VerificationReport:
 
     ``inputs`` must bind every parameter of the identity's function in
     ``_IDENTITIES`` (f, g, h polynomials; eta, mu derivations; p, q integer
-    levels); the report echoes them.  Its witness is the nonzero difference
-    on failure.
+    levels, at least the least value of the identity's row); the report
+    echoes them.  Its witness is the nonzero difference on failure.
     """
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity id {name!r}")
-    check = _IDENTITIES[name]
-    bound = _bind(check, inputs, 0, f"identity {name!r}")
-    return _report(name, {k: str(v) for k, v in bound.items()}, check(**bound))
+    row = _IDENTITIES[name]
+    bound = _bind("identity", name, row, inputs, 0)
+    return _report(name, {k: str(v) for k, v in bound.items()}, row[0](**bound))

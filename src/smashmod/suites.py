@@ -16,13 +16,12 @@ from typing import NamedTuple
 from .localize import LOCALIZED_CHECK_IDS, verify_localized
 from .modules import (
     AVModule,
-    _is_int,
     differential_forms,
     jet_module,
     tangent_adjoint,
     trivial_dmodule,
 )
-from .poly import _MASK, Derivation, Poly
+from .poly import _MASK, Derivation, Poly, _is_int
 from .sampling import random_derivation, random_poly, seeded_rng
 from .smash import (
     IDENTITY_IDS,

@@ -136,6 +136,13 @@ def test_verify_invalid_config_exits_two(capsys):
     assert capsys.readouterr().err == "error: no suite selected\n"
 
 
+@pytest.mark.parametrize("dims, item", [("1,a", "a"), ("1.5", "1.5")])
+def test_verify_bad_dims_item_names_the_option_and_the_item(capsys, dims, item):
+    # the message was int()'s "invalid literal for int() with base 10"
+    assert main(["verify", "--suite", "lemma3", "--dims", dims]) == 2
+    assert capsys.readouterr().err == f"error: --dims item {item!r} is not an integer\n"
+
+
 def test_verify_product_past_the_exponent_limit_names_the_options(capsys):
     # --degree 40000 is inside the limit, but the suites' products are not
     assert main(["verify", "--suite", "all", "--dims", "1", "--trials", "1",

@@ -1,6 +1,9 @@
 """Localized fractions, the series action, and the localized-action laws."""
 
 import hashlib
+import inspect
+import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from smashmod import (
     parse_poly,
     tangent_adjoint,
     trivial_dmodule,
+    verify_identity,
     verify_localized,
 )
 from smashmod.cli import main
@@ -34,6 +38,7 @@ from smashmod.localize import (
 from smashmod.modules import AVModule, ValidationError
 from smashmod.poly import DimensionMismatch
 from smashmod.sampling import random_derivation, random_poly, seeded_rng
+from smashmod.smash import IDENTITY_IDS, _IDENTITIES
 from smashmod.suites import _localized_modules
 
 from oracles import (
@@ -537,7 +542,7 @@ def test_each_inverse_law_acts_by_the_power_its_id_names(name, k):
             f = random_poly(rng, dim, 2, nonconstant=True)
             eta = random_derivation(rng, dim, 2)
             ctx = LocalizedModule(mod, f)
-            sides = _LAWS[name](ctx, f, eta)
+            sides = _LAWS[name][0](ctx, f, eta)
             for m in mod.basis():
                 assert sides(ctx.include(m))[0] == act_by_tensor(mod, f, eta, k, m, 0), mod.name
 
@@ -612,6 +617,57 @@ def test_an_input_the_law_does_not_take_is_not_echoed():
                            {"eta": d, "mu": x * d, "g": x + one, "j": 2})
     assert rep.passed
     assert rep.inputs == {"module": "forms(1)", "f": "x1", "eta": "d1", "mu": "x1*d1"}
+
+
+def _binder_calls():
+    """(id, check row, verify call, inputs) for every identity and localized
+    check: symbols that make each law hold, and every integer binding one
+    above its row's least value (lemma4-5 needs p + q >= 1)."""
+    symbols = {"f": x, "g": x, "h": one, "eta": d, "mu": d}
+    f, g, sigma = x + one, x, x * d  # eta/f = mu/g for eta = f*sigma, mu = g*sigma
+    laws = {
+        "welldefined": {"eta": sigma},
+        "leibniz": {"eta": sigma, "a_num": x},
+        "bracket": {"eta": d, "mu": sigma},
+        "inverse-square": {"eta": sigma},
+        "inverse-cube": {"eta": sigma},
+        "restriction": {"eta": f * sigma, "mu": g * sigma, "g": g},
+    }
+    calls = [(name, _IDENTITIES[name], verify_identity, symbols) for name in IDENTITY_IDS]
+    calls += [(name, _LAWS[name], lambda name, inputs: verify_localized(
+        name, differential_forms(1), f, inputs), laws[name]) for name in LOCALIZED_CHECK_IDS]
+    return [(name, row, verify, inputs | {p: row[2] + 1 for p in row[1]})
+            for name, row, verify, inputs in calls]
+
+
+# sha256 of the JSON list of the reports of _binder_calls, all passing; the
+# code before the binder gave the same reports
+BINDER_REPORTS_SHA256 = "8f2a7d245b24215e993106ad30215352d1ac6bfa31ddcbf066e62efee804ff87"
+
+
+def test_the_binder_refuses_an_integer_binding_that_is_not_an_int_at_least_its_rows_least():
+    # j = 1.9 was checked as 1 and echoed as "1.9", p = True passed
+    # lemma3-commutator echoing "True", and p = 1.5 ended in a TypeError
+    reports = []
+    for name, (_, ints, least), verify, inputs in _binder_calls():
+        message = re.escape(f"{name} needs {', '.join(ints)} >= {least}")
+        for p in ints:
+            for bad in (True, 1.5, "1", least - 1):
+                with pytest.raises(ValueError, match=message):
+                    verify(name, inputs | {p: bad})
+        rep = verify(name, inputs)
+        assert rep.passed and all(rep.inputs[p] == str(least + 1) for p in ints), name
+        reports.append(rep.to_dict())
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BINDER_REPORTS_SHA256
+
+
+def test_every_integer_binding_a_row_declares_is_a_parameter_of_its_check():
+    # a misspelt name would leave the binding it meant unchecked
+    for table in (_IDENTITIES, _LAWS):
+        for name, (check, ints, least) in table.items():
+            assert set(ints) <= set(inspect.signature(check).parameters), name
+            assert type(least) is int, name
 
 
 def test_zero_denominators_rejected():

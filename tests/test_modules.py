@@ -127,6 +127,17 @@ def test_zoo_dispatch_and_aliases():
         zoo("twist", dim=2, lam=1)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("forms", {"dim": True}),
+    ("dmodule", {"dim": 1, "rank": True}),
+    ("twist", {"dim": 1.9}),
+])
+def test_zoo_refuses_a_size_that_is_not_an_int(name, params):
+    # forms(True) was built with dim and rank True, and twist read dim 1.9 as 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        zoo(name, **params)
+
+
 @pytest.mark.parametrize("names, params, direct", [
     (("dmodule", "trivial_dmodule"), {"dim": 2, "rank": 3}, lambda: trivial_dmodule(2, 3)),
     (("dmodule", "trivial_dmodule"), {}, lambda: trivial_dmodule(1, 1)),

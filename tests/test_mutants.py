@@ -81,9 +81,9 @@ def omega_with_a_memo_keyed_on_p_only():
 _two_brackets = smash._two_brackets
 
 
-def two_brackets_without_k(name, f, p, q, a, b, c, e, k, r):
+def two_brackets_without_k(f, p, q, a, b, c, e, k, r):
     """The two-bracket lemmas with the factor k of omega_{p+q}(f, r) taken as 1."""
-    return _two_brackets(name, f, p, q, a, b, c, e, 1, r)
+    return _two_brackets(f, p, q, a, b, c, e, 1, r)
 
 
 _omega_multi = smash.omega_multi

@@ -636,6 +636,33 @@ def test_random_poly_or_zero_repeats_the_draws_of_random_poly_allowing_zero():
         assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == digest
 
 
+def test_random_poly_gives_up_after_64_draws_that_cancel():
+    # every draw is 2*x1^2 - 2*x1^2: two terms at the top degree, all in the
+    # first variable, with opposite integer coefficients
+    from smashmod.sampling import random_poly
+
+    class Cancelling:
+        coefficients = 0
+
+        def randint(self, low, high):
+            return high
+
+        def randrange(self, n):
+            return 0
+
+        def random(self):
+            return 0.5  # above the rational share: integer coefficients
+
+        def choice(self, seq):
+            self.coefficients += 1
+            return 2 if self.coefficients % 2 else -2
+
+    rng = Cancelling()
+    with pytest.raises(RuntimeError, match="sampling failed"):
+        random_poly(rng, 1, 2)
+    assert rng.coefficients == 2 * 64
+
+
 def test_derivation_laws_seeded_sweep():
     # 100 seeded draws per dimension, degree <= 4: Leibniz, antisymmetry, Jacobi
     from smashmod.sampling import random_derivation, seeded_rng
