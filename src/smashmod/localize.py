@@ -35,6 +35,7 @@ from .poly import (
     DimensionMismatch,
     Poly,
     PolyError,
+    _is_int,
     _sum_products,
     embed_coefficient,
     embed_function,
@@ -80,7 +81,7 @@ class _LocalizedFraction:
         if base.is_zero():
             raise ZeroDivisionError("localizing polynomial must be nonzero")
         self._check_numerator(base, numerator)
-        if denom_exp < 0:
+        if not _is_int(denom_exp, 0):
             raise ValueError("denominator exponent must be nonnegative")
         self.base = base
         self.numerator = numerator

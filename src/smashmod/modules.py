@@ -109,8 +109,8 @@ class ModuleElement(_PolyTuple):
     def __init__(self, entries: Iterable[Poly], dim: Optional[int] = None):
         entries = tuple(entries)
         dim = entries[0].dim if dim is None and entries else dim
-        if dim is None:
-            raise ValueError("a module element with no entry needs its dim")
+        if not _is_int(dim, 1):  # None when there is no entry
+            raise ValueError(f"a module element needs its dim, a positive integer (got {dim!r})")
         if any(p.dim != dim for p in entries):
             raise DimensionMismatch("entries disagree on dim")
         self.dim = dim
@@ -151,16 +151,16 @@ class AVModule:
     def __init__(self, dim: int, rank: int,
                  tensor: Mapping[tuple[int, MultiIndex], Matrix],
                  name: str = ""):
-        if dim < 1:
+        if not _is_int(dim, 1):
             raise ModuleSchemaError("dim must be a positive integer")
-        if rank < 0:
+        if not _is_int(rank, 0):
             raise ModuleSchemaError("rank must be >= 0")
         clean: dict[tuple[int, MultiIndex], Matrix] = {}
         for (i, alpha), mat in tensor.items():
             alpha = tuple(alpha)
-            if not 1 <= i <= dim:
+            if not (_is_int(i, 1) and i <= dim):
                 raise ModuleSchemaError(f"direction index {i} out of range 1..{dim}")
-            if len(alpha) != dim or any(a < 0 for a in alpha):
+            if len(alpha) != dim or not all(_is_int(a, 0) for a in alpha):
                 raise ModuleSchemaError(f"bad multi-index {alpha} for dim {dim}")
             if len(mat) != rank or any(len(row) != rank for row in mat):
                 raise ModuleSchemaError(f"matrix at ({i}, {alpha}) is not {rank}x{rank}")
@@ -208,7 +208,7 @@ class AVModule:
 
     def basis_element(self, j: int) -> ModuleElement:
         """The j-th standard basis vector (0-based)."""
-        if not 0 <= j < self.rank:
+        if not (_is_int(j, 0) and j < self.rank):
             raise ValueError(f"basis index {j} out of range")
         one = Poly.constant(self.dim, 1)
         zero = Poly.zero(self.dim)
@@ -255,7 +255,7 @@ class AVModule:
                        for i, s in enumerate(symbol, start=1) if s.terms]
             triples.extend(zip(ones, row, entries))
             out.append(_sum_products(self.dim, triples))
-        return ModuleElement(out, self.dim)
+        return m._new(out)
 
     def _check_operands(self, x, m: ModuleElement):
         self._require_validated()
@@ -429,7 +429,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
     of rank 0, built and validated like any other.
     """
     module._require_validated()
-    if k < 1:
+    if not _is_int(k, 1):
         raise ValueError("exterior power needs k >= 1")
     r = module.rank
     subsets = list(combinations(range(r), k))
@@ -493,7 +493,7 @@ def dual_module(module: AVModule) -> AVModule:
 
 def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
-    if dim < 1 or rank < 1:
+    if not (_is_int(dim, 1) and _is_int(rank, 1)):
         raise ValueError("trivial_dmodule needs dim >= 1 and rank >= 1")
     return _validated(AVModule(dim, rank, {}, name=f"dmodule({dim},{rank})"))
 
@@ -513,7 +513,7 @@ def differential_forms(dim: int = 1) -> AVModule:
     L_{g d_i}(dx_j) = delta_ij * sum_k d_k(g) dx_k, so D[i, e_k] has a single
     1 in row k, column i.
     """
-    if dim < 1:
+    if not _is_int(dim, 1):
         raise ValueError("differential_forms needs dim >= 1")
     tensor = _unit_entries(dim, 1, lambda i, k: (k, i))
     return _validated(AVModule(dim, dim, tensor, name=f"forms({dim})"))
@@ -524,7 +524,7 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
 
     [g d_i, d_k] = -d_k(g) d_i, so D[i, e_k] = -E_{i,k}.
     """
-    if dim < 1:
+    if not _is_int(dim, 1):
         raise ValueError("tangent_adjoint needs dim >= 1")
     tensor = _unit_entries(dim, -1, lambda i, k: (i, k))
     return _validated(AVModule(dim, dim, tensor, name=f"adjoint({dim})"))
@@ -540,7 +540,7 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
 
     for 0 < alpha <= beta, with constant entries.  Rank C(n+d, d), order n.
     """
-    if dim < 1 or n < 0:
+    if not (_is_int(dim, 1) and _is_int(n, 0)):
         raise ValueError("jet_module needs dim >= 1 and n >= 0")
     betas = multi_indices(dim, n)
     index = {b: a for a, b in enumerate(betas)}
@@ -664,7 +664,7 @@ def module_from_dict(data: Mapping) -> AVModule:
                 raise ModuleSchemaError(f"term missing field {field!r}")
         i = entry["i"]
         alpha = entry["alpha"]
-        # AVModule checks the ranges and shapes; only the JSON types are left
+        # AVModule checks the ranges, shapes and types too; these name a JSON type as written
         if not _is_int(i):
             raise ModuleSchemaError(f"term direction {i!r} is not an integer")
         if not isinstance(alpha, (list, tuple)) or not all(map(_is_int, alpha)):

@@ -93,9 +93,11 @@ class PolyParseError(PolyError):
         self.position = position
 
 
-def _is_int(value) -> bool:
-    """An integer in the JSON sense: Python's bool is an int, JSON's is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_int(value, least: int | None = None) -> bool:
+    """The one integer rule of every public size, level, index and exponent: an int
+    but not a bool (JSON has no such int), and at least ``least`` when one is given."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and (least is None or value >= least)
 
 
 def _exact(c) -> Coeff:
@@ -130,6 +132,15 @@ def _from_coefficients(dim: int, coeffs: dict[int, Coeff]) -> "Poly":
     den = lcm(*[c.denominator for c in coeffs.values()])
     return _reduced(dim, {k: c.numerator * (den // c.denominator)
                           for k, c in coeffs.items()}, den)
+
+
+def _key(exps: MultiIndex, dim: int) -> int:
+    """The packed key of an exponent tuple from outside the module, checked."""
+    if len(exps) != dim:
+        raise DimensionMismatch(f"exponent tuple {exps} has length {len(exps)}, expected {dim}")
+    if not all(_is_int(e, 0) for e in exps) or sum(exps) > _MASK:
+        raise ValueError(f"exponent out of range in {exps}")
+    return _pack(exps)
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -194,17 +205,12 @@ class Poly:
     __slots__ = ("dim", "terms", "den")
 
     def __init__(self, dim: int, terms: dict[MultiIndex, Coeff] | None = None):
-        if dim < 1:
+        if not _is_int(dim, 1):
             raise ValueError("dim must be a positive integer")
         packed: dict[int, Coeff] = {}
         if terms:
             for exps, c in terms.items():
-                if len(exps) != dim:
-                    raise DimensionMismatch(
-                        f"exponent tuple {exps} has length {len(exps)}, expected {dim}")
-                if min(exps) < 0 or sum(exps) > _MASK:
-                    raise ValueError(f"exponent out of range in {exps}")
-                key = _pack(exps)
+                key = _key(exps, dim)
                 packed[key] = packed.get(key, 0) + _exact(c)
         p = _from_coefficients(dim, packed)
         self.dim, self.terms, self.den = dim, p.terms, p.den
@@ -259,7 +265,7 @@ class Poly:
         return max(self.terms) >> (_FIELD * self.dim)
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
-        return _rational(self.terms.get(_pack(tuple(exps)), 0), self.den)
+        return _rational(self.terms.get(_key(tuple(exps), self.dim), 0), self.den)
 
     def items(self) -> list[tuple[MultiIndex, Coeff]]:
         """(exponent, coefficient) pairs in descending graded-lex order."""
@@ -325,7 +331,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if not _is_int(n, 0):
             raise ValueError("negative power of a polynomial")
         result = Poly.constant(self.dim, 1)
         base = self
@@ -500,7 +506,7 @@ def _parse_terms(text: str, dim: int, field: bool) -> list[Poly]:
     vector field, each of whose terms is a polynomial term closed by the
     factor d<index>.  Every error position is an offset into ``text``.
     """
-    if dim < 1:
+    if not _is_int(dim, 1):
         raise ValueError("dim must be a positive integer")
     n = len(text)
     comps: list[dict[int, Coeff]] = [{} for _ in range(dim if field else 1)]

@@ -73,7 +73,7 @@ class SmashElement(_PolyTuple):
 
     def __init__(self, dim: int, components: Iterable[Poly]):
         components = tuple(components)
-        if dim < 1:
+        if not _is_int(dim, 1):
             raise ValueError("dim must be a positive integer")
         if len(components) != dim:
             raise DimensionMismatch(f"{len(components)} components for dim {dim}")
@@ -169,7 +169,7 @@ def omega(p: int, f: Poly, e: Derivation) -> SmashElement:
     changed.
     """
     global _omega_memo
-    if p < 0:
+    if not _is_int(p, 0):
         raise ValueError("level p must be nonnegative")
     if f.dim != e.dim:
         raise DimensionMismatch(f"dim {f.dim} vs {e.dim}")
@@ -189,7 +189,7 @@ def omega_definitional(p: int, f: Poly, e: Derivation) -> SmashElement:
     Kept separate from omega() as the second route of the closed-form
     coherence check; do not fold the two together.
     """
-    if p < 0:
+    if not _is_int(p, 0):
         raise ValueError("level p must be nonnegative")
     if f.dim != e.dim:
         raise DimensionMismatch(f"dim {f.dim} vs {e.dim}")
@@ -388,7 +388,7 @@ def _bind(kind: str, name: str, row: tuple, inputs: Mapping, skip: int) -> dict:
         if p not in inputs:
             raise ValueError(f"missing binding {p!r} for {kind} {name!r}")
     bound = {p: inputs[p] for p in params if p in inputs}
-    if not all(_is_int(bound[p]) and bound[p] >= least for p in ints if p in bound):
+    if not all(_is_int(bound[p], least) for p in ints if p in bound):
         raise ValueError(f"{name} needs {', '.join(ints)} >= {least}")
     return bound
 

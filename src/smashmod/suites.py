@@ -57,7 +57,7 @@ class RunConfig(_RunConfigFields):
     def __new__(cls, *args, **kwargs):
         dims, *numbers = super().__new__(cls, *args, **kwargs)
         if not isinstance(dims, (tuple, list)) or not dims \
-                or not all(_is_int(d) and d >= 1 for d in dims):
+                or not all(_is_int(d, 1) for d in dims):
             raise ValueError("dims must be a nonempty list of positive integers")
         for i, d in enumerate(dims):
             if d in dims[:i]:
@@ -69,10 +69,9 @@ class RunConfig(_RunConfigFields):
         if not 1 <= max_degree <= _MASK:
             raise ValueError(f"max degree must be in 1..{_MASK}, the exponent limit "
                              f"(got {max_degree})")
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        if p_max < 1:
-            raise ValueError("p_max must be >= 1")
+        for field, value in (("trials", trials), ("p_max", p_max)):
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1")
         return super().__new__(cls, tuple(dims), *numbers)
 
     def to_dict(self) -> dict:

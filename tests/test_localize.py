@@ -47,7 +47,7 @@ from oracles import (
     random_poly_or_zero,
     series_by_levels,
 )
-from test_poly import polys
+from test_poly import integer_rows, polys
 
 x = Poly.variable(1, 1)
 one = Poly.constant(1, 1)
@@ -206,6 +206,20 @@ def test_base_mismatch_rejected():
         a + b
 
 
+# -1 for the three value types is in test_public_constructors_keep_every_check
+_NONNEGATIVE = "denominator exponent must be nonnegative"
+_INTEGER_ROWS, _INTEGER_IDS = integer_rows(
+    ("poly-exponent", lambda v: LocalizedPoly(x, one, v), ValueError, _NONNEGATIVE, None),
+    ("derivation-exponent", lambda v: LocalizedDerivation(x, d, v), ValueError, _NONNEGATIVE,
+     None),
+    ("element-exponent", lambda v: LocalizedModuleElement(
+        x, differential_forms(1), ModuleElement((x,)), v), ValueError, _NONNEGATIVE, None),
+    ("context-derivation-exponent",
+     lambda v: LocalizedModule(differential_forms(1), x).derivation(d, v), ValueError,
+     _NONNEGATIVE, -1),
+)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: LocalizedPoly(x, one, 1) * LocalizedPoly(x + one, one, 1), BaseMismatch,
      "localized values have different bases"),
@@ -215,8 +229,9 @@ def test_base_mismatch_rejected():
      "base factor must be nonzero"),
     (lambda: LocalizedPoly(x, one, 1) + 1, TypeError, "unsupported operand"),
     (lambda: LocalizedPoly(x, one, 1) - 1, TypeError, "unsupported operand"),
-], ids=["product-over-two-bases", "base-of-another-dim", "extend-by-zero", "plus-int",
-        "minus-int"])
+] + _INTEGER_ROWS,
+   ids=["product-over-two-bases", "base-of-another-dim", "extend-by-zero", "plus-int",
+        "minus-int"] + _INTEGER_IDS)
 def test_each_guard_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()

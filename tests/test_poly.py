@@ -593,6 +593,36 @@ def test_dimension_mismatch_is_an_error():
         P("x1") * parse_poly("x1", 2)
 
 
+def integer_rows(*sites):
+    """Rows and ids for a table of test_each_guard_raises_its_message.
+
+    Each site (id, call, error, message, below) is a one-argument call that
+    passes its argument to one public integer parameter: True, 1.5 and
+    ``below``, the value just under the parameter's least one, each raise the
+    error and message.  ``below`` is None where another row or test checks it.
+    """
+    rows, ids = [], []
+    for name, call, error, message, below in sites:
+        for label, value in (("bool", True), ("float", 1.5), ("below-least", below)):
+            if value is not None:
+                rows.append((lambda call=call, value=value: call(value), error, message))
+                ids.append(f"{name}-{label}")
+    return rows, ids
+
+
+_INTEGER_ROWS, _INTEGER_IDS = integer_rows(
+    ("poly-dim", Poly, ValueError, "dim must be a positive integer", None),
+    ("poly-exponent", lambda v: Poly(2, {(1, v): 1}), ValueError, "exponent out of range", -1),
+    ("coefficient-exponent", lambda v: P("x1 + 7").coefficient((v,)), ValueError,
+     "exponent out of range", -1),
+    ("power", lambda v: P("x1") ** v, ValueError, "negative power of a polynomial", None),
+    ("parse-dim", lambda v: parse_poly("x1", v), ValueError, "dim must be a positive integer",
+     None),
+    ("parse-derivation-dim", lambda v: parse_derivation("d1", v), ValueError,
+     "dim must be a positive integer", 0),
+)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Poly(0), ValueError, "dim must be a positive integer"),
     (lambda: Poly(2, {(1,): 1}), DimensionMismatch, r"\(1,\) has length 1, expected 2"),
@@ -612,11 +642,20 @@ def test_dimension_mismatch_is_an_error():
     (lambda: Derivation.partial(1, 1) + 3, TypeError, "unsupported operand"),
     (lambda: Derivation.partial(1, 1) - 3, TypeError, "unsupported operand"),
     (lambda: Derivation.partial(1, 1) * 0.5, TypeError, "unsupported operand"),
-], ids=["poly-dim-0", "exponents-of-the-wrong-length", "variable-out-of-range",
+    # coefficient read (0,), () and (1, 0, 0) as keys of other lengths: 7, 7 and 0
+    (lambda: P("3*x1 + 5*x2 + 7", 2).coefficient((0,)), DimensionMismatch,
+     r"\(0,\) has length 1, expected 2"),
+    (lambda: P("3*x1 + 5*x2 + 7", 2).coefficient(()), DimensionMismatch,
+     r"\(\) has length 0, expected 2"),
+    (lambda: P("3*x1 + 5*x2 + 7", 2).coefficient((1, 0, 0)), DimensionMismatch,
+     r"\(1, 0, 0\) has length 3, expected 2"),
+] + _INTEGER_ROWS,
+   ids=["poly-dim-0", "exponents-of-the-wrong-length", "variable-out-of-range",
         "negative-power", "parse-dim-0", "empty-derivation", "components-of-two-dims",
         "component-count-other-than-dim", "partial-out-of-range", "bracket-across-dims",
         "partial-power-index-of-the-wrong-length", "poly-plus-text", "derivation-plus-int",
-        "derivation-minus-int", "derivation-times-float"])
+        "derivation-minus-int", "derivation-times-float", "coefficient-key-too-short",
+        "coefficient-key-empty", "coefficient-key-too-long"] + _INTEGER_IDS)
 def test_each_guard_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()

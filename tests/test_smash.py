@@ -29,6 +29,7 @@ from smashmod.poly import embed_coefficient, embed_function, restrict_to_diagona
 from smashmod.smash import IDENTITY_IDS
 
 from oracles import naive_smash_bracket
+from test_poly import integer_rows
 
 x = Poly.variable(1, 1)
 one = Poly.constant(1, 1)
@@ -115,6 +116,14 @@ def test_bracket_dimension_mismatch():
 # operands in two variables, for the guards against mixing dims
 x_2d, d_2d = Poly.variable(2, 1), Derivation.partial(2, 1)
 
+_INTEGER_ROWS, _INTEGER_IDS = integer_rows(
+    ("dim", lambda v: SmashElement(v, (Poly.zero(2),)), ValueError,
+     "dim must be a positive integer", None),
+    ("omega-level", lambda v: omega(v, x, d), ValueError, "level p must be nonnegative", None),
+    ("omega-definitional-level", lambda v: omega_definitional(v, x, d), ValueError,
+     "level p must be nonnegative", None),
+)
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: SmashElement(0, ()), ValueError, "dim must be a positive integer"),
@@ -130,11 +139,12 @@ x_2d, d_2d = Poly.variable(2, 1), Derivation.partial(2, 1)
     (lambda: omega(-1, x, d), ValueError, "level p must be nonnegative"),
     (lambda: omega_definitional(-1, x, d), ValueError, "level p must be nonnegative"),
     (lambda: from_term(one, d) + 1, TypeError, "unsupported operand"),
-], ids=["dim-0", "wrong-component-count", "components-outside-the-doubled-variables",
+] + _INTEGER_ROWS,
+   ids=["dim-0", "wrong-component-count", "components-outside-the-doubled-variables",
         "from-term-across-dims", "tensor-act-across-dims", "omega-across-dims",
         "omega-definitional-across-dims", "omega-multi-across-dims",
         "function-commutator-across-dims", "omega-negative-level",
-        "omega-definitional-negative-level", "element-plus-int"])
+        "omega-definitional-negative-level", "element-plus-int"] + _INTEGER_IDS)
 def test_each_guard_raises_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()
