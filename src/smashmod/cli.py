@@ -19,6 +19,7 @@ import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .modules import (
@@ -47,14 +48,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class ReportEnvelope:
+class ReportEnvelope(NamedTuple):
     """Top-level machine-readable report: config echo, results, summary."""
 
-    __slots__ = ("config", "results")
-
-    def __init__(self, config: dict):
-        self.config = config
-        self.results = []
+    config: dict
+    results: list
 
     def to_dict(self) -> dict:
         """The report of ``results``, in the order the caller gave them."""
@@ -209,8 +207,6 @@ def cmd_verify(args) -> int:
         given["dims"] = tuple(dims)
     config = RunConfig(**{k: v for k, v in given.items() if v is not None})
     suites = plan_suites(args.suite, config)
-    envelope = ReportEnvelope(config={"command": "verify", "suites": suites,
-                                      **config.to_dict()})
     n = (min(len(os.sched_getaffinity(0)), max_shares(suites, config))
          if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
     children = []  # (pid, read end of its pipe) of shares 1 .. n-1
@@ -240,8 +236,9 @@ def cmd_verify(args) -> int:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    envelope.results = _share_records(suites, config, (0, 1)) if results is None else results
-    return _emit(envelope, args)
+    results = _share_records(suites, config, (0, 1)) if results is None else results
+    return _emit(ReportEnvelope({"command": "verify", "suites": suites, **config.to_dict()},
+                                results), args)
 
 
 def cmd_order(args) -> int:
@@ -262,10 +259,8 @@ def cmd_order(args) -> int:
         "rank_squared_bound": bound,
         "status": "pass" if lie == oracle <= bound else "fail",
     }
-    envelope = ReportEnvelope(config={"command": "order", "module": args.module,
-                                      "n_max": bound})
-    envelope.results.append(record)
-    return _emit(envelope, args)
+    return _emit(ReportEnvelope({"command": "order", "module": args.module, "n_max": bound},
+                                [record]), args)
 
 
 def cmd_annihilator(args) -> int:
@@ -286,10 +281,8 @@ def cmd_annihilator(args) -> int:
     }
     if f.is_constant():
         record["note"] = "constant f: every level >= 1 vanishes identically"
-    envelope = ReportEnvelope(config={"command": "annihilator", "module": args.module,
-                                      "f": args.f, "eta": args.eta})
-    envelope.results.append(record)
-    return _emit(envelope, args)
+    return _emit(ReportEnvelope({"command": "annihilator", "module": args.module,
+                                 "f": args.f, "eta": args.eta}, [record]), args)
 
 
 # ---------------------------------------------------------------------------------

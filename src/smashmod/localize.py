@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .poly import (
     Derivation,
@@ -82,7 +82,8 @@ class _LocalizedFraction:
             raise ZeroDivisionError("localizing polynomial must be nonzero")
         self._check_numerator(base, numerator)
         if not _is_int(denom_exp, 0):
-            raise ValueError("denominator exponent must be nonnegative")
+            raise ValueError(f"denominator exponent must be a nonnegative integer "
+                             f"(got {denom_exp!r})")
         self.base = base
         self.numerator = numerator
         self.denom_exp = denom_exp
@@ -240,21 +241,17 @@ def _series_operator(module: AVModule, g: Poly, eta: Derivation,
     return pair, N + j
 
 
-class LocalizedOperator:
-    """eta/f^k as an operator of one localized module, built once and applied
-    to any number of elements: a pair over f^pair_exp, and eta(f) for the
-    quotient-rule term."""
+class LocalizedOperator(NamedTuple):
+    """eta/f^k, built once and applied to any number of elements of one
+    localized module: its series' pair over f^pair_exp, and eta(f) for the
+    quotient-rule term.  A value: ``_replace`` builds a variant (``_inverse``)."""
 
-    __slots__ = ("module", "base", "denom_exp", "pair", "pair_exp", "eta_f")
-
-    def __init__(self, module: AVModule, base: Poly, denom_exp: int, pair: Operator,
-                 pair_exp: int, eta_f: Poly):
-        self.module = module
-        self.base = base
-        self.denom_exp = denom_exp
-        self.pair = pair
-        self.pair_exp = pair_exp
-        self.eta_f = eta_f
+    module: AVModule
+    base: Poly
+    denom_exp: int
+    pair: Operator
+    pair_exp: int
+    eta_f: Poly
 
 
 class LocalizedModule:
@@ -366,11 +363,12 @@ def _bracket(context: LocalizedModule, f: Poly, eta: Derivation, mu: Derivation)
 
 def _inverse(k: int):
     """The law that eta/f^k, built as the series in f^k and re-expanded in
-    powers of f, acts the same both ways."""
+    powers of f, acts the same both ways: the two operators differ only in
+    the series, the pair and the power of f under it."""
     def law(context: LocalizedModule, f: Poly, eta: Derivation):
         in_f_k = context.operator(LocalizedDerivation(f, eta, k))
         pair, exp = _series_operator(context.module, f, eta, k)
-        in_f = LocalizedOperator(context.module, f, k, pair, exp, in_f_k.eta_f)
+        in_f = in_f_k._replace(pair=pair, pair_exp=exp)
         return lambda me: (context.act(in_f_k, me), context.act(in_f, me))
     return law
 

@@ -118,6 +118,8 @@ class ModuleElement(_PolyTuple):
 
     @classmethod
     def zero(cls, dim: int, rank: int) -> "ModuleElement":
+        if not _is_int(rank, 0):
+            raise ValueError(f"rank must be a nonnegative integer (got {rank!r})")
         return cls((Poly.zero(dim) for _ in range(rank)), dim)
 
     @property
@@ -154,7 +156,7 @@ class AVModule:
         if not _is_int(dim, 1):
             raise ModuleSchemaError("dim must be a positive integer")
         if not _is_int(rank, 0):
-            raise ModuleSchemaError("rank must be >= 0")
+            raise ModuleSchemaError(f"rank must be a nonnegative integer (got {rank!r})")
         clean: dict[tuple[int, MultiIndex], Matrix] = {}
         for (i, alpha), mat in tensor.items():
             alpha = tuple(alpha)
@@ -397,6 +399,8 @@ def oracle_order(module: AVModule, n_max: int) -> int:
     element annihilates the zero module, whose order is taken as 0.
     """
     module._require_validated()
+    if not _is_int(n_max, 0):
+        raise ValueError(f"oracle_order needs an integer n_max >= 0 (got {n_max!r})")
     d = module.dim
     coords = [Poly.variable(d, i) for i in range(1, d + 1)]
     fields = [Derivation.partial(d, i) * Poly.monomial(d, a)
@@ -430,7 +434,7 @@ def exterior_power(module: AVModule, k: int) -> AVModule:
     """
     module._require_validated()
     if not _is_int(k, 1):
-        raise ValueError("exterior power needs k >= 1")
+        raise ValueError(f"exterior power needs an integer k >= 1 (got {k!r})")
     r = module.rank
     subsets = list(combinations(range(r), k))
     index = {S: a for a, S in enumerate(subsets)}
@@ -494,7 +498,7 @@ def dual_module(module: AVModule) -> AVModule:
 def trivial_dmodule(dim: int = 1, rank: int = 1) -> AVModule:
     """Flat connection: rho(g d_i) = g d_i, order 0."""
     if not (_is_int(dim, 1) and _is_int(rank, 1)):
-        raise ValueError("trivial_dmodule needs dim >= 1 and rank >= 1")
+        raise ValueError(f"trivial_dmodule needs integers dim, rank >= 1 (got {dim!r}, {rank!r})")
     return _validated(AVModule(dim, rank, {}, name=f"dmodule({dim},{rank})"))
 
 
@@ -514,7 +518,7 @@ def differential_forms(dim: int = 1) -> AVModule:
     1 in row k, column i.
     """
     if not _is_int(dim, 1):
-        raise ValueError("differential_forms needs dim >= 1")
+        raise ValueError(f"differential_forms needs an integer dim >= 1 (got {dim!r})")
     tensor = _unit_entries(dim, 1, lambda i, k: (k, i))
     return _validated(AVModule(dim, dim, tensor, name=f"forms({dim})"))
 
@@ -525,7 +529,7 @@ def tangent_adjoint(dim: int = 1) -> AVModule:
     [g d_i, d_k] = -d_k(g) d_i, so D[i, e_k] = -E_{i,k}.
     """
     if not _is_int(dim, 1):
-        raise ValueError("tangent_adjoint needs dim >= 1")
+        raise ValueError(f"tangent_adjoint needs an integer dim >= 1 (got {dim!r})")
     tensor = _unit_entries(dim, -1, lambda i, k: (i, k))
     return _validated(AVModule(dim, dim, tensor, name=f"adjoint({dim})"))
 
@@ -541,7 +545,7 @@ def jet_module(dim: int = 1, n: int = 0) -> AVModule:
     for 0 < alpha <= beta, with constant entries.  Rank C(n+d, d), order n.
     """
     if not (_is_int(dim, 1) and _is_int(n, 0)):
-        raise ValueError("jet_module needs dim >= 1 and n >= 0")
+        raise ValueError(f"jet_module needs integers dim >= 1, n >= 0 (got {dim!r}, {n!r})")
     betas = multi_indices(dim, n)
     index = {b: a for a, b in enumerate(betas)}
     r = len(betas)

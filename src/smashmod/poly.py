@@ -332,7 +332,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if not _is_int(n, 0):
-            raise ValueError("negative power of a polynomial")
+            raise ValueError(f"power of a polynomial must be a nonnegative integer (got {n!r})")
         result = Poly.constant(self.dim, 1)
         base = self
         while n:
@@ -699,6 +699,8 @@ class Derivation(_PolyTuple):
 
     @classmethod
     def zero(cls, dim: int) -> "Derivation":
+        if not _is_int(dim, 1):
+            raise ValueError(f"dim must be a positive integer (got {dim!r})")
         return cls(tuple(Poly.zero(dim) for _ in range(dim)))
 
     @classmethod

@@ -170,7 +170,7 @@ def omega(p: int, f: Poly, e: Derivation) -> SmashElement:
     """
     global _omega_memo
     if not _is_int(p, 0):
-        raise ValueError("level p must be nonnegative")
+        raise ValueError(f"level p must be a nonnegative integer (got {p!r})")
     if f.dim != e.dim:
         raise DimensionMismatch(f"dim {f.dim} vs {e.dim}")
     memo = _omega_memo
@@ -190,7 +190,7 @@ def omega_definitional(p: int, f: Poly, e: Derivation) -> SmashElement:
     coherence check; do not fold the two together.
     """
     if not _is_int(p, 0):
-        raise ValueError("level p must be nonnegative")
+        raise ValueError(f"level p must be a nonnegative integer (got {p!r})")
     if f.dim != e.dim:
         raise DimensionMismatch(f"dim {f.dim} vs {e.dim}")
     acc = SmashElement.zero(f.dim)
@@ -388,8 +388,9 @@ def _bind(kind: str, name: str, row: tuple, inputs: Mapping, skip: int) -> dict:
         if p not in inputs:
             raise ValueError(f"missing binding {p!r} for {kind} {name!r}")
     bound = {p: inputs[p] for p in params if p in inputs}
-    if not all(_is_int(bound[p], least) for p in ints if p in bound):
-        raise ValueError(f"{name} needs {', '.join(ints)} >= {least}")
+    for p in ints:
+        if p in bound and not _is_int(bound[p], least):
+            raise ValueError(f"{name} needs an integer {p} >= {least} (got {bound[p]!r})")
     return bound
 
 

@@ -207,7 +207,7 @@ def test_base_mismatch_rejected():
 
 
 # -1 for the three value types is in test_public_constructors_keep_every_check
-_NONNEGATIVE = "denominator exponent must be nonnegative"
+_NONNEGATIVE = r"denominator exponent must be a nonnegative integer \(got {got}\)"
 _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     ("poly-exponent", lambda v: LocalizedPoly(x, one, v), ValueError, _NONNEGATIVE, None),
     ("derivation-exponent", lambda v: LocalizedDerivation(x, d, v), ValueError, _NONNEGATIVE,
@@ -404,6 +404,19 @@ def test_the_series_and_its_reexpansion_in_f_agree(dim):
                     assert ctx.act(in_f_k, me) == ctx.act(in_f, me), (mod.name, k, l)
 
 
+def test_an_operator_is_a_value_whose_fields_cannot_be_set():
+    # op.pair_exp = 0 would silently change every later act of op
+    forms = differential_forms(1)
+    ctx = LocalizedModule(forms, x + one)
+    op = ctx.operator(ctx.derivation(x * d, 1))
+    me = ctx.include(x * forms.basis_element(0))
+    before = ctx.act(op, me)
+    for field in ("module", "base", "denom_exp", "pair", "pair_exp", "eta_f"):
+        with pytest.raises(AttributeError):
+            setattr(op, field, 0)
+    assert ctx.act(op, me) == before
+
+
 def test_operator_and_act_refuse_another_base_or_module():
     forms, jets = differential_forms(1), jet_module(1, 1)
     ctx, other_base, other_module = (LocalizedModule(forms, x), LocalizedModule(forms, x + one),
@@ -587,7 +600,7 @@ def test_restriction_rejects_unequal_representatives():
 
 
 def test_welldefined_needs_a_positive_power():
-    with pytest.raises(ValueError, match="welldefined needs j >= 1"):
+    with pytest.raises(ValueError, match=r"welldefined needs an integer j >= 1 \(got 0\)"):
         verify_localized("welldefined", differential_forms(1), x, {"eta": d, "j": 0})
 
 
@@ -665,9 +678,9 @@ def test_the_binder_refuses_an_integer_binding_that_is_not_an_int_at_least_its_r
     # lemma3-commutator echoing "True", and p = 1.5 ended in a TypeError
     reports = []
     for name, (_, ints, least), verify, inputs in _binder_calls():
-        message = re.escape(f"{name} needs {', '.join(ints)} >= {least}")
         for p in ints:
             for bad in (True, 1.5, "1", least - 1):
+                message = re.escape(f"{name} needs an integer {p} >= {least} (got {bad!r})")
                 with pytest.raises(ValueError, match=message):
                     verify(name, inputs | {p: bad})
         rep = verify(name, inputs)
@@ -803,13 +816,13 @@ MUTANT_REPORT_SHA256 = "8c23cac46c8fed15f1a4dcf119087c1dac2cf4d73ac0bb40a4222a10
 
 
 def test_failing_localized_report_is_pinned(monkeypatch, capsys):
-    real = LocalizedOperator.__init__
+    real = LocalizedOperator.__new__
 
-    def doubled(self, module, base, denom_exp, pair, pair_exp, eta_f):
-        real(self, module, base, denom_exp, pair, pair_exp,
-             eta_f * 2 if denom_exp > 0 else eta_f)
+    def doubled(cls, module, base, denom_exp, pair, pair_exp, eta_f):
+        return real(cls, module, base, denom_exp, pair, pair_exp,
+                    eta_f * 2 if denom_exp > 0 else eta_f)
 
-    monkeypatch.setattr(LocalizedOperator, "__init__", doubled)
+    monkeypatch.setattr(LocalizedOperator, "__new__", doubled)
     code = main(["verify", "--suite", "localized", "--dims", "1,2", "--trials", "6",
                  "--seed", "7"])
     out = capsys.readouterr().out

@@ -503,7 +503,8 @@ x_2d, d_2d = Poly.variable(2, 1), Derivation.partial(2, 1)
 _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     ("dim", lambda v: AVModule(v, 1, {}), ModuleSchemaError, "dim must be a positive integer",
      None),
-    ("rank", lambda v: AVModule(1, v, {}), ModuleSchemaError, "rank must be >= 0", -1),
+    ("rank", lambda v: AVModule(1, v, {}), ModuleSchemaError,
+     r"rank must be a nonnegative integer \(got {got}\)", -1),
     ("direction", lambda v: AVModule(1, 1, {(v, (1,)): ((one,),)}), ModuleSchemaError,
      r"direction index \S+ out of range 1\.\.1", 0),
     ("multi-index-entry", lambda v: AVModule(1, 1, {(1, (v,)): ((one,),)}), ModuleSchemaError,
@@ -512,17 +513,23 @@ _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     ("basis-index", lambda v: differential_forms(2).basis_element(v), ValueError,
      r"basis index \S+ out of range", -1),
     ("exterior-power", lambda v: exterior_power(differential_forms(2), v), ValueError,
-     "exterior power needs k >= 1", 0),
+     r"exterior power needs an integer k >= 1 \(got {got}\)", 0),
     ("dmodule-dim", lambda v: trivial_dmodule(v, 1), ValueError,
-     "trivial_dmodule needs dim >= 1 and rank >= 1", 0),
+     r"trivial_dmodule needs integers dim, rank >= 1 \(got {got}, 1\)", 0),
     ("dmodule-rank", lambda v: trivial_dmodule(1, v), ValueError,
-     "trivial_dmodule needs dim >= 1 and rank >= 1", 0),
-    ("forms-dim", differential_forms, ValueError, "differential_forms needs dim >= 1", None),
-    ("adjoint-dim", tangent_adjoint, ValueError, "tangent_adjoint needs dim >= 1", None),
-    ("jets-dim", lambda v: jet_module(v, 1), ValueError, "jet_module needs dim >= 1 and n >= 0",
-     0),
+     r"trivial_dmodule needs integers dim, rank >= 1 \(got 1, {got}\)", 0),
+    ("forms-dim", differential_forms, ValueError,
+     r"differential_forms needs an integer dim >= 1 \(got {got}\)", None),
+    ("adjoint-dim", tangent_adjoint, ValueError,
+     r"tangent_adjoint needs an integer dim >= 1 \(got {got}\)", None),
+    ("jets-dim", lambda v: jet_module(v, 1), ValueError,
+     r"jet_module needs integers dim >= 1, n >= 0 \(got {got}, 1\)", 0),
     ("jets-order", lambda v: jet_module(1, v), ValueError,
-     "jet_module needs dim >= 1 and n >= 0", -1),
+     r"jet_module needs integers dim >= 1, n >= 0 \(got 1, {got}\)", -1),
+    ("oracle-order-bound", lambda v: oracle_order(differential_forms(1), v), ValueError,
+     r"oracle_order needs an integer n_max >= 0 \(got {got}\)", -1),
+    ("element-zero-rank", lambda v: ModuleElement.zero(1, v), ValueError,
+     r"rank must be a nonnegative integer \(got {got}\)", -1),
 )
 
 
@@ -541,8 +548,9 @@ _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
      "dimension mismatch with the module"),
     (lambda: tensor_product(differential_forms(1), differential_forms(2)), DimensionMismatch,
      "dim 1 vs 2"),
-    (lambda: differential_forms(0), ValueError, "differential_forms needs dim >= 1"),
-    (lambda: tangent_adjoint(0), ValueError, "tangent_adjoint needs dim >= 1"),
+    (lambda: differential_forms(0), ValueError,
+     r"differential_forms needs an integer dim >= 1 \(got 0\)"),
+    (lambda: tangent_adjoint(0), ValueError, r"tangent_adjoint needs an integer dim >= 1 \(got 0\)"),
 ] + _INTEGER_ROWS,
    ids=["dim-0", "entry-not-a-poly", "basis-index-out-of-range", "act-across-dims",
         "act-across-ranks", "annihilates-across-dims", "min-order-across-dims",

@@ -1,6 +1,7 @@
 """Exact polynomial and derivation arithmetic."""
 
 import hashlib
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -600,12 +601,14 @@ def integer_rows(*sites):
     passes its argument to one public integer parameter: True, 1.5 and
     ``below``, the value just under the parameter's least one, each raise the
     error and message.  ``below`` is None where another row or test checks it.
+    A ``{got}`` in the message stands for the refused value's repr.
     """
     rows, ids = [], []
     for name, call, error, message, below in sites:
         for label, value in (("bool", True), ("float", 1.5), ("below-least", below)):
             if value is not None:
-                rows.append((lambda call=call, value=value: call(value), error, message))
+                rows.append((lambda call=call, value=value: call(value), error,
+                             message.format(got=re.escape(repr(value)))))
                 ids.append(f"{name}-{label}")
     return rows, ids
 
@@ -615,11 +618,14 @@ _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     ("poly-exponent", lambda v: Poly(2, {(1, v): 1}), ValueError, "exponent out of range", -1),
     ("coefficient-exponent", lambda v: P("x1 + 7").coefficient((v,)), ValueError,
      "exponent out of range", -1),
-    ("power", lambda v: P("x1") ** v, ValueError, "negative power of a polynomial", None),
+    ("power", lambda v: P("x1") ** v, ValueError,
+     r"power of a polynomial must be a nonnegative integer \(got {got}\)", None),
     ("parse-dim", lambda v: parse_poly("x1", v), ValueError, "dim must be a positive integer",
      None),
     ("parse-derivation-dim", lambda v: parse_derivation("d1", v), ValueError,
      "dim must be a positive integer", 0),
+    ("derivation-zero-dim", Derivation.zero, ValueError,
+     r"dim must be a positive integer \(got {got}\)", 0),
 )
 
 
@@ -627,7 +633,8 @@ _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     (lambda: Poly(0), ValueError, "dim must be a positive integer"),
     (lambda: Poly(2, {(1,): 1}), DimensionMismatch, r"\(1,\) has length 1, expected 2"),
     (lambda: Poly.variable(2, 3), ValueError, r"variable index 3 out of range 1\.\.2"),
-    (lambda: P("x1") ** -1, ValueError, "negative power of a polynomial"),
+    (lambda: P("x1") ** -1, ValueError,
+     r"power of a polynomial must be a nonnegative integer \(got -1\)"),
     (lambda: parse_poly("x1", 0), ValueError, "dim must be a positive integer"),
     (lambda: Derivation(()), ValueError, "a derivation needs at least one component"),
     (lambda: Derivation((P("x1"), P("x1", 2))), DimensionMismatch,

@@ -119,9 +119,10 @@ x_2d, d_2d = Poly.variable(2, 1), Derivation.partial(2, 1)
 _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     ("dim", lambda v: SmashElement(v, (Poly.zero(2),)), ValueError,
      "dim must be a positive integer", None),
-    ("omega-level", lambda v: omega(v, x, d), ValueError, "level p must be nonnegative", None),
+    ("omega-level", lambda v: omega(v, x, d), ValueError,
+     r"level p must be a nonnegative integer \(got {got}\)", None),
     ("omega-definitional-level", lambda v: omega_definitional(v, x, d), ValueError,
-     "level p must be nonnegative", None),
+     r"level p must be a nonnegative integer \(got {got}\)", None),
 )
 
 
@@ -136,8 +137,9 @@ _INTEGER_ROWS, _INTEGER_IDS = integer_rows(
     (lambda: omega_definitional(1, x_2d, d), DimensionMismatch, "dim 2 vs 1"),
     (lambda: omega_multi((x_2d,), d), DimensionMismatch, "dim 2 vs 1"),
     (lambda: function_commutator(from_term(one, d), x_2d), DimensionMismatch, "dim 2 vs 1"),
-    (lambda: omega(-1, x, d), ValueError, "level p must be nonnegative"),
-    (lambda: omega_definitional(-1, x, d), ValueError, "level p must be nonnegative"),
+    (lambda: omega(-1, x, d), ValueError, r"level p must be a nonnegative integer \(got -1\)"),
+    (lambda: omega_definitional(-1, x, d), ValueError,
+     r"level p must be a nonnegative integer \(got -1\)"),
     (lambda: from_term(one, d) + 1, TypeError, "unsupported operand"),
 ] + _INTEGER_ROWS,
    ids=["dim-0", "wrong-component-count", "components-outside-the-doubled-variables",
@@ -375,11 +377,14 @@ def test_verify_bad_level():
     # every symbol any identity binds; each identity takes the ones it names
     symbols = {"f": x, "g": x, "h": one, "eta": d, "mu": d}
     for name, levels, message in [
-        ("lemma3-commutator", {"p": 0, "q": 1}, "lemma3-commutator needs p, q >= 1"),
-        ("lemma2-commute-A", {"p": 0}, "lemma2-commute-A needs p >= 1"),
+        ("lemma3-commutator", {"p": 0, "q": 1},
+         r"lemma3-commutator needs an integer p >= 1 \(got 0\)"),
+        ("lemma2-commute-A", {"p": 0}, r"lemma2-commute-A needs an integer p >= 1 \(got 0\)"),
         ("lemma4-5", {"p": 0, "q": 0}, r"lemma4-5 needs p \+ q >= 1"),
-        ("lemma5-deriv-bracket", {"p": 0}, "lemma5-deriv-bracket needs p >= 1"),
-        ("lemma4.1-recurrence", {"p": -1}, "lemma4.1-recurrence needs p >= 0"),
+        ("lemma5-deriv-bracket", {"p": 0},
+         r"lemma5-deriv-bracket needs an integer p >= 1 \(got 0\)"),
+        ("lemma4.1-recurrence", {"p": -1},
+         r"lemma4.1-recurrence needs an integer p >= 0 \(got -1\)"),
     ]:
         with pytest.raises(ValueError, match=message):
             verify_identity(name, symbols | levels)
