@@ -2,13 +2,15 @@
 
 Reports are JSON-first and deterministic: identical (seed, config) produce
 byte-identical output.  A verify report lists its records in the order of
-their compact JSON text: each share of the trials sorts its own records, and
-the sorted shares are merged.  A report is written into its destination
-(stdout or ``--out``) as it is rendered, in pieces of at most 4096 JSON
-tokens or 128 text lines, so no copy of the whole report text is ever built;
-a failed write exits 2 and may leave a partial ``--out`` file.  Exit codes:
-0 all checks passed, 1 at least one exact check failed, 2 usage / parse /
-load / validation / write errors.
+their compact JSON text, ``json.dumps(record, sort_keys=True)``, the one form
+in which a record is sorted, sent between processes and merged: each share
+of the trials sorts its own texts, and the sorted shares are merged and
+decoded one record at a time as the report is rendered.  A report is written
+into its destination (stdout or ``--out``) as it is rendered, in pieces of at
+most 4096 JSON tokens or 128 text lines, so no copy of the whole report text
+is ever built; a failed write, or a share whose records stop short, exits 2
+and may leave a partial report.  Exit codes: 0 all checks passed, 1 at least
+one exact check failed, 2 usage / parse / load / validation / write errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .modules import (
@@ -53,11 +55,13 @@ class ReportEnvelope(NamedTuple):
 
     config: dict
     results: list
+    failed: Optional[int] = None  # how many results failed; counted from them when None
 
     def to_dict(self) -> dict:
         """The report of ``results``, in the order the caller gave them."""
-        results = self.results
-        failed = sum(1 for r in results if r.get("status") == "fail")
+        results, failed = self.results, self.failed
+        if failed is None:
+            failed = sum(1 for r in results if r.get("status") == "fail")
         return {
             "tool": {"name": "smashmod", "version": __version__},
             "config": self.config,
@@ -163,32 +167,94 @@ def _resolve_module(args) -> AVModule:
 # subcommands
 # ---------------------------------------------------------------------------------
 
-def _record_key(record: dict) -> str:
-    """The order of a verify report's records: by their compact JSON text."""
-    return json.dumps(record, sort_keys=True)
-
-
-def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list:
-    """The report records of share ``share`` (see ``run_suite``) of the
-    suites, sorted by ``_record_key``."""
+def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list[str]:
+    """The compact JSON texts of the report records of share ``share`` (see
+    ``run_suite``) of the suites, sorted."""
     from .suites import run_suite  # read when called, so a rebound run_suite is the one run
     try:
-        return sorted(({**report.to_dict(), "suite": s}
-                       for s in suites for report in run_suite(s, config, share)),
-                      key=_record_key)
+        return sorted(json.dumps({**report.to_dict(), "suite": s}, sort_keys=True)
+                      for s in suites for report in run_suite(s, config, share))
     except DegreeOverflow as e:  # the suites' products grow with both options
         raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
                         f"({config.p_max})") from e
 
 
+def _failed(texts: list[str]) -> int:
+    """How many of the record texts ``texts`` are of failed checks."""
+    return sum(json.loads(t)["status"] == "fail" for t in texts)
+
+
+# record texts per pickled chunk a child writes: about 50 KB of text
+_TEXTS_PER_CHUNK = 256
+
+
+def _write_chunk(texts: list[str], fh) -> None:
+    """Write one pickled chunk of a share's record texts to the binary stream ``fh``."""
+    import pickle
+    pickle.dump(texts, fh)
+
+
+def _send_share(suites: list[str], config: RunConfig, share: tuple[int, int], fh) -> None:
+    """Check share ``share`` of the suites, then write to the binary stream
+    ``fh`` its header, the pickled pair (record count, failed count), and its
+    sorted record texts in pickled chunks of ``_TEXTS_PER_CHUNK``."""
+    import pickle
+    texts = _share_records(suites, config, share)
+    pickle.dump((len(texts), _failed(texts)), fh)
+    for i in range(0, len(texts), _TEXTS_PER_CHUNK):
+        _write_chunk(texts[i:i + _TEXTS_PER_CHUNK], fh)
+
+
+def _received(fh, count: int, share: tuple[int, int]):
+    """The ``count`` record texts that the child of share ``share`` writes
+    after its header, read from the binary stream ``fh`` a chunk at a time;
+    OSError when the stream ends before them or holds more."""
+    import pickle
+    left = count
+    while left:
+        try:
+            chunk = pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError):
+            chunk = ()
+        if not 0 < len(chunk) <= left:
+            raise OSError(f"share {share[0]} of {share[1]} sent {count - left} of its "
+                          f"{count} records; the report is cut short")
+        left -= len(chunk)
+        yield from chunk
+
+
+class _Decoded(list):
+    """The ``count`` records of a verify report, decoded one at a time from the
+    compact texts that the iterator ``texts`` yields, while a renderer walks
+    them once.  It is a ``list`` to the JSON encoder, whose indenting (pure
+    Python) ``iterencode`` only asks its truth and iterates it; it stores no
+    item, so ``to_dict`` is given the failed count."""
+
+    def __init__(self, texts, count: int):
+        super().__init__()
+        self._texts, self._count = texts, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return map(json.loads, self._texts)
+
+
 def cmd_verify(args) -> int:
     """Run share 0 of n = min(CPUs in the affinity mask, trials) here and fork a
-    child for each other share, which pipes back its pickled records, or nothing
-    if its share fails.  Each share sorts its own records, and the sorted
-    shares are merged, so the report is the same for every n (``taskset -c 0``
-    gives n = 1).  If any share fails, the children are reaped and the plan
-    runs again here as the one share (0, 1), which raises the error that a
-    serial run meets first."""
+    child for each other share.  A child checks its share, then writes a
+    header (record count, failed count) and its sorted record texts in
+    pickled chunks, or nothing if its share fails.  This process reads every
+    header before it writes a byte: the counts give the exit status and the
+    summary, and the texts of the shares are merged (``heapq.merge``) and
+    decoded one record at a time as the report is rendered, so it holds its
+    own share's texts and one chunk per child, never a child's records.  The
+    report is the same for every n (``taskset -c 0`` gives n = 1).  If any
+    share fails before its header, the children are reaped and the plan runs
+    again here as the one share (0, 1), which raises the error that a serial
+    run meets first; a child's stream that ends after its header raises
+    OSError with the report cut short."""
     import heapq  # here, so that order and annihilator import none of these
     import pickle
     import signal
@@ -210,35 +276,42 @@ def cmd_verify(args) -> int:
     n = (min(len(os.sched_getaffinity(0)), max_shares(suites, config))
          if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
     children = []  # (pid, read end of its pipe) of shares 1 .. n-1
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: send the records of share k, never return
-                try:
-                    data = pickle.dumps(_share_records(suites, config, (k, n)))
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(data)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        shares = [_share_records(suites, config, (0, n))]
-        for _, fh in children:  # the empty pipe of a failed share raises EOFError
-            shares.append(pickle.loads(fh.read()))
-        results = list(heapq.merge(*shares, key=_record_key))
-    except Exception:  # any error of any share: the serial run below raises it again
-        if n == 1:
-            raise
-        results = None  # run the plan again once every child is reaped
-    finally:  # no child outlives the command, whatever happened
-        for pid, fh in children:
+
+    def reap():  # no child outlives the command, whatever happened
+        while children:
+            pid, fh = children.pop()
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    results = _share_records(suites, config, (0, 1)) if results is None else results
-    return _emit(ReportEnvelope({"command": "verify", "suites": suites, **config.to_dict()},
-                                results), args)
+
+    try:
+        try:
+            for k in range(1, n):
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the child: send share k, never return
+                    try:
+                        with os.fdopen(w, "wb") as fh:
+                            _send_share(suites, config, (k, n), fh)
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                children.append((pid, os.fdopen(r, "rb")))
+            own = _share_records(suites, config, (0, n))
+            heads = [pickle.load(fh) for _, fh in children]  # a failed share's is empty
+        except Exception:  # any error of any share: the serial run below raises it again
+            if n == 1:
+                raise
+            reap()
+            own, heads = _share_records(suites, config, (0, 1)), []
+        texts = heapq.merge(own, *(_received(fh, count, (k, n)) for k, ((_, fh), (count, _))
+                                   in enumerate(zip(children, heads), 1)))
+        results = _Decoded(texts, len(own) + sum(count for count, _ in heads))
+        failed = _failed(own) + sum(f for _, f in heads)
+        return _emit(ReportEnvelope({"command": "verify", "suites": suites, **config.to_dict()},
+                                    results, failed), args)
+    finally:
+        reap()
 
 
 def cmd_order(args) -> int:

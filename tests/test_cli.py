@@ -1,11 +1,13 @@
 """Command-line contract: exit codes, determinism, report structure."""
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -257,6 +259,64 @@ def test_verify_error_that_cannot_be_pickled_exits_two(monkeypatch, capsys):
     assert main(["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6",
                  "--pmax", "2"]) == 2
     assert capsys.readouterr().err == "error: planted (at position 3)\n"
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_verify_failure_that_only_a_child_makes_is_reported_as_in_one_process(monkeypatch, capsys):
+    # with 6 trials in 3 shares and pmax 3, levels (2, 2) and (2, 3) are those
+    # of trials 4 and 5, the last share's: only a child makes the failures,
+    # and only its header tells this process the exit status and the summary
+    real = suites.verify_identity
+
+    def verify_identity(name, bound):
+        report = real(name, bound)
+        if bound["p"] == 2 and bound["q"] >= 2:
+            return report._replace(status="fail", witness={"difference": "planted"})
+        return report
+
+    monkeypatch.setattr(suites, "verify_identity", verify_identity)
+    args = ["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6", "--pmax", "3"]
+    for fmt in ("json", "text"):
+        outs = []
+        for cpus in (1, 3):
+            forks = _cpus(monkeypatch, cpus)
+            assert main(args + ["--format", fmt]) == 1
+            assert len(forks) == cpus - 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    assert outs[0].endswith("summary: 8/12 passed, 4 failed\n")
+    assert outs[0].count("witness: ") == 4
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("chunks_sent", [0, 1], ids=["after-its-header", "after-one-chunk"])
+def test_verify_child_stream_that_stops_short_exits_two(monkeypatch, capsys, chunks_sent):
+    # the children write their headers, then fewer chunks than the header
+    # counts: the report must not close with a summary its records disagree with
+    real, sent = cli._write_chunk, []
+
+    def write_chunk(texts, fh):
+        if len(sent) < chunks_sent:
+            sent.append(1)
+            real(texts, fh)
+
+    monkeypatch.setattr(cli, "_write_chunk", write_chunk)
+    monkeypatch.setattr(cli, "_TEXTS_PER_CHUNK", 2)
+    _cpus(monkeypatch, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6",
+                     "--pmax", "2"]) == 2
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    out, err = capsys.readouterr()
+    assert '"summary"' not in out
+    assert err == f"error: share 1 of 3 sent {2 * chunks_sent} of its 4 records; " \
+                  f"the report is cut short\n"
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 

@@ -2,7 +2,6 @@
 its shares of the trials run them all between them."""
 
 import json
-import pickle
 
 import pytest
 
@@ -77,9 +76,16 @@ def test_reports_of_one_sample_hold_one_copy_of_each_echoed_text():
     config = RunConfig(dims=(1, 2), trials=3, p_max=2)
     _assert_each_text_is_held_once_per_sample(
         [r.inputs for r in run_suite("identities", config)])
-    # pickle keeps the sharing on its way back from a forked share
-    records = pickle.loads(pickle.dumps(_share_records(["identities"], config, (1, 2))))
-    _assert_each_text_is_held_once_per_sample([r["inputs"] for r in records])
+    # a share's records leave it as their sorted compact JSON texts, which
+    # between the shares are the serial run's
+    selected = ["identities", "omega-coherence"]
+    serial = sorted(json.dumps({**r.to_dict(), "suite": s}, sort_keys=True)
+                    for s in selected for r in run_suite(s, config))
+    for n in (1, 2, 3):
+        shares = [_share_records(selected, config, (k, n)) for k in range(n)]
+        assert all(type(text) is str for share in shares for text in share)
+        assert all(share == sorted(share) for share in shares)
+        assert sorted(text for share in shares for text in share) == serial, n
 
 
 @pytest.mark.parametrize("field, value", [
