@@ -465,7 +465,7 @@ class _CountingSink:
 
 def test_a_report_envelope_is_built_once_and_its_fields_cannot_be_set():
     envelope = cli.ReportEnvelope({"command": "order"}, [{"status": "fail"}])
-    for field in ("config", "results"):
+    for field in ("config", "results", "failed"):
         with pytest.raises(AttributeError):
             setattr(envelope, field, [])
     assert envelope.to_dict()["summary"] == {"total": 1, "passed": 0, "failed": 1}
