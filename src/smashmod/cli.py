@@ -4,7 +4,8 @@ Reports are JSON-first and deterministic: identical (seed, config) produce
 byte-identical output.  A verify report lists its records in the order of
 their compact JSON text, ``json.dumps(record, sort_keys=True)``, the one form
 in which a record is sorted, sent between processes and merged: each share
-of the trials sorts its own texts, and the sorted shares are merged and
+of the trials sorts its own texts, a forked share sends them one per line
+after a header line of its counts, and the sorted shares are merged and
 decoded one record at a time as the report is rendered.  A report is written
 into its destination (stdout or ``--out``) as it is rendered, in pieces of at
 most 4096 JSON tokens or 128 text lines, so no copy of the whole report text
@@ -167,60 +168,47 @@ def _resolve_module(args) -> AVModule:
 # subcommands
 # ---------------------------------------------------------------------------------
 
-def _share_records(suites: list[str], config: RunConfig, share: tuple[int, int]) -> list[str]:
+def _share_records(suites: list[str], config: RunConfig,
+                   share: tuple[int, int]) -> tuple[list[str], int]:
     """The compact JSON texts of the report records of share ``share`` (see
-    ``run_suite``) of the suites, sorted."""
+    ``run_suite``) of the suites, sorted, and how many of them failed."""
     from .suites import run_suite  # read when called, so a rebound run_suite is the one run
+    texts, failed = [], 0
     try:
-        return sorted(json.dumps({**report.to_dict(), "suite": s}, sort_keys=True)
-                      for s in suites for report in run_suite(s, config, share))
+        for s in suites:
+            for report in run_suite(s, config, share):
+                failed += not report.passed
+                texts.append(json.dumps({**report.to_dict(), "suite": s}, sort_keys=True))
     except DegreeOverflow as e:  # the suites' products grow with both options
         raise PolyError(f"{e}; lower --degree ({config.max_degree}) or --pmax "
                         f"({config.p_max})") from e
-
-
-def _failed(texts: list[str]) -> int:
-    """How many of the record texts ``texts`` are of failed checks."""
-    return sum(json.loads(t)["status"] == "fail" for t in texts)
-
-
-# record texts per pickled chunk a child writes: about 50 KB of text
-_TEXTS_PER_CHUNK = 256
-
-
-def _write_chunk(texts: list[str], fh) -> None:
-    """Write one pickled chunk of a share's record texts to the binary stream ``fh``."""
-    import pickle
-    pickle.dump(texts, fh)
+    texts.sort()
+    return texts, failed
 
 
 def _send_share(suites: list[str], config: RunConfig, share: tuple[int, int], fh) -> None:
-    """Check share ``share`` of the suites, then write to the binary stream
-    ``fh`` its header, the pickled pair (record count, failed count), and its
-    sorted record texts in pickled chunks of ``_TEXTS_PER_CHUNK``."""
-    import pickle
-    texts = _share_records(suites, config, share)
-    pickle.dump((len(texts), _failed(texts)), fh)
-    for i in range(0, len(texts), _TEXTS_PER_CHUNK):
-        _write_chunk(texts[i:i + _TEXTS_PER_CHUNK], fh)
+    """Check share ``share`` of the suites, then write to the text stream ``fh``
+    the header line ``"<record count> <failed count>"`` and its sorted record
+    texts, one per line: ``json.dumps`` escapes every control character, so a
+    compact JSON text holds no newline."""
+    texts, failed = _share_records(suites, config, share)
+    fh.write(f"{len(texts)} {failed}\n")
+    fh.writelines(text + "\n" for text in texts)
 
 
 def _received(fh, count: int, share: tuple[int, int]):
-    """The ``count`` record texts that the child of share ``share`` writes
-    after its header, read from the binary stream ``fh`` a chunk at a time;
-    OSError when the stream ends before them or holds more."""
-    import pickle
-    left = count
-    while left:
-        try:
-            chunk = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError):
-            chunk = ()
-        if not 0 < len(chunk) <= left:
-            raise OSError(f"share {share[0]} of {share[1]} sent {count - left} of its "
-                          f"{count} records; the report is cut short")
-        left -= len(chunk)
-        yield from chunk
+    """The ``count`` record texts that the child of share ``share`` writes,
+    one per line, after its header line, read from the text stream ``fh``;
+    OSError when the stream ends before them or a line before its newline."""
+    sent = 0
+    for line in islice(fh, count):
+        if not line.endswith("\n"):
+            break
+        yield line[:-1]
+        sent += 1
+    if sent < count:
+        raise OSError(f"share {share[0]} of {share[1]} sent {sent} of its "
+                      f"{count} records; the report is cut short")
 
 
 class _Decoded(list):
@@ -243,20 +231,20 @@ class _Decoded(list):
 
 def cmd_verify(args) -> int:
     """Run share 0 of n = min(CPUs in the affinity mask, trials) here and fork a
-    child for each other share.  A child checks its share, then writes a
-    header (record count, failed count) and its sorted record texts in
-    pickled chunks, or nothing if its share fails.  This process reads every
-    header before it writes a byte: the counts give the exit status and the
-    summary, and the texts of the shares are merged (``heapq.merge``) and
-    decoded one record at a time as the report is rendered, so it holds its
-    own share's texts and one chunk per child, never a child's records.  The
-    report is the same for every n (``taskset -c 0`` gives n = 1).  If any
-    share fails before its header, the children are reaped and the plan runs
-    again here as the one share (0, 1), which raises the error that a serial
-    run meets first; a child's stream that ends after its header raises
-    OSError with the report cut short."""
+    child for each other share.  A child checks its share, then writes to a
+    text pipe the header line "<record count> <failed count>" and its sorted
+    record texts, one per line, or nothing if its share fails.  This process
+    reads every header line before it writes a byte: the counts give the exit
+    status and the summary, and the texts of the shares are merged
+    (``heapq.merge``) and decoded one record at a time as the report is
+    rendered, so it holds its own share's texts and the buffered lines of each
+    pipe, never a child's records.  The report is the same for every n
+    (``taskset -c 0`` gives n = 1).  If any share fails before its header,
+    the children are reaped and the plan runs again here as the one share
+    (0, 1), which raises the error that a serial run meets first; a child's
+    stream that ends short of its header's count, or in a line before its
+    newline, raises OSError with the report cut short."""
     import heapq  # here, so that order and annihilator import none of these
-    import pickle
     import signal
 
     from .suites import RunConfig, max_shares, plan_suites
@@ -291,23 +279,26 @@ def cmd_verify(args) -> int:
                 pid = os.fork()
                 if pid == 0:  # the child: send share k, never return
                     try:
-                        with os.fdopen(w, "wb") as fh:
+                        with os.fdopen(w, "w", encoding="utf-8") as fh:
                             _send_share(suites, config, (k, n), fh)
                     finally:
                         os._exit(0)
                 os.close(w)
-                children.append((pid, os.fdopen(r, "rb")))
-            own = _share_records(suites, config, (0, n))
-            heads = [pickle.load(fh) for _, fh in children]  # a failed share's is empty
+                children.append((pid, os.fdopen(r, encoding="utf-8")))
+            own, failed = _share_records(suites, config, (0, n))
+            counts = []
+            for _, fh in children:  # a failed share's header is empty: ValueError
+                count, child_failed = map(int, fh.readline().split())
+                counts.append(count)
+                failed += child_failed
         except Exception:  # any error of any share: the serial run below raises it again
             if n == 1:
                 raise
             reap()
-            own, heads = _share_records(suites, config, (0, 1)), []
-        texts = heapq.merge(own, *(_received(fh, count, (k, n)) for k, ((_, fh), (count, _))
-                                   in enumerate(zip(children, heads), 1)))
-        results = _Decoded(texts, len(own) + sum(count for count, _ in heads))
-        failed = _failed(own) + sum(f for _, f in heads)
+            (own, failed), counts = _share_records(suites, config, (0, 1)), []
+        texts = heapq.merge(own, *(_received(fh, count, (k, n)) for k, ((_, fh), count)
+                                   in enumerate(zip(children, counts), 1)))
+        results = _Decoded(texts, len(own) + sum(counts))
         return _emit(ReportEnvelope({"command": "verify", "suites": suites, **config.to_dict()},
                                     results, failed), args)
     finally:

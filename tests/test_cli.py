@@ -267,45 +267,49 @@ def test_verify_error_that_cannot_be_pickled_exits_two(monkeypatch, capsys):
 def test_verify_failure_that_only_a_child_makes_is_reported_as_in_one_process(monkeypatch, capsys):
     # with 6 trials in 3 shares and pmax 3, levels (2, 2) and (2, 3) are those
     # of trials 4 and 5, the last share's: only a child makes the failures,
-    # and only its header tells this process the exit status and the summary
-    real = suites.verify_identity
+    # and only its header tells this process the exit status and the summary;
+    # a child sends each record as one line, whatever characters its witness holds
+    real, witness = suites.verify_identity, {}
 
     def verify_identity(name, bound):
         report = real(name, bound)
         if bound["p"] == 2 and bound["q"] >= 2:
-            return report._replace(status="fail", witness={"difference": "planted"})
+            return report._replace(status="fail", witness=witness)
         return report
 
     monkeypatch.setattr(suites, "verify_identity", verify_identity)
     args = ["verify", "--suite", "lemma2", "--dims", "1,2", "--trials", "6", "--pmax", "3"]
-    for fmt in ("json", "text"):
-        outs = []
-        for cpus in (1, 3):
-            forks = _cpus(monkeypatch, cpus)
-            assert main(args + ["--format", fmt]) == 1
-            assert len(forks) == cpus - 1
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-    assert outs[0].endswith("summary: 8/12 passed, 4 failed\n")
-    assert outs[0].count("witness: ") == 4
+    for difference in ("planted", 'planted \n \r \u2028 " \\'):
+        witness["difference"] = difference
+        for fmt in ("json", "text"):
+            outs = []
+            for cpus in (1, 3):
+                forks = _cpus(monkeypatch, cpus)
+                assert main(args + ["--format", fmt]) == 1
+                assert len(forks) == cpus - 1
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+        assert outs[0].endswith("summary: 8/12 passed, 4 failed\n")
+        assert outs[0].count("witness: ") == 4
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
-@pytest.mark.parametrize("chunks_sent", [0, 1], ids=["after-its-header", "after-one-chunk"])
-def test_verify_child_stream_that_stops_short_exits_two(monkeypatch, capsys, chunks_sent):
-    # the children write their headers, then fewer chunks than the header
-    # counts: the report must not close with a summary its records disagree with
-    real, sent = cli._write_chunk, []
+@pytest.mark.parametrize("part, sent", [
+    (lambda lines: "", 0),
+    (lambda lines: "".join(lines[:2]), 2),
+    (lambda lines: "".join(lines)[:-2], 3),  # the last record without its "}\n"
+], ids=["after-its-header", "after-two-records", "mid-line"])
+def test_verify_child_stream_that_stops_short_exits_two(monkeypatch, capsys, part, sent):
+    # the children write their true headers, then only part of their lines:
+    # the report must not close with a summary its records disagree with
+    def send_share(suites, config, share, fh):
+        texts, failed = cli._share_records(suites, config, share)
+        fh.write(f"{len(texts)} {failed}\n")
+        fh.write(part([text + "\n" for text in texts]))
 
-    def write_chunk(texts, fh):
-        if len(sent) < chunks_sent:
-            sent.append(1)
-            real(texts, fh)
-
-    monkeypatch.setattr(cli, "_write_chunk", write_chunk)
-    monkeypatch.setattr(cli, "_TEXTS_PER_CHUNK", 2)
+    monkeypatch.setattr(cli, "_send_share", send_share)
     _cpus(monkeypatch, 3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
@@ -315,8 +319,7 @@ def test_verify_child_stream_that_stops_short_exits_two(monkeypatch, capsys, chu
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     out, err = capsys.readouterr()
     assert '"summary"' not in out
-    assert err == f"error: share 1 of 3 sent {2 * chunks_sent} of its 4 records; " \
-                  f"the report is cut short\n"
+    assert err == f"error: share 1 of 3 sent {sent} of its 4 records; the report is cut short\n"
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -368,13 +371,15 @@ def test_order_imports_no_process_machinery(tmp_path):
                               ) == "[]", argv
 
 
-def test_verify_imports_neither_dataclasses_nor_inspect(tmp_path):
+def test_verify_imports_neither_dataclasses_inspect_nor_pickle(tmp_path):
+    # its children send their records as lines of JSON text, not pickles
     argv = ["verify", "--suite", "lemma2,omega-coherence,bracket", "--dims", "1",
             "--trials", "2", "--out", str(tmp_path / "report.json")]
+    unwanted = {"dataclasses", "inspect", "pickle"}
     assert _imports_after(f"started = set(sys.modules)\n"
                           f"import smashmod.cli as cli\n"
                           f"assert cli.main({argv!r}) == 0\n"
-                          f"print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules) - started))"
+                          f"print(sorted({unwanted!r} & set(sys.modules) - started))"
                           ) == "[]"
 
 

@@ -29,6 +29,7 @@ from smashmod import (
     module_to_dict,
     multi_indices,
     omega,
+    omega_multi,
     oracle_order,
     parse_derivation,
     parse_poly,
@@ -47,6 +48,7 @@ from oracles import (
     act_by_tensor,
     act_smash_by_terms,
     annihilates_by_sampling,
+    distinct_random_polys,
     gauge,
     jet_tensor_by_prolongation,
     mat_apply,
@@ -687,6 +689,25 @@ def test_min_annihilating_order_brute_force_cross_check():
              if not annihilates_by_sampling(j, omega(q, x, d))]
     assert fails == [1, 2]
     assert min_annihilating_order(j, x, d) == max(fails) + 1
+
+
+def test_annihilation_is_sharp_at_the_order():
+    # criterion 5 checks levels above rank^2 only: here every seeded
+    # nonconstant draw annihilates at level N + 1, N the module's order,
+    # through one function and through N + 1 distinct ones, and some draw
+    # does not annihilate at level N, so the order is attained
+    for mod in small_zoo():
+        n = mod.lie_map_order()
+        rng = seeded_rng(2026, "sharp-annihilation", mod.name)
+        attained = False
+        for draw in range(30):
+            f = random_poly(rng, mod.dim, 3, nonconstant=True)
+            eta = random_derivation(rng, mod.dim, 2)
+            assert mod.annihilates(omega(n + 1, f, eta)), (mod.name, draw)
+            fs = distinct_random_polys(rng, mod.dim, 3, n + 1)
+            assert mod.annihilates(omega_multi(fs, eta)), (mod.name, draw)
+            attained = attained or not mod.annihilates(omega(n, f, eta))
+        assert attained, mod.name
 
 
 # -- orders --------------------------------------------------------------------------

@@ -77,15 +77,17 @@ def test_reports_of_one_sample_hold_one_copy_of_each_echoed_text():
     _assert_each_text_is_held_once_per_sample(
         [r.inputs for r in run_suite("identities", config)])
     # a share's records leave it as their sorted compact JSON texts, which
-    # between the shares are the serial run's
-    selected = ["identities", "omega-coherence"]
+    # between the shares are the serial run's, with their count of failures
+    selected = ["identities", "omega-coherence", "negative-control"]
     serial = sorted(json.dumps({**r.to_dict(), "suite": s}, sort_keys=True)
                     for s in selected for r in run_suite(s, config))
+    assert sum(json.loads(text)["status"] == "fail" for text in serial) == 1
     for n in (1, 2, 3):
         shares = [_share_records(selected, config, (k, n)) for k in range(n)]
-        assert all(type(text) is str for share in shares for text in share)
-        assert all(share == sorted(share) for share in shares)
-        assert sorted(text for share in shares for text in share) == serial, n
+        assert all(type(text) is str for texts, _ in shares for text in texts)
+        assert all(texts == sorted(texts) for texts, _ in shares)
+        assert sorted(text for texts, _ in shares for text in texts) == serial, n
+        assert sum(failed for _, failed in shares) == 1, n
 
 
 @pytest.mark.parametrize("field, value", [
